@@ -4,28 +4,12 @@
    constraint functionals.
 2. Constrained expressions satisfy boundary values and C1 junction
    continuity for EVERY coefficient vector, before any solving.
-3. The two-segment cascade construction, which eliminates the junction
-   value analytically, agrees with the relative-parameter construction.
 """
 
 import numpy as np
 
-from hybvp import (
-    BasisSpec,
-    Interval,
-    SolveOptions,
-    alpha,
-    beta,
-    builtin,
-    cascade_eval,
-    cascade_junction_value,
-    first_segment_row,
-    gamma,
-    last_segment_row,
-    solve_linear,
-)
-from hybvp.expressions import UnknownLayout, cascade_block
-from hybvp.solver import _scaled_qr_lstsq
+from hybvp import BasisSpec, Interval, gamma
+from hybvp.expressions import UnknownLayout, segment_block, segment_constraints
 
 # 1 -- delta property of the cubic (interior segment) switching set
 iv = Interval(1.3, 4.1)
@@ -48,36 +32,26 @@ iv1, iv2 = Interval(x0, x1), Interval(x1, xf)
 s1 = BasisSpec.for_interval("chebyshev", 6, iv1)
 s2 = BasisSpec.for_interval("chebyshev", 6, iv2)
 y0, yf = -2.0, 3.0
+
+print("\nwhat each segment pins (order 0 = value, 1 = slope; column None = boundary value):")
+for k in (1, 2):
+    family, first, constraints = segment_constraints(k, layout, y0, yf)
+    print(f"  segment {k}: {family} from index {first}")
+    for c in constraints:
+        print(f"    order {c.order} at {'x0' if c.end == 0 else 'xf'}: "
+              + (f"boundary value {c.value:+.1f}" if c.column is None else f"unknown column {c.column}"))
+
+
+def at(spec, iv, k, x, d, xi):
+    coeffs, offsets = segment_block(spec, iv, k, layout, y0, yf, x, (d,))[d]
+    return float(coeffs[0] @ xi + offsets[0])
+
+
 print("\nrandom coefficient vectors still satisfy every constraint:")
 for trial in range(3):
     xi = rng.standard_normal(layout.total)
-    left_val = first_segment_row(s1, iv1, y0, x1, 0, layout)(xi)
-    right_val = last_segment_row(s2, iv2, yf, x1, 0, layout)(xi)
-    left_slope = first_segment_row(s1, iv1, y0, x1, 1, layout)(xi)
-    right_slope = last_segment_row(s2, iv2, yf, x1, 1, layout)(xi)
-    b0 = first_segment_row(s1, iv1, y0, x0, 0, layout)(xi)
-    bf = last_segment_row(s2, iv2, yf, xf, 0, layout)(xi)
+    left_val, right_val = at(s1, iv1, 1, x1, 0, xi), at(s2, iv2, 2, x1, 0, xi)
+    left_slope, right_slope = at(s1, iv1, 1, x1, 1, xi), at(s2, iv2, 2, x1, 1, xi)
+    b0, bf = at(s1, iv1, 1, x0, 0, xi), at(s2, iv2, 2, xf, 0, xi)
     print(f"  trial {trial}: y(x0)-y0 = {b0 - y0:+.1e}, y(xf)-yf = {bf - yf:+.1e}, "
           f"junction gaps = {left_val - right_val:+.1e}, {left_slope - right_slope:+.1e}")
-
-# 3 -- cascade construction vs shared-unknown construction
-problem = builtin("linear_linear")
-m, N = 8, 100
-c1 = BasisSpec.for_interval("chebyshev", m, Interval(0.0, 0.5))
-c2 = BasisSpec.for_interval("chebyshev", m, Interval(0.5, 1.0))
-ivA, ivB = Interval(0.0, 0.5), Interval(0.5, 1.0)
-ref = solve_linear(problem, SolveOptions(N=N, m=m))
-xs = np.concatenate([np.linspace(0, 0.5, 200), np.linspace(0.5, 1, 200)])
-rows, offs = cascade_block(c1, c2, ivA, ivB, 0.0, 1.0, xs, 2)
-forcing = np.where(xs <= 0.5, xs ** 2, xs ** 2 + 1.0)
-xi_casc, _ = _scaled_qr_lstsq(rows, forcing - offs)
-g1, g2 = (c1, xi_casc[:m]), (c2, xi_casc[m:])
-y1 = cascade_junction_value(g1, g2, ivA, ivB, 0.0, 1.0)
-grid = np.linspace(0, 1, 1001)
-gap = np.max(np.abs(cascade_eval(g1, g2, ivA, ivB, 0.0, 1.0, grid) - ref.evaluate(grid)))
-print("\ncascade construction (junction value eliminated analytically):")
-print(f"  recovered junction value {y1:.15f} vs 77/192 = {77 / 192:.15f}")
-print(f"  max pointwise gap to the shared-unknown solution: {gap:.2e}")
-print("\nthe cascade couples every row to both coefficient blocks, which is")
-print("why the shared-unknown form (block diagonal, one extra pair of")
-print("unknowns per junction) is the one the solver uses.")

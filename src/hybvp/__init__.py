@@ -7,34 +7,7 @@ residual alone is minimized: one least-squares solve for linear
 sequences, Gauss-Newton iteration otherwise.
 """
 
-from .assembly import (
-    SegmentGrids,
-    SystemMatrices,
-    assemble,
-    assemble_all,
-    make_layout,
-    segment_grids,
-)
-from .basis import (
-    BasisSpec,
-    Grid,
-    Interval,
-    basis_matrix,
-    collocation_grid,
-    eval_basis,
-    map_point,
-)
-from .expressions import (
-    AffineRow,
-    UnknownLayout,
-    cascade_block,
-    cascade_eval,
-    cascade_junction_value,
-    first_segment_row,
-    last_segment_row,
-    middle_segment_row,
-    single_bvp_row,
-)
+from .basis import BasisSpec, Interval
 from .problems import (
     BUILTIN_NAMES,
     HybridProblem,
@@ -44,66 +17,39 @@ from .problems import (
     generic_linear,
     linear_dynamics,
     nonlinear_dynamics,
-    residual_partial_check,
 )
 from .solver import (
     DivergenceError,
     SolveOptions,
     SolveResult,
     evaluate_solution,
-    initial_guess,
-    lstsq_scaled_qr,
     solve,
     solve_linear,
     solve_nonlinear,
 )
-from .switching import alpha, beta, gamma, switching_eval
+from .switching import alpha, beta, gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineRow",
     "BUILTIN_NAMES",
     "BasisSpec",
     "DivergenceError",
-    "Grid",
     "HybridProblem",
     "Interval",
     "SegmentDynamics",
-    "SegmentGrids",
     "SolveOptions",
     "SolveResult",
-    "SystemMatrices",
-    "UnknownLayout",
     "alpha",
     "analytic_value",
-    "assemble",
-    "assemble_all",
-    "basis_matrix",
     "beta",
     "builtin",
-    "cascade_block",
-    "cascade_eval",
-    "cascade_junction_value",
-    "collocation_grid",
-    "eval_basis",
     "evaluate_solution",
-    "first_segment_row",
     "gamma",
     "generic_linear",
-    "initial_guess",
-    "last_segment_row",
     "linear_dynamics",
-    "lstsq_scaled_qr",
-    "make_layout",
-    "map_point",
-    "middle_segment_row",
     "nonlinear_dynamics",
-    "residual_partial_check",
-    "segment_grids",
-    "single_bvp_row",
     "solve",
     "solve_linear",
     "solve_nonlinear",
-    "switching_eval",
 ]

@@ -14,26 +14,17 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisSpec, Grid, Interval, collocation_grid
-from .expressions import (
-    UnknownLayout,
-    first_segment_block,
-    last_segment_block,
-    middle_segment_block,
-    single_bvp_block,
-)
+from .expressions import UnknownLayout, segment_block
 
 
-def make_layout(n: int, m) -> UnknownLayout:
-    """Layout for n segments with m basis functions per segment.
-
-    m may be a single count (uniform) or one count per segment.
-    """
+def per_segment(value, n: int, name: str) -> tuple[int, ...]:
+    """A scalar repeated for n segments, or one value per segment, as ints."""
     if n < 1:
         raise ValueError("need at least one segment")
-    ms = (int(m),) * n if np.isscalar(m) else tuple(int(v) for v in m)
-    if len(ms) != n:
-        raise ValueError(f"expected {n} basis counts, got {len(ms)}")
-    return UnknownLayout(ms=ms)
+    values = (int(value),) * n if np.isscalar(value) else tuple(int(v) for v in value)
+    if len(values) != n:
+        raise ValueError(f"{name}: expected {n} per-segment values, got {len(values)}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -83,47 +74,13 @@ def segment_grids(break_points: Sequence[float], N, m, family: str = "chebyshev"
     if any(b >= c for b, c in zip(bp, bp[1:])):
         raise ValueError("break points must be strictly increasing")
     n = len(bp) - 1
-    Ns = (int(N),) * n if np.isscalar(N) else tuple(int(v) for v in N)
-    ms = (int(m),) * n if np.isscalar(m) else tuple(int(v) for v in m)
-    if len(Ns) != n or len(ms) != n:
-        raise ValueError(f"expected {n} per-segment values for N and m")
+    Ns, ms = per_segment(N, n, "N"), per_segment(m, n, "m")
     grids, specs = [], []
     for k in range(n):
         iv = Interval(bp[k], bp[k + 1])
         grids.append(collocation_grid(iv, Ns[k]))
         specs.append(BasisSpec.for_interval(family, ms[k], iv))
     return SegmentGrids(grids=tuple(grids), specs=tuple(specs))
-
-
-def assemble(grids: SegmentGrids, y0: float, yf: float, d: int):
-    """Stacked (A^(d), B^(d)) for one derivative order.
-
-    Rows follow segment order; segment 1 uses the first-segment
-    expression (offset beta_1^(d) * y0), interior segments the
-    gamma-based expression (zero offset), segment n the last-segment
-    expression (offset beta_6^(d) * yf).  A single segment degenerates
-    to the plain two-point boundary-value expression.
-    """
-    layout = grids.layout
-    n = grids.n_segments
-    A = np.zeros((grids.total_points, layout.total))
-    B = np.zeros(grids.total_points)
-    for k in range(1, n + 1):
-        grid = grids.grids[k - 1]
-        spec = grids.specs[k - 1]
-        iv = grid.interval
-        rows = grids.row_slice(k)
-        if n == 1:
-            coeffs, offs = single_bvp_block(spec, iv, y0, yf, grid.points, d)
-        elif k == 1:
-            coeffs, offs = first_segment_block(spec, iv, y0, grid.points, d, layout)
-        elif k == n:
-            coeffs, offs = last_segment_block(spec, iv, yf, grid.points, d, layout)
-        else:
-            coeffs, offs = middle_segment_block(spec, iv, k, grid.points, d, layout)
-        A[rows] = coeffs
-        B[rows] = offs
-    return A, B
 
 
 @dataclass(frozen=True)
@@ -144,10 +101,15 @@ class SystemMatrices:
 
 
 def assemble_all(grids: SegmentGrids, y0: float, yf: float) -> SystemMatrices:
-    """Assemble all three derivative orders at once."""
-    parts = [assemble(grids, y0, yf, d) for d in (0, 1, 2)]
-    return SystemMatrices(
-        A=tuple(p[0] for p in parts),
-        B=tuple(p[1] for p in parts),
-        grids=grids,
-    )
+    """Stacked (A^(d), B^(d)) for d = 0, 1, 2, one segment_block call per segment."""
+    layout = grids.layout
+    A = tuple(np.zeros((grids.total_points, layout.total)) for _ in range(3))
+    B = tuple(np.zeros(grids.total_points) for _ in range(3))
+    for k in range(1, grids.n_segments + 1):
+        grid = grids.grids[k - 1]
+        rows = grids.row_slice(k)
+        blocks = segment_block(grids.specs[k - 1], grid.interval, k, layout, y0, yf, grid.points)
+        for d, (coeffs, offsets) in blocks.items():
+            A[d][rows] = coeffs
+            B[d][rows] = offsets
+    return SystemMatrices(A=A, B=B, grids=grids)

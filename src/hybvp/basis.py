@@ -119,7 +119,7 @@ def collocation_grid(iv: Interval, N: int) -> Grid:
 
 
 def _chebyshev_table(z: np.ndarray, m: int, d: int) -> np.ndarray:
-    """T_k and derivatives up to order d at points z, shape (len(z), m)."""
+    """T_k and derivatives of orders 0..d at points z, shape (d + 1, len(z), m)."""
     npts = z.size
     out = np.zeros((d + 1, npts, m))
     out[0, :, 0] = 1.0
@@ -133,11 +133,11 @@ def _chebyshev_table(z: np.ndarray, m: int, d: int) -> np.ndarray:
             out[1, :, k] = 2.0 * out[0, :, k - 1] + 2.0 * z * out[1, :, k - 1] - out[1, :, k - 2]
         if d >= 2:
             out[2, :, k] = 4.0 * out[1, :, k - 1] + 2.0 * z * out[2, :, k - 1] - out[2, :, k - 2]
-    return out[d]
+    return out
 
 
 def _legendre_table(z: np.ndarray, m: int, d: int) -> np.ndarray:
-    """P_k and derivatives up to order d at points z, shape (len(z), m)."""
+    """P_k and derivatives of orders 0..d at points z, shape (d + 1, len(z), m)."""
     npts = z.size
     out = np.zeros((d + 1, npts, m))
     out[0, :, 0] = 1.0
@@ -153,23 +153,27 @@ def _legendre_table(z: np.ndarray, m: int, d: int) -> np.ndarray:
             out[1, :, k] = a * (out[0, :, k - 1] + z * out[1, :, k - 1]) - b * out[1, :, k - 2]
         if d >= 2:
             out[2, :, k] = a * (2.0 * out[1, :, k - 1] + z * out[2, :, k - 1]) - b * out[2, :, k - 2]
-    return out[d]
+    return out
 
 
-def eval_basis(spec: BasisSpec, z, d: int = 0) -> np.ndarray:
+def eval_basis(spec: BasisSpec, z, d=0):
     """d-th z-derivative of the m basis polynomials at z in [-1, 1].
 
-    Returns shape (m,) for scalar z, (len(z), m) for array z.  The c**d
-    chain-rule factor is NOT applied here; callers that work in x apply
-    it (see basis_matrix).
+    Returns shape (m,) for scalar z, (len(z), m) for array z.  d may also
+    be a tuple of orders, which returns one such table per order, all
+    from a single recurrence pass.  The c**d chain-rule factor is NOT
+    applied here; callers that work in x apply it (see basis_matrix).
     """
-    if d < 0 or d > MAX_DERIVATIVE:
+    orders = (d,) if np.isscalar(d) else tuple(d)
+    if min(orders) < 0 or max(orders) > MAX_DERIVATIVE:
         raise ValueError(f"derivative order {d} unsupported (second-order ODE scope, 0..2)")
     zz = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(np.abs(zz) > 1.0 + 1e-12):
         raise ValueError("basis evaluation point outside [-1, 1]")
-    table = _chebyshev_table(zz, spec.m, d) if spec.family == "chebyshev" else _legendre_table(zz, spec.m, d)
-    return table[0] if np.ndim(z) == 0 else table
+    table = _chebyshev_table if spec.family == "chebyshev" else _legendre_table
+    tables = table(zz, spec.m, max(orders))
+    picked = tuple(tables[o][0] if np.ndim(z) == 0 else tables[o] for o in orders)
+    return picked[0] if np.isscalar(d) else picked
 
 
 def basis_matrix(spec: BasisSpec, grid: Grid, d: int = 0) -> np.ndarray:

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import BUILTIN_NAMES, HybridProblem, analytic_value, builtin, generic_linear
-from .solver import DivergenceError, SolveOptions, SolveResult, solve
+from .problems import BUILTIN_NAMES, HybridProblem, builtin, generic_linear
+from .solver import DivergenceError, SolveOptions, SolveResult, evaluate_segment, solve
 
 _SOLVER_KEYS = {"N", "m", "basis", "tol", "max_iter", "init_policy", "init",
                 "eval_points", "format", "output", "emit_plot_data"}
@@ -140,21 +140,23 @@ def parse_config(path) -> tuple[HybridProblem, RunConfig]:
 
 
 def _solution_table(problem: HybridProblem, result: SolveResult, eval_points: int):
-    """Per-segment evaluation table as (column names, row lists)."""
+    """Per-segment evaluation table as (column names, row lists).
+
+    Each segment's rows, its junction end points included, come from
+    that segment's own expression and closed form.
+    """
     has_exact = problem.solution is not None
     columns = ["segment_index", "x", "y", "dy", "d2y"]
     if has_exact:
         columns += ["y_exact", "abs_err", "dy_exact", "abs_err_dy"]
     rows = []
+    bp = problem.break_points
     for k in range(1, problem.n_segments + 1):
-        iv = problem.interval(k)
-        xs = np.linspace(iv.x0, iv.xf, eval_points)
-        y = result.evaluate(xs, 0)
-        dy = result.evaluate(xs, 1)
-        d2y = result.evaluate(xs, 2)
+        xs = np.linspace(bp[k - 1], bp[k], eval_points)
+        y, dy, d2y = (evaluate_segment(problem, result.grids, result.xi, k, xs, d)
+                      for d in (0, 1, 2))
         if has_exact:
-            ye = analytic_value(problem, xs, 0)
-            dye = analytic_value(problem, xs, 1)
+            ye, dye = (problem.solution[k - 1][d](xs) for d in (0, 1))
             for i, x in enumerate(xs):
                 rows.append([k, x, y[i], dy[i], d2y[i],
                              ye[i], abs(y[i] - ye[i]), dye[i], abs(dy[i] - dye[i])])

@@ -1,7 +1,7 @@
 """Constrained expressions as affine functionals of the global unknowns.
 
-A segment solution is written as a free basis expansion plus switching
-functions that pin boundary values and junction values/slopes.  Every
+A segment solution is written as a free basis expansion minus switching
+functions applied to the constraint functionals the segment pins.  Every
 evaluation y^(d)(x) is therefore affine in the global unknown vector
 
     Xi = [xi_(1), y_1, y'_1, xi_(2), y_2, y'_2, ..., y_{n-1}, y'_{n-1}, xi_(n)]
@@ -10,9 +10,12 @@ and is materialized as a coefficient row plus a scalar offset.  Because
 the switching functions are exact Kronecker deltas, boundary and C1
 junction constraints hold for every Xi, before any solving.
 
-The alpha-based two-segment cascade construction, which eliminates the
-junction value analytically instead of treating it as an unknown, is
-provided as an independent cross-validation path.
+Segment k of n pins its value at both ends, plus its slope at each end
+that is a junction.  Each pinned functional takes its value either from
+a boundary condition (y0, yf), which lands in the offset, or from a
+junction unknown, which lands in that unknown's coefficient column.
+segment_constraints derives this list from k and n, and segment_block
+builds the rows of every segment role from it.
 
 The free function of a segment with k embedded constraints skips the
 first k basis polynomials: the constraint support reproduces every
@@ -25,16 +28,21 @@ k + m - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .basis import BasisSpec, Interval, eval_basis, map_point
-from .switching import alpha, beta, gamma
+from .switching import FAMILY_CONSTRAINTS, alpha, beta, gamma
 
-# leading basis functions skipped per constraint structure
-SINGLE_SKIP = 2    # value at both ends
-BOUNDARY_SKIP = 3  # value at both ends + slope at the junction end
-MIDDLE_SKIP = 4    # value and slope at both ends
+# (slope pinned at x0, slope pinned at xf) -> (switching family, first
+# index, key of its functionals in FAMILY_CONSTRAINTS)
+_SWITCHING = {
+    (False, False): ("alpha", 1, "alpha"),
+    (False, True): ("beta", 1, "beta_first"),
+    (True, False): ("beta", 4, "beta_last"),
+    (True, True): ("gamma", 1, "gamma"),
+}
 
 
 @dataclass(frozen=True)
@@ -79,219 +87,82 @@ class UnknownLayout:
         return self.junction_value_index(j) + 1
 
 
-@dataclass(frozen=True)
-class AffineRow:
-    """One evaluation y^(d)(x) = coeffs . Xi + offset."""
+class Constraint(NamedTuple):
+    """One functional pinned by a segment's expression.
 
-    coeffs: np.ndarray
-    offset: float
-
-    def __call__(self, xi: np.ndarray) -> float:
-        return float(self.coeffs @ np.asarray(xi, dtype=float) + self.offset)
-
-
-def _shifted(spec: BasisSpec, skip: int) -> BasisSpec:
-    return BasisSpec(spec.family, spec.m + skip, spec.c)
-
-
-def _support_values(spec: BasisSpec, skip: int):
-    """Free-function rows entering the junction/boundary support terms.
-
-    h at both endpoints and c*h' at both endpoints (the x-derivative of
-    the expansion, so the map slope is baked in here).
+    order 0 pins the value, 1 the slope; end 0 is x0, 1 is xf.  A
+    junction functional names its unknown's column; a boundary value has
+    column None and carries the value itself.
     """
-    wide = _shifted(spec, skip)
-    h0 = eval_basis(wide, -1.0, 0)[skip:]
-    h1 = eval_basis(wide, 1.0, 0)[skip:]
-    dh0 = spec.c * eval_basis(wide, -1.0, 1)[skip:]
-    dh1 = spec.c * eval_basis(wide, 1.0, 1)[skip:]
-    return h0, h1, dh0, dh1
+
+    order: int
+    end: int
+    column: Optional[int]
+    value: float = 0.0
 
 
-def _free_rows(spec: BasisSpec, iv: Interval, x: np.ndarray, d: int, skip: int) -> np.ndarray:
-    """c^d * h^(d)(z(x)) for each point, shape (len(x), m)."""
-    z = map_point(iv, x)
-    return (spec.c ** d) * eval_basis(_shifted(spec, skip), np.atleast_1d(z), d)[:, skip:]
+def segment_constraints(k: int, layout: UnknownLayout, y0: float, yf: float):
+    """Switching family, first index and pinned functionals of segment k.
 
-
-def single_bvp_block(spec, iv, y0, yf, x, d):
-    """Vectorized rows of the one-segment boundary-value expression."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h0, h1, _, _ = _support_values(spec, SINGLE_SKIP)
-    a1 = np.atleast_1d(alpha(1, iv, x, d))
-    a2 = np.atleast_1d(alpha(2, iv, x, d))
-    coeffs = _free_rows(spec, iv, x, d, SINGLE_SKIP) - np.outer(a1, h0) - np.outer(a2, h1)
-    offsets = a1 * y0 + a2 * yf
-    return coeffs, offsets
-
-
-def first_segment_block(spec, iv, y0, x, d, layout: UnknownLayout):
-    """Vectorized rows of the first-segment expression over the layout."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h0, h1, _, dh1 = _support_values(spec, BOUNDARY_SKIP)
-    b1 = np.atleast_1d(beta(1, iv, x, d))
-    b2 = np.atleast_1d(beta(2, iv, x, d))
-    b3 = np.atleast_1d(beta(3, iv, x, d))
-    coeffs = np.zeros((x.size, layout.total))
-    coeffs[:, layout.xi_slice(1)] = (
-        _free_rows(spec, iv, x, d, BOUNDARY_SKIP)
-        - np.outer(b1, h0) - np.outer(b2, h1) - np.outer(b3, dh1)
-    )
-    coeffs[:, layout.junction_value_index(1)] = b2
-    coeffs[:, layout.junction_slope_index(1)] = b3
-    return coeffs, b1 * y0
-
-
-def middle_segment_block(spec, iv, k, x, d, layout: UnknownLayout):
-    """Vectorized rows of interior segment k (2 <= k <= n-1)."""
-    if not 2 <= k <= layout.n_segments - 1:
-        raise ValueError(f"middle segment index {k} out of range 2..{layout.n_segments - 1}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h0, h1, dh0, dh1 = _support_values(spec, MIDDLE_SKIP)
-    g1 = np.atleast_1d(gamma(1, iv, x, d))
-    g2 = np.atleast_1d(gamma(2, iv, x, d))
-    g3 = np.atleast_1d(gamma(3, iv, x, d))
-    g4 = np.atleast_1d(gamma(4, iv, x, d))
-    coeffs = np.zeros((x.size, layout.total))
-    coeffs[:, layout.xi_slice(k)] = (
-        _free_rows(spec, iv, x, d, MIDDLE_SKIP)
-        - np.outer(g1, h0) - np.outer(g2, h1) - np.outer(g3, dh0) - np.outer(g4, dh1)
-    )
-    coeffs[:, layout.junction_value_index(k - 1)] = g1
-    coeffs[:, layout.junction_slope_index(k - 1)] = g3
-    coeffs[:, layout.junction_value_index(k)] = g2
-    coeffs[:, layout.junction_slope_index(k)] = g4
-    return coeffs, np.zeros(x.size)
-
-
-def last_segment_block(spec, iv, yf, x, d, layout: UnknownLayout):
-    """Vectorized rows of the final-segment expression."""
+    The functionals follow FAMILY_CONSTRAINTS order, which is also the
+    order of the family's switching indices.
+    """
     n = layout.n_segments
+    if not 1 <= k <= n:
+        raise ValueError(f"segment index {k} out of range 1..{n}")
+    family, first, key = _SWITCHING[k > 1, k < n]
+    out = []
+    for order, end in FAMILY_CONSTRAINTS[key]:
+        j = k - 1 + end  # break-point index of this end: 0 and n are the domain boundaries
+        if j in (0, n):
+            out.append(Constraint(order, end, None, y0 if j == 0 else yf))
+        elif order == 0:
+            out.append(Constraint(order, end, layout.junction_value_index(j)))
+        else:
+            out.append(Constraint(order, end, layout.junction_slope_index(j)))
+    return family, first, tuple(out)
+
+
+def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
+                  y0: float, yf: float, x, orders=(0, 1, 2)) -> dict:
+    """Rows of segment k's constrained expression at points x.
+
+    Returns {d: (coeffs, offsets)} for every d in orders, with coeffs of
+    shape (len(x), layout.total) so that y^(d)(x) = coeffs @ Xi + offsets.
+    Columns outside segment k's coefficients and its adjacent junction
+    unknowns are exactly 0.0.
+    """
+    family, first, constraints = segment_constraints(k, layout, y0, yf)
+    # looked up per call, so wrappers set on this module's names (the
+    # benchmark's span tracer) see every switching evaluation
+    switching = {"alpha": alpha, "beta": beta, "gamma": gamma}[family]
+    skip = len(constraints)
+    wide = BasisSpec(spec.family, spec.m + skip, spec.c)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    h0, h1, dh0, _ = _support_values(spec, BOUNDARY_SKIP)
-    b4 = np.atleast_1d(beta(4, iv, x, d))
-    b5 = np.atleast_1d(beta(5, iv, x, d))
-    b6 = np.atleast_1d(beta(6, iv, x, d))
-    coeffs = np.zeros((x.size, layout.total))
-    coeffs[:, layout.xi_slice(n)] = (
-        _free_rows(spec, iv, x, d, BOUNDARY_SKIP)
-        - np.outer(b4, h0) - np.outer(b5, dh0) - np.outer(b6, h1)
-    )
-    coeffs[:, layout.junction_value_index(n - 1)] = b4
-    coeffs[:, layout.junction_slope_index(n - 1)] = b5
-    return coeffs, b6 * yf
-
-
-def single_bvp_row(spec, iv, y0, yf, x, d=0) -> AffineRow:
-    coeffs, offsets = single_bvp_block(spec, iv, y0, yf, x, d)
-    return AffineRow(coeffs[0], float(offsets[0]))
-
-
-def first_segment_row(spec, iv, y0, x, d, layout) -> AffineRow:
-    coeffs, offsets = first_segment_block(spec, iv, y0, x, d, layout)
-    return AffineRow(coeffs[0], float(offsets[0]))
-
-
-def middle_segment_row(spec, iv, k, x, d, layout) -> AffineRow:
-    coeffs, offsets = middle_segment_block(spec, iv, k, x, d, layout)
-    return AffineRow(coeffs[0], float(offsets[0]))
-
-
-def last_segment_row(spec, iv, yf, x, d, layout) -> AffineRow:
-    coeffs, offsets = last_segment_block(spec, iv, yf, x, d, layout)
-    return AffineRow(coeffs[0], float(offsets[0]))
-
-
-# --- alpha-based two-segment cascade (cross-validation path) ------------
-
-def _check_cascade_geometry(iv1: Interval, iv2: Interval):
-    if iv1.xf != iv2.x0:
-        raise ValueError("cascade segments must share the junction abscissa")
-
-
-def cascade_junction_coeffs(spec1, spec2, iv1, iv2, y0, yf):
-    """Junction value y1 as an affine function of (xi1, xi2).
-
-    Returns (w1, w2, b) with y1 = w1.xi1 + w2.xi2 + b, obtained by
-    matching first derivatives of the two alpha-based expressions at the
-    shared junction.
-    """
-    _check_cascade_geometry(iv1, iv2)
-    x1 = iv1.xf
-    da2_left = alpha(2, iv1, x1, 1)   # slope of the left final-value switch
-    da1_right = alpha(1, iv2, iv2.x0, 1)
-    da1_left = alpha(1, iv1, x1, 1)
-    da2_right = alpha(2, iv2, iv2.x0, 1)
-    denom = da2_left - da1_right
-    if denom == 0.0:
-        raise ZeroDivisionError("degenerate cascade junction (zero switching-slope gap)")
-    h1_at_x0, h1_at_x1, _, dh1_at_x1 = _support_values(spec1, SINGLE_SKIP)
-    h2_at_x1, h2_at_xf, dh2_at_x1, _ = _support_values(spec2, SINGLE_SKIP)
-    w1 = (-dh1_at_x1 + da1_left * h1_at_x0 + da2_left * h1_at_x1) / denom
-    w2 = (dh2_at_x1 - da1_right * h2_at_x1 - da2_right * h2_at_xf) / denom
-    b = (-da1_left * y0 + da2_right * yf) / denom
-    return w1, w2, b
-
-
-def cascade_junction_value(g1_data, g2_data, iv1, iv2, y0, yf) -> float:
-    """The unique junction value making the cascade expressions C1.
-
-    g1_data and g2_data are (BasisSpec, coefficient vector) pairs for the
-    two free functions.
-    """
-    (spec1, xi1), (spec2, xi2) = g1_data, g2_data
-    w1, w2, b = cascade_junction_coeffs(spec1, spec2, iv1, iv2, y0, yf)
-    return float(w1 @ np.asarray(xi1, float) + w2 @ np.asarray(xi2, float) + b)
-
-
-def cascade_block(spec1, spec2, iv1, iv2, y0, yf, x, d):
-    """Rows of the cascade expression over stacked unknowns (xi1, xi2).
-
-    Each left-segment row depends on xi2 (and vice versa) through the
-    eliminated junction value, so the system is dense, not block
-    diagonal.
-    """
-    _check_cascade_geometry(iv1, iv2)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    m1, m2 = spec1.m, spec2.m
-    w1, w2, b = cascade_junction_coeffs(spec1, spec2, iv1, iv2, y0, yf)
-    coeffs = np.zeros((x.size, m1 + m2))
-    offsets = np.zeros(x.size)
-    h1_at_x0, h1_at_x1, _, _ = _support_values(spec1, SINGLE_SKIP)
-    h2_at_x1, h2_at_xf, _, _ = _support_values(spec2, SINGLE_SKIP)
-    left = x <= iv1.xf
-    if np.any(left):
-        xs = x[left]
-        a1 = np.atleast_1d(alpha(1, iv1, xs, d))
-        a2 = np.atleast_1d(alpha(2, iv1, xs, d))
-        block = np.zeros((xs.size, m1 + m2))
-        block[:, :m1] = (_free_rows(spec1, iv1, xs, d, SINGLE_SKIP)
-                         - np.outer(a1, h1_at_x0)
-                         - np.outer(a2, h1_at_x1))
-        block[:, :m1] += np.outer(a2, w1)
-        block[:, m1:] = np.outer(a2, w2)
-        coeffs[left] = block
-        offsets[left] = a1 * y0 + a2 * b
-    right = ~left
-    if np.any(right):
-        xs = x[right]
-        a1 = np.atleast_1d(alpha(1, iv2, xs, d))
-        a2 = np.atleast_1d(alpha(2, iv2, xs, d))
-        block = np.zeros((xs.size, m1 + m2))
-        block[:, m1:] = (_free_rows(spec2, iv2, xs, d, SINGLE_SKIP)
-                         - np.outer(a1, h2_at_x1)
-                         - np.outer(a2, h2_at_xf))
-        block[:, m1:] += np.outer(a1, w2)
-        block[:, :m1] = np.outer(a1, w1)
-        coeffs[right] = block
-        offsets[right] = a1 * b + a2 * yf
-    return coeffs, offsets
-
-
-def cascade_eval(g1_data, g2_data, iv1, iv2, y0, yf, x, d=0):
-    """Evaluate the cascade expression at x for concrete free functions."""
-    (spec1, xi1), (spec2, xi2) = g1_data, g2_data
-    coeffs, offsets = cascade_block(spec1, spec2, iv1, iv2, y0, yf, x, d)
-    xi = np.concatenate([np.asarray(xi1, float), np.asarray(xi2, float)])
-    out = coeffs @ xi + offsets
-    return float(out[0]) if np.ndim(x) == 0 else out
+    z = map_point(iv, x)
+    free = {d: (spec.c ** d) * table[:, skip:]
+            for d, table in zip(orders, eval_basis(wide, z, tuple(orders)))}
+    # h and c*h' of the free expansion at z = -1, +1
+    h, dh = eval_basis(wide, np.array([-1.0, 1.0]), (0, 1))
+    support = {(0, 0): h[0, skip:], (0, 1): h[1, skip:],
+               (1, 0): spec.c * dh[0, skip:], (1, 1): spec.c * dh[1, skip:]}
+    out = {}
+    for d in orders:
+        local = free.pop(d)
+        s = [np.atleast_1d(switching(first + i, iv, x, d)) for i in range(skip)]
+        # subtraction order fixes the rounding; the full-width rows are
+        # allocated only after the temporaries are gone
+        for s_i, con in zip(s, constraints):
+            local -= np.outer(s_i, support[con.order, con.end])
+        coeffs = np.zeros((x.size, layout.total))
+        coeffs[:, layout.xi_slice(k)] = local
+        offsets = None  # the first boundary term starts the sum, keeping its signed zeros
+        for s_i, con in zip(s, constraints):
+            if con.column is not None:
+                coeffs[:, con.column] = s_i
+            elif offsets is None:
+                offsets = s_i * con.value
+            else:
+                offsets = offsets + s_i * con.value
+        out[d] = (coeffs, np.zeros(x.size) if offsets is None else offsets)
+    return out

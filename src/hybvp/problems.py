@@ -17,17 +17,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .assembly import SegmentGrids, segment_grids
-from .basis import BasisSpec, Interval, eval_basis, map_point
-from .expressions import (
-    BOUNDARY_SKIP,
-    first_segment_block,
-    last_segment_block,
-    middle_segment_block,
-    single_bvp_block,
-)
-from .switching import beta
-
 Array = np.ndarray
 StateFn = Callable[[Array, Array, Array, Array], Array]
 
@@ -109,10 +98,6 @@ class HybridProblem:
     @property
     def is_linear(self) -> bool:
         return all(s.is_linear for s in self.segments)
-
-    def interval(self, k: int) -> Interval:
-        """Closed interval of segment k, 1-based."""
-        return Interval(self.break_points[k - 1], self.break_points[k])
 
     def segment_of(self, x) -> np.ndarray:
         """0-based segment index per point; junctions belong to the left segment."""
@@ -344,131 +329,3 @@ def generic_linear(config: dict) -> HybridProblem:
         name=str(config.get("name", "generic_linear")),
     )
 
-
-# --- Jacobian cross-checks ------------------------------------------------
-
-def _handcoded_boundary_row(spec, iv, layout, x, d, role):
-    """Full-length derivative-d row built directly from the table formulas.
-
-    Independent of the expressions module: the support subtractions are
-    spelled out with raw basis and switching evaluations.  role is
-    "first" or "last" (the two-segment reference problems have no
-    interior segments).  The free expansion skips the three leading
-    polynomials reproduced by the three-constraint support.
-    """
-    z = map_point(iv, x)
-    c = spec.c
-    skip = BOUNDARY_SKIP
-    wide = BasisSpec(spec.family, spec.m + skip, spec.c)
-    row = np.zeros(layout.total)
-    if role == "first":
-        b = [beta(j, iv, x, d) for j in (1, 2, 3)]
-        h_part = (c ** d) * eval_basis(wide, z, d)[skip:] \
-            - b[0] * eval_basis(wide, -1.0, 0)[skip:] \
-            - b[1] * eval_basis(wide, 1.0, 0)[skip:] \
-            - b[2] * c * eval_basis(wide, 1.0, 1)[skip:]
-        row[layout.xi_slice(1)] = h_part
-        row[layout.junction_value_index(1)] = b[1]
-        row[layout.junction_slope_index(1)] = b[2]
-    else:
-        n = layout.n_segments
-        b = [beta(j, iv, x, d) for j in (4, 5, 6)]
-        h_part = (c ** d) * eval_basis(wide, z, d)[skip:] \
-            - b[0] * eval_basis(wide, -1.0, 0)[skip:] \
-            - b[1] * c * eval_basis(wide, -1.0, 1)[skip:] \
-            - b[2] * eval_basis(wide, 1.0, 0)[skip:]
-        row[layout.xi_slice(n)] = h_part
-        row[layout.junction_value_index(n - 1)] = b[0]
-        row[layout.junction_slope_index(n - 1)] = b[1]
-    return row
-
-
-def reference_jacobian_row(problem: HybridProblem, grids: SegmentGrids, k: int, x: float,
-                           y: float, dy: float) -> np.ndarray:
-    """Hand-coded loss-partial row for the two reference nonlinear problems.
-
-    Implements the closed-form partial expressions for the
-    linear-nonlinear and nonlinear-nonlinear sequences at one point in
-    segment k (1-based), given the current solution state there.
-    """
-    layout = grids.layout
-    spec = grids.specs[k - 1]
-    iv = grids.grids[k - 1].interval
-    role = "first" if k == 1 else "last"
-    rows = {d: _handcoded_boundary_row(spec, iv, layout, x, d, role) for d in (0, 1, 2)}
-    if problem.name == "linear_nonlinear":
-        if k == 1:
-            return rows[2] + rows[0]
-        return rows[2] + dy * rows[0] + y * rows[1]
-    if problem.name == "nonlinear_nonlinear":
-        a = 1.0 if k == 1 else 10.0
-        return rows[2] - 2.0 * a * dy * rows[1]
-    raise ValueError(f"no hand-coded reference Jacobian for problem {problem.name!r}")
-
-
-def residual_partial_check(problem: HybridProblem, k: int, x: float, *, N: int = 20,
-                           m: Optional[int] = None, xi: Optional[np.ndarray] = None,
-                           seed: int = 0) -> dict:
-    """Cross-validate the chain-rule loss partials at one point.
-
-    Compares the chain-rule row dL/dXi = sum_d (dL/dy^(d)) * A^(d)-row
-    against central finite differences in Xi and, for the two reference
-    nonlinear problems, against the hand-coded closed-form partials.
-    Errors are reported relative to the largest row entry (floored at 1).
-    """
-    if not 1 <= k <= problem.n_segments:
-        raise ValueError(f"segment index {k} out of range")
-    iv = problem.interval(k)
-    if not iv.contains(x):
-        raise ValueError(f"x={x} not inside segment {k}")
-    m_eff = m if m is not None else (problem.default_m or 10)
-    grids = segment_grids(problem.break_points, N, m_eff)
-    layout = grids.layout
-    if xi is None:
-        xi = np.random.default_rng(seed).standard_normal(layout.total)
-    xi = np.asarray(xi, dtype=float)
-
-    def point_rows(d):
-        spec = grids.specs[k - 1]
-        if problem.n_segments == 1:
-            coeffs, offs = single_bvp_block(spec, iv, problem.y0, problem.yf, x, d)
-        elif k == 1:
-            coeffs, offs = first_segment_block(spec, iv, problem.y0, x, d, layout)
-        elif k == problem.n_segments:
-            coeffs, offs = last_segment_block(spec, iv, problem.yf, x, d, layout)
-        else:
-            coeffs, offs = middle_segment_block(spec, iv, k, x, d, layout)
-        return coeffs[0], offs[0]
-
-    rows = {d: point_rows(d) for d in (0, 1, 2)}
-
-    def state(vec):
-        return tuple(rows[d][0] @ vec + rows[d][1] for d in (0, 1, 2))
-
-    dyn = problem.segments[k - 1]
-    xarr = np.asarray([x])
-
-    def loss(vec):
-        yv, dyv, d2yv = state(vec)
-        return float(dyn.residual(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv]))[0])
-
-    yv, dyv, d2yv = state(xi)
-    p0 = float(np.asarray(dyn.d_y(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv])))[0])
-    p1 = float(np.asarray(dyn.d_dy(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv])))[0])
-    p2 = float(np.asarray(dyn.d_d2y(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv])))[0])
-    chain = p0 * rows[0][0] + p1 * rows[1][0] + p2 * rows[2][0]
-
-    scale = max(1.0, float(np.max(np.abs(chain))))
-    fd = np.zeros(layout.total)
-    h = 1e-6
-    for i in range(layout.total):
-        e = np.zeros(layout.total)
-        e[i] = h * max(1.0, abs(xi[i]))
-        fd[i] = (loss(xi + e) - loss(xi - e)) / (2.0 * e[i])
-    result = {"vs_finite_difference": float(np.max(np.abs(fd - chain)) / scale),
-              "vs_reference": None,
-              "state": (yv, dyv, d2yv)}
-    if problem.name in ("linear_nonlinear", "nonlinear_nonlinear"):
-        ref = reference_jacobian_row(problem, grids, k, x, yv, dyv)
-        result["vs_reference"] = float(np.max(np.abs(ref - chain)) / scale)
-    return result

@@ -3,11 +3,15 @@
 All-linear problems reduce to one least-squares solve of the stacked
 collocation system; problems with any nonlinear segment run Gauss-Newton
 with the update dXi = lstsq(J, L) at each step.  Least squares is
-computed by column-equilibrated QR with column pivoting; structurally
-dependent columns (the first two basis functions of every segment are
-reproduced exactly by the switching-function support and so never affect
-the residual) are detected by the rank tolerance and their coefficients
-set to zero, which leaves the evaluated solution unchanged.
+computed by column-equilibrated QR with column pivoting.
+
+The expressions already skip the basis directions that the constraint
+support reproduces, so the built-in problems give full-rank systems.
+The rank tolerance stays as a guard for user problems that are not: ODE
+coefficients that annihilate a basis direction on the grid, or m so
+large that columns agree to rounding.  Columns it drops get zero
+coefficients (the basic solution), and the diagnostic flags the solve
+as rank deficient.
 """
 
 from __future__ import annotations
@@ -19,13 +23,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .assembly import SegmentGrids, SystemMatrices, assemble_all, segment_grids
-from .expressions import (
-    first_segment_block,
-    last_segment_block,
-    middle_segment_block,
-    single_bvp_block,
-)
+from .assembly import SegmentGrids, SystemMatrices, assemble_all, per_segment, segment_grids
+from .expressions import segment_block
 from .problems import HybridProblem, analytic_value
 
 
@@ -114,30 +113,30 @@ class SolveResult:
 
 
 def evaluate_solution(problem: HybridProblem, grids: SegmentGrids, xi: np.ndarray, x, d: int = 0):
-    """Evaluate the constrained expression defined by Xi at points x."""
+    """Evaluate the constrained expression defined by Xi at points x.
+
+    A junction point is evaluated with the segment on its left.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    layout = grids.layout
-    n = grids.n_segments
     seg = problem.segment_of(xs)
     out = np.empty_like(xs)
-    xi = np.asarray(xi, dtype=float)
-    for k in range(1, n + 1):
+    for k in range(1, grids.n_segments + 1):
         mask = seg == k - 1
-        if not np.any(mask):
-            continue
-        spec = grids.specs[k - 1]
-        iv = grids.grids[k - 1].interval
-        pts = xs[mask]
-        if n == 1:
-            coeffs, offs = single_bvp_block(spec, iv, problem.y0, problem.yf, pts, d)
-        elif k == 1:
-            coeffs, offs = first_segment_block(spec, iv, problem.y0, pts, d, layout)
-        elif k == n:
-            coeffs, offs = last_segment_block(spec, iv, problem.yf, pts, d, layout)
-        else:
-            coeffs, offs = middle_segment_block(spec, iv, k, pts, d, layout)
-        out[mask] = coeffs @ xi + offs
+        if np.any(mask):
+            out[mask] = evaluate_segment(problem, grids, xi, k, xs[mask], d)
     return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def evaluate_segment(problem: HybridProblem, grids: SegmentGrids, xi: np.ndarray, k: int,
+                     x, d: int = 0) -> np.ndarray:
+    """y^(d) at points x of segment k (1-based) from segment k's own expression.
+
+    At a junction this is the limit from inside segment k, so y'' takes
+    the value of the segment's own ODE there.
+    """
+    coeffs, offsets = segment_block(grids.specs[k - 1], grids.grids[k - 1].interval, k,
+                                    grids.layout, problem.y0, problem.yf, x, (d,))[d]
+    return coeffs @ np.asarray(xi, dtype=float) + offsets
 
 
 # --- scaled QR least squares ----------------------------------------------
@@ -216,8 +215,7 @@ def initial_guess(problem: HybridProblem, opts: SolveOptions, grids: SegmentGrid
 def _resolve_grids(problem: HybridProblem, opts: SolveOptions) -> SegmentGrids:
     n = problem.n_segments
     m = opts.m if opts.m is not None else (problem.default_m or 16)
-    ms = (int(m),) * n if np.isscalar(m) else tuple(int(v) for v in m)
-    Ns = (int(opts.N),) * n if np.isscalar(opts.N) else tuple(int(v) for v in opts.N)
+    ms, Ns = per_segment(m, n, "m"), per_segment(opts.N, n, "N")
     for Nk, mk in zip(Ns, ms):
         if Nk < mk + 4:
             raise ValueError(f"need N >= m + 4 collocation points per segment, got N={Nk}, m={mk}")

@@ -1,0 +1,274 @@
+"""Independent constructions the tests check the library against.
+
+* AffineRow / segment_row: one evaluation of the segment kernel as a
+  callable row, for point-wise constraint checks.
+* The alpha-based two-segment cascade, which eliminates the junction
+  value analytically instead of treating it as an unknown.  It is built
+  from raw basis and switching evaluations, not from the kernel.
+* Hand-coded loss-partial rows of the two reference nonlinear problems
+  and residual_partial_check, which compares the chain-rule Jacobian row
+  against them and against central finite differences.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from hybvp.assembly import segment_grids
+from hybvp.basis import BasisSpec, Interval, eval_basis, map_point
+from hybvp.expressions import segment_block
+from hybvp.switching import alpha, beta
+
+CASCADE_SKIP = 2   # the alpha support pins the value at both ends
+BOUNDARY_SKIP = 3  # value at both ends + slope at the junction end
+
+
+@dataclass(frozen=True)
+class AffineRow:
+    """One evaluation y^(d)(x) = coeffs . Xi + offset."""
+
+    coeffs: np.ndarray
+    offset: float
+
+    def __call__(self, xi: np.ndarray) -> float:
+        return float(self.coeffs @ np.asarray(xi, dtype=float) + self.offset)
+
+
+def segment_row(spec, iv, k, layout, y0, yf, x, d=0) -> AffineRow:
+    """Segment k's expression for y^(d) at the single point x."""
+    coeffs, offsets = segment_block(spec, iv, k, layout, y0, yf, x, (d,))[d]
+    return AffineRow(coeffs[0], float(offsets[0]))
+
+
+# --- alpha-based two-segment cascade --------------------------------------
+
+def _wide(spec: BasisSpec, skip: int) -> BasisSpec:
+    return BasisSpec(spec.family, spec.m + skip, spec.c)
+
+
+def _support_values(spec: BasisSpec, skip: int):
+    """h at both endpoints and c*h' at both endpoints, leading skip dropped."""
+    wide = _wide(spec, skip)
+    h0 = eval_basis(wide, -1.0, 0)[skip:]
+    h1 = eval_basis(wide, 1.0, 0)[skip:]
+    dh0 = spec.c * eval_basis(wide, -1.0, 1)[skip:]
+    dh1 = spec.c * eval_basis(wide, 1.0, 1)[skip:]
+    return h0, h1, dh0, dh1
+
+
+def _free_rows(spec: BasisSpec, iv: Interval, x: np.ndarray, d: int, skip: int) -> np.ndarray:
+    """c^d * h^(d)(z(x)) for each point, shape (len(x), m)."""
+    z = map_point(iv, x)
+    return (spec.c ** d) * eval_basis(_wide(spec, skip), np.atleast_1d(z), d)[:, skip:]
+
+
+def _check_cascade_geometry(iv1: Interval, iv2: Interval):
+    if iv1.xf != iv2.x0:
+        raise ValueError("cascade segments must share the junction abscissa")
+
+
+def cascade_junction_coeffs(spec1, spec2, iv1, iv2, y0, yf):
+    """Junction value y1 as an affine function of (xi1, xi2).
+
+    Returns (w1, w2, b) with y1 = w1.xi1 + w2.xi2 + b, obtained by
+    matching first derivatives of the two alpha-based expressions at the
+    shared junction.
+    """
+    _check_cascade_geometry(iv1, iv2)
+    x1 = iv1.xf
+    da2_left = alpha(2, iv1, x1, 1)   # slope of the left final-value switch
+    da1_right = alpha(1, iv2, iv2.x0, 1)
+    da1_left = alpha(1, iv1, x1, 1)
+    da2_right = alpha(2, iv2, iv2.x0, 1)
+    denom = da2_left - da1_right
+    if denom == 0.0:
+        raise ZeroDivisionError("degenerate cascade junction (zero switching-slope gap)")
+    h1_at_x0, h1_at_x1, _, dh1_at_x1 = _support_values(spec1, CASCADE_SKIP)
+    h2_at_x1, h2_at_xf, dh2_at_x1, _ = _support_values(spec2, CASCADE_SKIP)
+    w1 = (-dh1_at_x1 + da1_left * h1_at_x0 + da2_left * h1_at_x1) / denom
+    w2 = (dh2_at_x1 - da1_right * h2_at_x1 - da2_right * h2_at_xf) / denom
+    b = (-da1_left * y0 + da2_right * yf) / denom
+    return w1, w2, b
+
+
+def cascade_junction_value(g1_data, g2_data, iv1, iv2, y0, yf) -> float:
+    """The unique junction value making the cascade expressions C1.
+
+    g1_data and g2_data are (BasisSpec, coefficient vector) pairs for the
+    two free functions.
+    """
+    (spec1, xi1), (spec2, xi2) = g1_data, g2_data
+    w1, w2, b = cascade_junction_coeffs(spec1, spec2, iv1, iv2, y0, yf)
+    return float(w1 @ np.asarray(xi1, float) + w2 @ np.asarray(xi2, float) + b)
+
+
+def cascade_block(spec1, spec2, iv1, iv2, y0, yf, x, d):
+    """Rows of the cascade expression over stacked unknowns (xi1, xi2).
+
+    Each left-segment row depends on xi2 (and vice versa) through the
+    eliminated junction value, so the system is dense, not block
+    diagonal.
+    """
+    _check_cascade_geometry(iv1, iv2)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    m1, m2 = spec1.m, spec2.m
+    w1, w2, b = cascade_junction_coeffs(spec1, spec2, iv1, iv2, y0, yf)
+    coeffs = np.zeros((x.size, m1 + m2))
+    offsets = np.zeros(x.size)
+    h1_at_x0, h1_at_x1, _, _ = _support_values(spec1, CASCADE_SKIP)
+    h2_at_x1, h2_at_xf, _, _ = _support_values(spec2, CASCADE_SKIP)
+    left = x <= iv1.xf
+    if np.any(left):
+        xs = x[left]
+        a1 = np.atleast_1d(alpha(1, iv1, xs, d))
+        a2 = np.atleast_1d(alpha(2, iv1, xs, d))
+        block = np.zeros((xs.size, m1 + m2))
+        block[:, :m1] = (_free_rows(spec1, iv1, xs, d, CASCADE_SKIP)
+                         - np.outer(a1, h1_at_x0)
+                         - np.outer(a2, h1_at_x1))
+        block[:, :m1] += np.outer(a2, w1)
+        block[:, m1:] = np.outer(a2, w2)
+        coeffs[left] = block
+        offsets[left] = a1 * y0 + a2 * b
+    right = ~left
+    if np.any(right):
+        xs = x[right]
+        a1 = np.atleast_1d(alpha(1, iv2, xs, d))
+        a2 = np.atleast_1d(alpha(2, iv2, xs, d))
+        block = np.zeros((xs.size, m1 + m2))
+        block[:, m1:] = (_free_rows(spec2, iv2, xs, d, CASCADE_SKIP)
+                         - np.outer(a1, h2_at_x1)
+                         - np.outer(a2, h2_at_xf))
+        block[:, m1:] += np.outer(a1, w2)
+        block[:, :m1] = np.outer(a1, w1)
+        coeffs[right] = block
+        offsets[right] = a1 * b + a2 * yf
+    return coeffs, offsets
+
+
+def cascade_eval(g1_data, g2_data, iv1, iv2, y0, yf, x, d=0):
+    """Evaluate the cascade expression at x for concrete free functions."""
+    (spec1, xi1), (spec2, xi2) = g1_data, g2_data
+    coeffs, offsets = cascade_block(spec1, spec2, iv1, iv2, y0, yf, x, d)
+    xi = np.concatenate([np.asarray(xi1, float), np.asarray(xi2, float)])
+    out = coeffs @ xi + offsets
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+# --- Jacobian cross-checks ------------------------------------------------
+
+def _handcoded_boundary_row(spec, iv, layout, x, d, role):
+    """Full-length derivative-d row built directly from the table formulas.
+
+    Independent of the expressions module: the support subtractions are
+    spelled out with raw basis and switching evaluations.  role is
+    "first" or "last" (the two-segment reference problems have no
+    interior segments).  The free expansion skips the three leading
+    polynomials reproduced by the three-constraint support.
+    """
+    z = map_point(iv, x)
+    c = spec.c
+    skip = BOUNDARY_SKIP
+    wide = _wide(spec, skip)
+    row = np.zeros(layout.total)
+    if role == "first":
+        b = [beta(j, iv, x, d) for j in (1, 2, 3)]
+        h_part = (c ** d) * eval_basis(wide, z, d)[skip:] \
+            - b[0] * eval_basis(wide, -1.0, 0)[skip:] \
+            - b[1] * eval_basis(wide, 1.0, 0)[skip:] \
+            - b[2] * c * eval_basis(wide, 1.0, 1)[skip:]
+        row[layout.xi_slice(1)] = h_part
+        row[layout.junction_value_index(1)] = b[1]
+        row[layout.junction_slope_index(1)] = b[2]
+    else:
+        n = layout.n_segments
+        b = [beta(j, iv, x, d) for j in (4, 5, 6)]
+        h_part = (c ** d) * eval_basis(wide, z, d)[skip:] \
+            - b[0] * eval_basis(wide, -1.0, 0)[skip:] \
+            - b[1] * c * eval_basis(wide, -1.0, 1)[skip:] \
+            - b[2] * eval_basis(wide, 1.0, 0)[skip:]
+        row[layout.xi_slice(n)] = h_part
+        row[layout.junction_value_index(n - 1)] = b[0]
+        row[layout.junction_slope_index(n - 1)] = b[1]
+    return row
+
+
+def reference_jacobian_row(problem, grids, k: int, x: float, y: float, dy: float) -> np.ndarray:
+    """Hand-coded loss-partial row for the two reference nonlinear problems.
+
+    Implements the closed-form partial expressions for the
+    linear-nonlinear and nonlinear-nonlinear sequences at one point in
+    segment k (1-based), given the current solution state there.
+    """
+    layout = grids.layout
+    spec = grids.specs[k - 1]
+    iv = grids.grids[k - 1].interval
+    role = "first" if k == 1 else "last"
+    rows = {d: _handcoded_boundary_row(spec, iv, layout, x, d, role) for d in (0, 1, 2)}
+    if problem.name == "linear_nonlinear":
+        if k == 1:
+            return rows[2] + rows[0]
+        return rows[2] + dy * rows[0] + y * rows[1]
+    if problem.name == "nonlinear_nonlinear":
+        a = 1.0 if k == 1 else 10.0
+        return rows[2] - 2.0 * a * dy * rows[1]
+    raise ValueError(f"no hand-coded reference Jacobian for problem {problem.name!r}")
+
+
+def residual_partial_check(problem, k: int, x: float, *, N: int = 20,
+                           m: Optional[int] = None, xi: Optional[np.ndarray] = None,
+                           seed: int = 0) -> dict:
+    """Cross-validate the chain-rule loss partials at one point.
+
+    Compares the chain-rule row dL/dXi = sum_d (dL/dy^(d)) * A^(d)-row
+    against central finite differences in Xi and, for the two reference
+    nonlinear problems, against the hand-coded closed-form partials.
+    Errors are reported relative to the largest row entry (floored at 1).
+    """
+    if not 1 <= k <= problem.n_segments:
+        raise ValueError(f"segment index {k} out of range")
+    m_eff = m if m is not None else (problem.default_m or 10)
+    grids = segment_grids(problem.break_points, N, m_eff)
+    iv = grids.grids[k - 1].interval
+    if not iv.contains(x):
+        raise ValueError(f"x={x} not inside segment {k}")
+    layout = grids.layout
+    if xi is None:
+        xi = np.random.default_rng(seed).standard_normal(layout.total)
+    xi = np.asarray(xi, dtype=float)
+    blocks = segment_block(grids.specs[k - 1], iv, k, layout, problem.y0, problem.yf, x)
+    rows = {d: (coeffs[0], offsets[0]) for d, (coeffs, offsets) in blocks.items()}
+
+    def state(vec):
+        return tuple(rows[d][0] @ vec + rows[d][1] for d in (0, 1, 2))
+
+    dyn = problem.segments[k - 1]
+    xarr = np.asarray([x])
+
+    def loss(vec):
+        yv, dyv, d2yv = state(vec)
+        return float(dyn.residual(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv]))[0])
+
+    yv, dyv, d2yv = state(xi)
+    p0 = float(np.asarray(dyn.d_y(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv])))[0])
+    p1 = float(np.asarray(dyn.d_dy(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv])))[0])
+    p2 = float(np.asarray(dyn.d_d2y(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv])))[0])
+    chain = p0 * rows[0][0] + p1 * rows[1][0] + p2 * rows[2][0]
+
+    scale = max(1.0, float(np.max(np.abs(chain))))
+    fd = np.zeros(layout.total)
+    h = 1e-6
+    for i in range(layout.total):
+        e = np.zeros(layout.total)
+        e[i] = h * max(1.0, abs(xi[i]))
+        fd[i] = (loss(xi + e) - loss(xi - e)) / (2.0 * e[i])
+    result = {"vs_finite_difference": float(np.max(np.abs(fd - chain)) / scale),
+              "vs_reference": None,
+              "state": (yv, dyv, d2yv)}
+    if problem.name in ("linear_nonlinear", "nonlinear_nonlinear"):
+        ref = reference_jacobian_row(problem, grids, k, x, yv, dyv)
+        result["vs_reference"] = float(np.max(np.abs(ref - chain)) / scale)
+    return result

@@ -10,21 +10,8 @@ import pytest
 
 from hybvp.assembly import assemble_all, segment_grids
 from hybvp.basis import BasisSpec, Interval
-from hybvp.expressions import (
-    UnknownLayout,
-    cascade_block,
-    cascade_eval,
-    first_segment_row,
-    last_segment_row,
-    middle_segment_row,
-)
-from hybvp.problems import (
-    HybridProblem,
-    builtin,
-    generic_linear,
-    nonlinear_dynamics,
-    residual_partial_check,
-)
+from hybvp.expressions import UnknownLayout
+from hybvp.problems import HybridProblem, builtin, generic_linear, nonlinear_dynamics
 from hybvp.solver import (
     SolveOptions,
     _jacobian,
@@ -36,6 +23,7 @@ from hybvp.solver import (
     solve_nonlinear,
 )
 from hybvp.switching import FAMILY_CONSTRAINTS, alpha, beta, gamma
+from oracles import cascade_block, cascade_eval, residual_partial_check, segment_row
 
 
 def _report(num, desc, ok, details):
@@ -148,34 +136,31 @@ def test_criterion_06_constrained_expression_properties():
     rng = np.random.default_rng(2025)
     worst_boundary = 0.0
     worst_junction = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        cuts = np.sort(rng.uniform(-4, 4, n + 1))
-        while np.min(np.diff(cuts)) < 0.2:
+    for family in ("chebyshev", "legendre"):
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
             cuts = np.sort(rng.uniform(-4, 4, n + 1))
-        m = int(rng.integers(3, 7))
-        layout = UnknownLayout(ms=(m,) * n)
-        y0, yf = rng.standard_normal(2) * 2
-        xi = rng.standard_normal(layout.total)
+            while np.min(np.diff(cuts)) < 0.2:
+                cuts = np.sort(rng.uniform(-4, 4, n + 1))
+            m = int(rng.integers(3, 7))
+            layout = UnknownLayout(ms=(m,) * n)
+            y0, yf = rng.standard_normal(2) * 2
+            xi = rng.standard_normal(layout.total)
 
-        def row(k, x, d):
-            iv = Interval(cuts[k - 1], cuts[k])
-            spec = BasisSpec.for_interval("chebyshev", m, iv)
-            if k == 1:
-                return first_segment_row(spec, iv, y0, x, d, layout)
-            if k == n:
-                return last_segment_row(spec, iv, yf, x, d, layout)
-            return middle_segment_row(spec, iv, k, x, d, layout)
+            def row(k, x, d):
+                iv = Interval(cuts[k - 1], cuts[k])
+                spec = BasisSpec.for_interval(family, m, iv)
+                return segment_row(spec, iv, k, layout, y0, yf, x, d)
 
-        worst_boundary = max(worst_boundary,
-                             abs(row(1, cuts[0], 0)(xi) - y0),
-                             abs(row(n, cuts[-1], 0)(xi) - yf))
-        for j in range(1, n):
-            for d in (0, 1):
-                worst_junction = max(worst_junction,
-                                     abs(row(j, cuts[j], d)(xi) - row(j + 1, cuts[j], d)(xi)))
+            worst_boundary = max(worst_boundary,
+                                 abs(row(1, cuts[0], 0)(xi) - y0),
+                                 abs(row(n, cuts[-1], 0)(xi) - yf))
+            for j in range(1, n):
+                for d in (0, 1):
+                    worst_junction = max(worst_junction,
+                                         abs(row(j, cuts[j], d)(xi) - row(j + 1, cuts[j], d)(xi)))
     ok = worst_boundary <= 1e-13 and worst_junction <= 1e-13
-    _report(6, "boundary and C1 junction embedding before solving", ok,
+    _report(6, "boundary and C1 junction embedding before solving, n=1..5, both families", ok,
             f"boundary err={worst_boundary:.2e}, junction err={worst_junction:.2e}")
 
 

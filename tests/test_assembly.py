@@ -1,28 +1,34 @@
 import numpy as np
 import pytest
 
-from hybvp.assembly import assemble, assemble_all, make_layout, segment_grids
-from hybvp.expressions import first_segment_block, last_segment_block
+from hybvp.assembly import assemble_all, per_segment, segment_grids
+from hybvp.expressions import UnknownLayout, segment_block
 from hybvp.switching import beta
 
 
-def test_make_layout_totals():
-    assert make_layout(1, 5).total == 5
-    lay = make_layout(2, 3)
+def _layout(n, m):
+    return UnknownLayout(ms=per_segment(m, n, "m"))
+
+
+def test_per_segment_layout_totals():
+    assert per_segment(5, 3, "m") == (5, 5, 5)
+    assert per_segment([2.0, 4, 6], 3, "m") == (2, 4, 6)
+    assert _layout(1, 5).total == 5
+    lay = _layout(2, 3)
     assert lay.total == 8
     assert lay.xi_slice(1) == slice(0, 3)
     assert lay.junction_value_index(1) == 3
     assert lay.junction_slope_index(1) == 4
     assert lay.xi_slice(2) == slice(5, 8)
-    assert make_layout(4, 10).total == 46
-    assert make_layout(3, (2, 4, 6)).total == 2 + 4 + 6 + 4
+    assert _layout(4, 10).total == 46
+    assert _layout(3, (2, 4, 6)).total == 2 + 4 + 6 + 4
 
 
-def test_make_layout_validation():
-    with pytest.raises(ValueError):
-        make_layout(0, 5)
-    with pytest.raises(ValueError):
-        make_layout(2, (3,))
+def test_per_segment_validation():
+    with pytest.raises(ValueError, match="at least one segment"):
+        per_segment(5, 0, "m")
+    with pytest.raises(ValueError, match="m: expected 2 per-segment values, got 1"):
+        per_segment((3,), 2, "m")
 
 
 def test_segment_grids_share_junction_abscissae():
@@ -39,7 +45,8 @@ def test_segment_grids_share_junction_abscissae():
 def test_boundary_row_embeds_y0_for_any_xi():
     grids = segment_grids([0.0, 0.5, 1.0], N=12, m=5)
     y0, yf = -2.0, 3.0
-    A, B = assemble(grids, y0, yf, 0)
+    sm = assemble_all(grids, y0, yf)
+    A, B = sm.A[0], sm.B[0]
     rng = np.random.default_rng(0)
     for _ in range(10):
         xi = rng.standard_normal(grids.layout.total)
@@ -50,8 +57,9 @@ def test_boundary_row_embeds_y0_for_any_xi():
 def test_zero_padding_blocks_are_exact():
     grids = segment_grids([0.0, 1.0, 2.0, 3.0], N=10, m=4)
     layout = grids.layout
+    sm = assemble_all(grids, 0.0, 1.0)
     for d in (0, 1, 2):
-        A, _ = assemble(grids, 0.0, 1.0, d)
+        A = sm.A[d]
         # segment-1 rows touch xi1 and junction 1 only
         rows1 = grids.row_slice(1)
         assert np.all(A[rows1, layout.xi_slice(2)] == 0.0)
@@ -71,8 +79,9 @@ def test_zero_padding_blocks_are_exact():
 
 def test_offsets_zero_on_middle_segments():
     grids = segment_grids([0.0, 1.0, 2.0, 3.0], N=8, m=4)
+    sm = assemble_all(grids, 5.0, -7.0)
     for d in (0, 1, 2):
-        _, B = assemble(grids, 5.0, -7.0, d)
+        B = sm.B[d]
         assert np.all(B[grids.row_slice(2)] == 0.0)
         if d == 0:
             assert B[grids.row_slice(1)][0] == 5.0
@@ -83,12 +92,13 @@ def test_two_segment_second_derivative_block_structure():
     """The d=2 stack of a two-segment geometry: [H1 b2'' b3'' 0; 0 b4'' b5'' H2]."""
     grids = segment_grids([0.0, 0.5, 1.0], N=7, m=5)
     layout = grids.layout
-    A, B = assemble(grids, 0.0, 1.0, 2)
+    sm = assemble_all(grids, 0.0, 1.0)
+    A, B = sm.A[2], sm.B[2]
     x1 = grids.grids[0].points
     x2 = grids.grids[1].points
     iv1, iv2 = grids.grids[0].interval, grids.grids[1].interval
 
-    H1, off1 = first_segment_block(grids.specs[0], iv1, 0.0, x1, 2, layout)
+    H1, off1 = segment_block(grids.specs[0], iv1, 1, layout, 0.0, 1.0, x1, (2,))[2]
     assert np.array_equal(A[grids.row_slice(1)], H1)
     assert np.array_equal(B[grids.row_slice(1)], off1)
 
@@ -132,14 +142,17 @@ def test_first_derivative_consistent_with_value_differences():
     xi = rng.standard_normal(grids.layout.total)
     h = 1e-6
     layout = grids.layout
-    for k, block in ((1, first_segment_block), (2, last_segment_block)):
+    for k in (1, 2):
         iv = grids.grids[k - 1].interval
         spec = grids.specs[k - 1]
         xs = np.linspace(iv.x0 + 2 * h, iv.xf - 2 * h, 9)
-        extra = (0.3,) if k == 1 else (0.9,)
-        c_plus, o_plus = block(spec, iv, extra[0], xs + h, 0, layout)
-        c_minus, o_minus = block(spec, iv, extra[0], xs - h, 0, layout)
-        c_mid, o_mid = block(spec, iv, extra[0], xs, 1, layout)
+
+        def block(x, d):
+            return segment_block(spec, iv, k, layout, 0.3, 0.9, x, (d,))[d]
+
+        c_plus, o_plus = block(xs + h, 0)
+        c_minus, o_minus = block(xs - h, 0)
+        c_mid, o_mid = block(xs, 1)
         fd = ((c_plus - c_minus) @ xi + (o_plus - o_minus)) / (2 * h)
         analytic = c_mid @ xi + o_mid
         assert np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))) < 1e-6

@@ -87,6 +87,19 @@ def test_run_writes_tables_and_summary(tmp_path):
     assert (tmp_path / "plot_error.csv").is_file()
 
 
+def test_junction_rows_use_their_own_segment(tmp_path):
+    """The first row of segment 2 sits on the junction: y'' is the right limit."""
+    problem = builtin("linear_linear")
+    run(problem, RunConfig(N=100, m=8, output=str(tmp_path), eval_points=50))
+    rows = [line.split(",") for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
+    left, right = rows[49], rows[50]
+    assert left[:2] == ["1", "0.5"] and right[:2] == ["2", "0.5"]
+    assert abs(float(left[4]) - 0.25) <= 1e-10   # x^2 at the junction
+    assert abs(float(right[4]) - 1.25) <= 1e-10  # x^2 + 1 at the junction
+    assert right[2:4] == left[2:4]               # y and y' are continuous bit for bit
+    assert right[5] == format(problem.solution[1][0](0.5), ".17g")
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     problem = builtin("linear_linear")
     out1, out2 = tmp_path / "a", tmp_path / "b"

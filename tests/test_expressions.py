@@ -2,18 +2,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as ncheb
 
-from hybvp.basis import BasisSpec, Interval
-from hybvp.expressions import (
-    SINGLE_SKIP,
-    UnknownLayout,
-    cascade_eval,
-    cascade_junction_value,
-    first_segment_block,
-    first_segment_row,
-    last_segment_row,
-    middle_segment_row,
-    single_bvp_row,
-)
+from hybvp.basis import BasisSpec, Interval, eval_basis, map_point
+from hybvp.expressions import UnknownLayout, segment_block, segment_constraints
+from oracles import CASCADE_SKIP, cascade_eval, cascade_junction_value, segment_row
 
 
 def _spec_for(iv, m=6, family="chebyshev"):
@@ -55,9 +46,10 @@ def test_layout_single_segment_has_no_junctions():
 def test_single_bvp_zero_free_function_interpolates_boundaries():
     iv = Interval(0.0, 1.0)
     spec = _spec_for(iv)
-    row0 = single_bvp_row(spec, iv, 0.0, 1.0, 0.0, 0)
-    rowm = single_bvp_row(spec, iv, 0.0, 1.0, 0.5, 0)
-    rowf = single_bvp_row(spec, iv, 0.0, 1.0, 1.0, 0)
+    layout = UnknownLayout(ms=(spec.m,))
+    row0 = segment_row(spec, iv, 1, layout, 0.0, 1.0, 0.0, 0)
+    rowm = segment_row(spec, iv, 1, layout, 0.0, 1.0, 0.5, 0)
+    rowf = segment_row(spec, iv, 1, layout, 0.0, 1.0, 1.0, 0)
     xi = np.zeros(spec.m)
     assert row0(xi) == 0.0
     assert rowm(xi) == 0.5
@@ -68,12 +60,13 @@ def test_single_bvp_second_derivative_is_pure_free_function():
     rng = np.random.default_rng(1)
     iv = Interval(0.2, 1.7)
     spec = _spec_for(iv, m=7)
-    from hybvp.expressions import _free_rows
+    layout = UnknownLayout(ms=(spec.m,))
+    wide = BasisSpec(spec.family, spec.m + CASCADE_SKIP, spec.c)
 
     for x in (0.3, 0.9, 1.5):
-        row = single_bvp_row(spec, iv, 2.0, -1.0, x, 2)
+        row = segment_row(spec, iv, 1, layout, 2.0, -1.0, x, 2)
         assert row.offset == 0.0
-        pure = _free_rows(spec, iv, np.array([x]), 2, SINGLE_SKIP)[0]
+        pure = (spec.c ** 2) * eval_basis(wide, map_point(iv, x), 2)[CASCADE_SKIP:]
         assert np.array_equal(row.coeffs, pure)
         xi = rng.standard_normal(spec.m)
         assert row(xi) == pure @ xi
@@ -87,18 +80,18 @@ def test_first_segment_constraints_select_the_right_unknowns():
     spec = _spec_for(iv)
     y0 = -1.3
 
-    row = first_segment_row(spec, iv, y0, x0, 0, layout)
+    row = segment_row(spec, iv, 1, layout, y0, None, x0, 0)
     for _ in range(10):
         xi = rng.standard_normal(layout.total)
         assert row(xi) == y0
 
-    row_val = first_segment_row(spec, iv, y0, x1, 0, layout)
+    row_val = segment_row(spec, iv, 1, layout, y0, None, x1, 0)
     e = np.zeros(layout.total)
     e[layout.junction_value_index(1)] = 1.0
     assert np.array_equal(row_val.coeffs, e)
     assert row_val.offset == 0.0
 
-    row_slope = first_segment_row(spec, iv, y0, x1, 1, layout)
+    row_slope = segment_row(spec, iv, 1, layout, y0, None, x1, 1)
     e = np.zeros(layout.total)
     e[layout.junction_slope_index(1)] = 1.0
     assert np.array_equal(row_slope.coeffs, e)
@@ -110,29 +103,28 @@ def test_middle_segment_constraints_select_the_right_unknowns():
     iv = Interval(1.0, 2.5)
     spec = _spec_for(iv, m=4)
 
-    row = middle_segment_row(spec, iv, 2, 1.0, 0, layout)
+    row = segment_row(spec, iv, 2, layout, None, None, 1.0, 0)
     e = np.zeros(layout.total)
     e[layout.junction_value_index(1)] = 1.0
     assert np.array_equal(row.coeffs, e) and row.offset == 0.0
 
-    row = middle_segment_row(spec, iv, 2, 2.5, 1, layout)
+    row = segment_row(spec, iv, 2, layout, None, None, 2.5, 1)
     e = np.zeros(layout.total)
     e[layout.junction_slope_index(2)] = 1.0
     assert np.array_equal(row.coeffs, e) and row.offset == 0.0
 
     # homogeneous case: zero unknowns -> zero function
-    row = middle_segment_row(spec, iv, 2, 1.7, 0, layout)
+    row = segment_row(spec, iv, 2, layout, None, None, 1.7, 0)
     assert row(np.zeros(layout.total)) == 0.0
 
 
-def test_middle_segment_index_range_checked():
+def test_segment_index_range_checked():
     layout = UnknownLayout(ms=(4, 4, 4))
     iv = Interval(1.0, 2.5)
     spec = _spec_for(iv, m=4)
-    with pytest.raises(ValueError):
-        middle_segment_row(spec, iv, 1, 1.5, 0, layout)
-    with pytest.raises(ValueError):
-        middle_segment_row(spec, iv, 3, 1.5, 0, layout)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            segment_block(spec, iv, k, layout, 0.0, 1.0, 1.5)
 
 
 def test_last_segment_constraints_select_the_right_unknowns():
@@ -142,16 +134,16 @@ def test_last_segment_constraints_select_the_right_unknowns():
     spec = _spec_for(iv, m=5)
     yf = 2.25
 
-    row = last_segment_row(spec, iv, yf, 1.0, 0, layout)
+    row = segment_row(spec, iv, 2, layout, None, yf, 1.0, 0)
     for _ in range(10):
         assert row(rng.standard_normal(layout.total)) == yf
 
-    row = last_segment_row(spec, iv, yf, 0.5, 0, layout)
+    row = segment_row(spec, iv, 2, layout, None, yf, 0.5, 0)
     e = np.zeros(layout.total)
     e[layout.junction_value_index(1)] = 1.0
     assert np.array_equal(row.coeffs, e) and row.offset == 0.0
 
-    row = last_segment_row(spec, iv, yf, 0.5, 1, layout)
+    row = segment_row(spec, iv, 2, layout, None, yf, 0.5, 1)
     e = np.zeros(layout.total)
     e[layout.junction_slope_index(1)] = 1.0
     assert np.array_equal(row.coeffs, e) and row.offset == 0.0
@@ -162,7 +154,7 @@ def test_rows_touch_only_owning_segment_and_adjacent_junctions():
     cuts = [0.0, 1.0, 2.0, 3.0, 4.0]
     iv2 = Interval(cuts[1], cuts[2])
     spec = _spec_for(iv2, m=4)
-    row = middle_segment_row(spec, iv2, 2, 1.3, 0, layout)
+    row = segment_row(spec, iv2, 2, layout, None, None, 1.3, 0)
     allowed = set(range(layout.xi_slice(2).start, layout.xi_slice(2).stop))
     allowed |= {layout.junction_value_index(1), layout.junction_slope_index(1),
                 layout.junction_value_index(2), layout.junction_slope_index(2)}
@@ -173,41 +165,68 @@ def test_rows_touch_only_owning_segment_and_adjacent_junctions():
 def test_constraint_satisfaction_over_random_geometries():
     """Boundary and C1 junction embedding holds for any Xi, before solving."""
     rng = np.random.default_rng(2024)
-    for trial in range(100):
-        n = int(rng.integers(2, 6))
-        cuts = _random_geometry(rng, n)
-        m = int(rng.integers(3, 8))
-        layout = UnknownLayout(ms=(m,) * n)
-        y0, yf = rng.standard_normal(2) * 3
-        xi = rng.standard_normal(layout.total)
+    for family in ("chebyshev", "legendre"):
+        for trial in range(100):
+            n = int(rng.integers(1, 6))
+            cuts = _random_geometry(rng, n)
+            m = int(rng.integers(3, 8))
+            layout = UnknownLayout(ms=(m,) * n)
+            y0, yf = rng.standard_normal(2) * 3
+            xi = rng.standard_normal(layout.total)
 
-        def row_at(k, x, d):
-            iv = Interval(cuts[k - 1], cuts[k])
-            spec = _spec_for(iv, m=m)
-            if k == 1:
-                return first_segment_row(spec, iv, y0, x, d, layout)
-            if k == n:
-                return last_segment_row(spec, iv, yf, x, d, layout)
-            return middle_segment_row(spec, iv, k, x, d, layout)
+            def row_at(k, x, d):
+                iv = Interval(cuts[k - 1], cuts[k])
+                return segment_row(_spec_for(iv, m, family), iv, k, layout, y0, yf, x, d)
 
-        assert abs(row_at(1, cuts[0], 0)(xi) - y0) <= 1e-13 * max(1, abs(y0))
-        assert abs(row_at(n, cuts[-1], 0)(xi) - yf) <= 1e-13 * max(1, abs(yf))
-        for j in range(1, n):
-            for d in (0, 1):
-                left = row_at(j, cuts[j], d)
-                right = row_at(j + 1, cuts[j], d)
-                assert np.max(np.abs(left.coeffs - right.coeffs)) <= 1e-13
-                assert abs(left.offset - right.offset) <= 1e-13
-                assert abs(left(xi) - right(xi)) <= 1e-13 * max(1.0, abs(left(xi)))
+            assert abs(row_at(1, cuts[0], 0)(xi) - y0) <= 1e-13 * max(1, abs(y0))
+            assert abs(row_at(n, cuts[-1], 0)(xi) - yf) <= 1e-13 * max(1, abs(yf))
+            for j in range(1, n):
+                for d in (0, 1):
+                    left = row_at(j, cuts[j], d)
+                    right = row_at(j + 1, cuts[j], d)
+                    assert np.max(np.abs(left.coeffs - right.coeffs)) <= 1e-13
+                    assert abs(left.offset - right.offset) <= 1e-13
+                    assert abs(left(xi) - right(xi)) <= 1e-13 * max(1.0, abs(left(xi)))
+
+
+def test_one_call_for_all_orders_equals_one_call_per_order():
+    rng = np.random.default_rng(7)
+    cuts = [0.0, 0.4, 1.1, 1.3, 2.0]
+    for n in (1, 2, 4):
+        layout = UnknownLayout(ms=(5, 6, 7, 8)[:n])
+        for k in range(1, n + 1):
+            iv = Interval(cuts[k - 1], cuts[k] if k < n else cuts[-1])
+            spec = BasisSpec.for_interval("legendre", layout.ms[k - 1], iv)
+            x = np.sort(rng.uniform(iv.x0, iv.xf, 9))
+            together = segment_block(spec, iv, k, layout, 0.7, -1.1, x, (0, 1, 2))
+            for d in (0, 1, 2):
+                coeffs, offsets = segment_block(spec, iv, k, layout, 0.7, -1.1, x, (d,))[d]
+                assert np.array_equal(together[d][0], coeffs)
+                assert np.array_equal(together[d][1], offsets)
+                assert np.array_equal(np.signbit(together[d][1]), np.signbit(offsets))
+
+
+def test_segment_constraints_are_the_switching_table_data():
+    layout = UnknownLayout(ms=(3, 3, 3))
+    expect = {1: ("beta", 1, [(0, 0, None, 1.5), (0, 1, 3, 0.0), (1, 1, 4, 0.0)]),
+              2: ("gamma", 1, [(0, 0, 3, 0.0), (0, 1, 8, 0.0), (1, 0, 4, 0.0), (1, 1, 9, 0.0)]),
+              3: ("beta", 4, [(0, 0, 8, 0.0), (1, 0, 9, 0.0), (0, 1, None, -2.0)])}
+    for k, (family, first, cons) in expect.items():
+        got = segment_constraints(k, layout, 1.5, -2.0)
+        assert got[:2] == (family, first)
+        assert [tuple(c) for c in got[2]] == cons
+    family, first, cons = segment_constraints(1, UnknownLayout(ms=(3,)), 1.5, -2.0)
+    assert (family, first) == ("alpha", 1)
+    assert [tuple(c) for c in cons] == [(0, 0, None, 1.5), (0, 1, None, -2.0)]
 
 
 def _cheb_free_coeffs(fn, iv, m):
     """Free-function coefficients of fn on iv: full fit minus the skipped head."""
     series = ncheb.Chebyshev.interpolate(
-        lambda z: fn(0.5 * (iv.x0 + iv.xf) + 0.5 * iv.width * z), deg=m + SINGLE_SKIP - 1)
-    coef = np.zeros(m + SINGLE_SKIP)
+        lambda z: fn(0.5 * (iv.x0 + iv.xf) + 0.5 * iv.width * z), deg=m + CASCADE_SKIP - 1)
+    coef = np.zeros(m + CASCADE_SKIP)
     coef[: series.coef.size] = series.coef
-    return coef[SINGLE_SKIP:]
+    return coef[CASCADE_SKIP:]
 
 
 def test_cascade_junction_of_zero_free_functions_is_the_line_value():

@@ -17,6 +17,7 @@ from hybvp.solver import (
     solve_linear,
     solve_nonlinear,
 )
+from oracles import residual_partial_check
 
 
 def test_lstsq_identity_and_stacked_identity():
@@ -315,8 +316,6 @@ def test_three_segment_nonlinear_solve_recovers_global_solution():
 
 
 def test_middle_segment_jacobian_matches_finite_differences():
-    from hybvp.problems import residual_partial_check
-
     p = _three_segment_log_problem()
     out = residual_partial_check(p, 2, 0.8, m=10)
     assert out["vs_finite_difference"] <= 1e-6
