@@ -44,7 +44,7 @@ for k in (1, 2):
 
 def at(spec, iv, k, x, d, xi):
     coeffs, offsets = segment_block(spec, iv, k, layout, y0, yf, x, (d,))[d]
-    return float(coeffs[0] @ xi + offsets[0])
+    return float(coeffs[0] @ xi[layout.window(k)] + offsets[0])
 
 
 print("\nrandom coefficient vectors still satisfy every constraint:")

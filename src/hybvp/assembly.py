@@ -1,14 +1,18 @@
-"""Stacked system matrices over per-segment collocation grids.
+"""Per-segment system blocks over per-segment collocation grids.
 
-For a geometry of n segments the evaluations of y^(d) at all grid points
-form y^(d) = A^(d) Xi + B^(d).  A^(d) is block sparse: each segment's
-rows touch only its own basis coefficients and the junction unknowns at
-its ends, every other entry is exactly 0.0 by construction.
+For a geometry of n segments the evaluations of y^(d) at the grid
+points of segment k are y^(d) = A_k^(d) Xi[window(k)] + B_k^(d).  The
+stacked A^(d) is block sparse: segment k's rows touch only the unknowns
+of its window, its own basis coefficients and the junction unknowns at
+its ends.  Only the blocks A_k^(d), one column per window unknown, are
+stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -45,13 +49,17 @@ class SegmentGrids:
     def n_segments(self) -> int:
         return len(self.grids)
 
-    @property
+    @cached_property
     def layout(self) -> UnknownLayout:
         return UnknownLayout(ms=tuple(s.m for s in self.specs))
 
+    @cached_property
+    def _row_starts(self) -> tuple[int, ...]:
+        return tuple(accumulate((g.n for g in self.grids), initial=0))
+
     @property
     def total_points(self) -> int:
-        return sum(g.n for g in self.grids)
+        return self._row_starts[-1]
 
     @property
     def all_points(self) -> np.ndarray:
@@ -59,8 +67,7 @@ class SegmentGrids:
 
     def row_slice(self, k: int) -> slice:
         """Row range of segment k (1-based) in the stacked system."""
-        start = sum(g.n for g in self.grids[: k - 1])
-        return slice(start, start + self.grids[k - 1].n)
+        return slice(self._row_starts[k - 1], self._row_starts[k])
 
 
 def segment_grids(break_points: Sequence[float], N, m, family: str = "chebyshev") -> SegmentGrids:
@@ -85,31 +92,34 @@ def segment_grids(break_points: Sequence[float], N, m, family: str = "chebyshev"
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """A^(d) and B^(d) for d = 0, 1, 2 over one geometry."""
+    """Per-segment (A_k^(d), B_k^(d)) for d = 0, 1, 2 over one geometry.
 
-    A: tuple[np.ndarray, np.ndarray, np.ndarray]
-    B: tuple[np.ndarray, np.ndarray, np.ndarray]
+    blocks[k-1][d] is the pair for segment k: A_k^(d) has shape
+    (N_k, width of layout.window(k)).
+    """
+
+    blocks: tuple[dict, ...]
     grids: SegmentGrids
 
     @property
     def layout(self) -> UnknownLayout:
         return self.grids.layout
 
+    def segment_states(self, xi: np.ndarray, k: int) -> tuple:
+        """y, y', y'' at segment k's grid points for a given Xi."""
+        local = np.asarray(xi, dtype=float)[self.layout.window(k)]
+        return tuple(A @ local + B for A, B in (self.blocks[k - 1][d] for d in (0, 1, 2)))
+
     def evaluate(self, xi: np.ndarray, d: int = 0) -> np.ndarray:
         """y^(d) at every stacked grid point for a given Xi."""
-        return self.A[d] @ np.asarray(xi, dtype=float) + self.B[d]
+        xi = np.asarray(xi, dtype=float)
+        return np.concatenate([A @ xi[self.layout.window(k)] + B
+                               for k, (A, B) in enumerate((b[d] for b in self.blocks), 1)])
 
 
 def assemble_all(grids: SegmentGrids, y0: float, yf: float) -> SystemMatrices:
-    """Stacked (A^(d), B^(d)) for d = 0, 1, 2, one segment_block call per segment."""
+    """Per-segment (A_k^(d), B_k^(d)) for d = 0, 1, 2, one segment_block call per segment."""
     layout = grids.layout
-    A = tuple(np.zeros((grids.total_points, layout.total)) for _ in range(3))
-    B = tuple(np.zeros(grids.total_points) for _ in range(3))
-    for k in range(1, grids.n_segments + 1):
-        grid = grids.grids[k - 1]
-        rows = grids.row_slice(k)
-        blocks = segment_block(grids.specs[k - 1], grid.interval, k, layout, y0, yf, grid.points)
-        for d, (coeffs, offsets) in blocks.items():
-            A[d][rows] = coeffs
-            B[d][rows] = offsets
-    return SystemMatrices(A=A, B=B, grids=grids)
+    blocks = tuple(segment_block(spec, grid.interval, k, layout, y0, yf, grid.points)
+                   for k, (grid, spec) in enumerate(zip(grids.grids, grids.specs), 1))
+    return SystemMatrices(blocks=blocks, grids=grids)

@@ -118,41 +118,43 @@ def collocation_grid(iv: Interval, N: int) -> Grid:
     return Grid(interval=iv, points=x)
 
 
-def _chebyshev_table(z: np.ndarray, m: int, d: int) -> np.ndarray:
-    """T_k and derivatives of orders 0..d at points z, shape (d + 1, len(z), m)."""
+def _chebyshev_table(z: np.ndarray, m: int, d: int) -> list:
+    """T_k and derivatives of orders 0..d at points z, one (len(z), m) array per order."""
     npts = z.size
-    out = np.zeros((d + 1, npts, m))
-    out[0, :, 0] = 1.0
+    # one array per order, so a caller can release each table on its own
+    out = [np.zeros((npts, m)) for _ in range(d + 1)]
+    out[0][:, 0] = 1.0
     if m > 1:
-        out[0, :, 1] = z
+        out[0][:, 1] = z
         if d >= 1:
-            out[1, :, 1] = 1.0
+            out[1][:, 1] = 1.0
     for k in range(2, m):
-        out[0, :, k] = 2.0 * z * out[0, :, k - 1] - out[0, :, k - 2]
+        out[0][:, k] = 2.0 * z * out[0][:, k - 1] - out[0][:, k - 2]
         if d >= 1:
-            out[1, :, k] = 2.0 * out[0, :, k - 1] + 2.0 * z * out[1, :, k - 1] - out[1, :, k - 2]
+            out[1][:, k] = 2.0 * out[0][:, k - 1] + 2.0 * z * out[1][:, k - 1] - out[1][:, k - 2]
         if d >= 2:
-            out[2, :, k] = 4.0 * out[1, :, k - 1] + 2.0 * z * out[2, :, k - 1] - out[2, :, k - 2]
+            out[2][:, k] = 4.0 * out[1][:, k - 1] + 2.0 * z * out[2][:, k - 1] - out[2][:, k - 2]
     return out
 
 
-def _legendre_table(z: np.ndarray, m: int, d: int) -> np.ndarray:
-    """P_k and derivatives of orders 0..d at points z, shape (d + 1, len(z), m)."""
+def _legendre_table(z: np.ndarray, m: int, d: int) -> list:
+    """P_k and derivatives of orders 0..d at points z, one (len(z), m) array per order."""
     npts = z.size
-    out = np.zeros((d + 1, npts, m))
-    out[0, :, 0] = 1.0
+    # one array per order, so a caller can release each table on its own
+    out = [np.zeros((npts, m)) for _ in range(d + 1)]
+    out[0][:, 0] = 1.0
     if m > 1:
-        out[0, :, 1] = z
+        out[0][:, 1] = z
         if d >= 1:
-            out[1, :, 1] = 1.0
+            out[1][:, 1] = 1.0
     for k in range(2, m):
         a = (2.0 * k - 1.0) / k
         b = (k - 1.0) / k
-        out[0, :, k] = a * z * out[0, :, k - 1] - b * out[0, :, k - 2]
+        out[0][:, k] = a * z * out[0][:, k - 1] - b * out[0][:, k - 2]
         if d >= 1:
-            out[1, :, k] = a * (out[0, :, k - 1] + z * out[1, :, k - 1]) - b * out[1, :, k - 2]
+            out[1][:, k] = a * (out[0][:, k - 1] + z * out[1][:, k - 1]) - b * out[1][:, k - 2]
         if d >= 2:
-            out[2, :, k] = a * (2.0 * out[1, :, k - 1] + z * out[2, :, k - 1]) - b * out[2, :, k - 2]
+            out[2][:, k] = a * (2.0 * out[1][:, k - 1] + z * out[2][:, k - 1]) - b * out[2][:, k - 2]
     return out
 
 

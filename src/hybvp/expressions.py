@@ -6,9 +6,12 @@ evaluation y^(d)(x) is therefore affine in the global unknown vector
 
     Xi = [xi_(1), y_1, y'_1, xi_(2), y_2, y'_2, ..., y_{n-1}, y'_{n-1}, xi_(n)]
 
-and is materialized as a coefficient row plus a scalar offset.  Because
-the switching functions are exact Kronecker deltas, boundary and C1
-junction constraints hold for every Xi, before any solving.
+and is materialized as a coefficient row plus a scalar offset.  The
+unknowns segment k touches, its own coefficients and the junction pairs
+at its ends, form one contiguous window of Xi, and rows are stored over
+that window only.  Because the switching functions are exact Kronecker
+deltas, boundary and C1 junction constraints hold for every Xi, before
+any solving.
 
 Segment k of n pins its value at both ends, plus its slope at each end
 that is a junction.  Each pinned functional takes its value either from
@@ -28,6 +31,8 @@ k + m - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -69,11 +74,31 @@ class UnknownLayout:
     def total(self) -> int:
         return sum(self.ms) + 2 * (self.n_segments - 1)
 
+    @cached_property
+    def _starts(self) -> tuple[int, ...]:
+        return tuple(accumulate((m + 2 for m in self.ms[:-1]), initial=0))
+
     def xi_slice(self, k: int) -> slice:
         """Column range of segment k's basis coefficients, k = 1..n."""
         if not 1 <= k <= self.n_segments:
             raise ValueError(f"segment index {k} out of range 1..{self.n_segments}")
-        start = sum(self.ms[: k - 1]) + 2 * (k - 1)
+        start = self._starts[k - 1]
+        return slice(start, start + self.ms[k - 1])
+
+    def window(self, k: int) -> slice:
+        """Contiguous column range segment k touches, k = 1..n.
+
+        Its own coefficients plus the (value, slope) pair of each adjacent
+        junction: width m_k + 4 for a middle segment, m_k + 2 at either
+        end, m_k when there is only one segment.
+        """
+        own = self.xi_slice(k)
+        return slice(own.start - (2 if k > 1 else 0),
+                     own.stop + (2 if k < self.n_segments else 0))
+
+    def own_in_window(self, k: int) -> slice:
+        """Position of segment k's own coefficients inside window(k)."""
+        start = 2 if k > 1 else 0
         return slice(start, start + self.ms[k - 1])
 
     def junction_value_index(self, j: int) -> int:
@@ -128,9 +153,9 @@ def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
     """Rows of segment k's constrained expression at points x.
 
     Returns {d: (coeffs, offsets)} for every d in orders, with coeffs of
-    shape (len(x), layout.total) so that y^(d)(x) = coeffs @ Xi + offsets.
-    Columns outside segment k's coefficients and its adjacent junction
-    unknowns are exactly 0.0.
+    shape (len(x), width of layout.window(k)) so that
+    y^(d)(x) = coeffs @ Xi[layout.window(k)] + offsets.  Segment k's
+    rows touch no unknown outside its window.
     """
     family, first, constraints = segment_constraints(k, layout, y0, yf)
     # looked up per call, so wrappers set on this module's names (the
@@ -138,28 +163,28 @@ def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
     switching = {"alpha": alpha, "beta": beta, "gamma": gamma}[family]
     skip = len(constraints)
     wide = BasisSpec(spec.family, spec.m + skip, spec.c)
+    window = layout.window(k)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = map_point(iv, x)
-    free = {d: (spec.c ** d) * table[:, skip:]
-            for d, table in zip(orders, eval_basis(wide, z, tuple(orders)))}
+    tables = list(eval_basis(wide, z, tuple(orders)))
     # h and c*h' of the free expansion at z = -1, +1
     h, dh = eval_basis(wide, np.array([-1.0, 1.0]), (0, 1))
     support = {(0, 0): h[0, skip:], (0, 1): h[1, skip:],
                (1, 0): spec.c * dh[0, skip:], (1, 1): spec.c * dh[1, skip:]}
     out = {}
     for d in orders:
-        local = free.pop(d)
+        coeffs = np.zeros((x.size, window.stop - window.start))
+        local = coeffs[:, layout.own_in_window(k)]
+        # each table is released once its order is built
+        np.multiply(spec.c ** d, tables.pop(0)[:, skip:], out=local)
         s = [np.atleast_1d(switching(first + i, iv, x, d)) for i in range(skip)]
-        # subtraction order fixes the rounding; the full-width rows are
-        # allocated only after the temporaries are gone
+        # subtraction order fixes the rounding
         for s_i, con in zip(s, constraints):
             local -= np.outer(s_i, support[con.order, con.end])
-        coeffs = np.zeros((x.size, layout.total))
-        coeffs[:, layout.xi_slice(k)] = local
         offsets = None  # the first boundary term starts the sum, keeping its signed zeros
         for s_i, con in zip(s, constraints):
             if con.column is not None:
-                coeffs[:, con.column] = s_i
+                coeffs[:, con.column - window.start] = s_i
             elif offsets is None:
                 offsets = s_i * con.value
             else:

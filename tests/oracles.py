@@ -1,5 +1,9 @@
 """Independent constructions the tests check the library against.
 
+* dense_matrix / dense_from_blocks scatter per-segment window blocks to
+  full width, and dense_scaled_qr_lstsq solves the full-width system by
+  one column-equilibrated, column-pivoted QR: the dense path the block
+  solver replaced.
 * AffineRow / segment_row: one evaluation of the segment kernel as a
   callable row, for point-wise constraint checks.
 * The alpha-based two-segment cascade, which eliminates the junction
@@ -16,15 +20,75 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from hybvp.assembly import segment_grids
 from hybvp.basis import BasisSpec, Interval, eval_basis, map_point
 from hybvp.expressions import segment_block
+from hybvp.solver import QrDiagnostic
 from hybvp.switching import alpha, beta
 
 CASCADE_SKIP = 2   # the alpha support pins the value at both ends
 BOUNDARY_SKIP = 3  # value at both ends + slope at the junction end
 
+
+# --- dense path -----------------------------------------------------------
+
+def dense_from_blocks(blocks, layout) -> np.ndarray:
+    """Stack per-segment blocks over layout.window(k) into full-width rows."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), layout.total))
+    start = 0
+    for k, block in enumerate(blocks, 1):
+        out[start:start + block.shape[0], layout.window(k)] = block
+        start += block.shape[0]
+    return out
+
+
+def dense_matrix(system, d: int) -> np.ndarray:
+    """Full-width A^(d) of a SystemMatrices."""
+    return dense_from_blocks([b[d][0] for b in system.blocks], system.layout)
+
+
+def dense_offsets(system, d: int) -> np.ndarray:
+    """Stacked B^(d) of a SystemMatrices."""
+    return np.concatenate([b[d][1] for b in system.blocks])
+
+
+def dense_scaled_qr_lstsq(M: np.ndarray, b: np.ndarray, rank_rtol: float = 1e-12):
+    """Minimize ||M x - b|| by column-equilibrated, column-pivoted QR.
+
+    Columns are scaled to unit 2-norm before factorization (zero or
+    negligible columns keep unit scale so rounding noise is never
+    amplified).  Columns whose pivoted R diagonal falls below the rank
+    tolerance are dropped and their unknowns set to zero (basic
+    solution).  The condition estimate is the largest kept R diagonal
+    over the smallest.
+    """
+    M = np.asarray(M, dtype=float)
+    b = np.asarray(b, dtype=float)
+    p, q = M.shape
+    if p < q:
+        raise ValueError(f"system must be square or overdetermined, got {p} rows < {q} columns")
+    norms = np.linalg.norm(M, axis=0)
+    floor = 1e-10 * (norms.max() if norms.size else 1.0)
+    scale = np.where(norms > floor, norms, 1.0)
+    Ms = M / scale
+    Q, R, piv = scipy.linalg.qr(Ms, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    dmax = diag[0] if diag.size else 0.0
+    rank = int(np.count_nonzero(diag > rank_rtol * dmax)) if dmax > 0 else 0
+    if rank == 0:
+        return np.zeros(q), QrDiagnostic(q, 0, np.inf, True)
+    qt_b = Q.T @ b
+    w = np.zeros(q)
+    w[:rank] = scipy.linalg.solve_triangular(R[:rank, :rank], qt_b[:rank])
+    x = np.zeros(q)
+    x[piv] = w
+    condition = float(diag[0] / diag[rank - 1])
+    return x / scale, QrDiagnostic(q, rank, condition, rank < q)
+
+
+# --- point rows -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AffineRow:
@@ -37,10 +101,17 @@ class AffineRow:
         return float(self.coeffs @ np.asarray(xi, dtype=float) + self.offset)
 
 
+def full_width(coeffs: np.ndarray, layout, k: int) -> np.ndarray:
+    """Rows of segment k over its window, scattered to every unknown of the layout."""
+    out = np.zeros(coeffs.shape[:-1] + (layout.total,))
+    out[..., layout.window(k)] = coeffs
+    return out
+
+
 def segment_row(spec, iv, k, layout, y0, yf, x, d=0) -> AffineRow:
-    """Segment k's expression for y^(d) at the single point x."""
+    """Segment k's expression for y^(d) at the single point x, over all unknowns."""
     coeffs, offsets = segment_block(spec, iv, k, layout, y0, yf, x, (d,))[d]
-    return AffineRow(coeffs[0], float(offsets[0]))
+    return AffineRow(full_width(coeffs[0], layout, k), float(offsets[0]))
 
 
 # --- alpha-based two-segment cascade --------------------------------------
@@ -240,7 +311,7 @@ def residual_partial_check(problem, k: int, x: float, *, N: int = 20,
         xi = np.random.default_rng(seed).standard_normal(layout.total)
     xi = np.asarray(xi, dtype=float)
     blocks = segment_block(grids.specs[k - 1], iv, k, layout, problem.y0, problem.yf, x)
-    rows = {d: (coeffs[0], offsets[0]) for d, (coeffs, offsets) in blocks.items()}
+    rows = {d: (full_width(coeffs[0], layout, k), offsets[0]) for d, (coeffs, offsets) in blocks.items()}
 
     def state(vec):
         return tuple(rows[d][0] @ vec + rows[d][1] for d in (0, 1, 2))

@@ -16,14 +16,21 @@ from hybvp.solver import (
     SolveOptions,
     _jacobian,
     _resolve_grids,
-    _scaled_qr_lstsq,
     _stacked_residual,
     initial_guess,
     solve_linear,
     solve_nonlinear,
 )
 from hybvp.switching import FAMILY_CONSTRAINTS, alpha, beta, gamma
-from oracles import cascade_block, cascade_eval, residual_partial_check, segment_row
+from oracles import (
+    cascade_block,
+    cascade_eval,
+    dense_from_blocks,
+    dense_matrix,
+    dense_scaled_qr_lstsq,
+    residual_partial_check,
+    segment_row,
+)
 
 
 def _report(num, desc, ok, details):
@@ -193,7 +200,7 @@ def test_criterion_08_cascade_cross_validation():
     x_all = grids.all_points
     rows, offs = cascade_block(s1, s2, iv1, iv2, 0.0, 1.0, x_all, 2)
     forcing = np.where(x_all <= 0.5, x_all ** 2, x_all ** 2 + 1.0)
-    xi, _ = _scaled_qr_lstsq(rows, forcing - offs)
+    xi, _ = dense_scaled_qr_lstsq(rows, forcing - offs)
     g1 = (s1, xi[:m])
     g2 = (s2, xi[m:])
 
@@ -237,8 +244,8 @@ def test_criterion_09_block_structure():
         problem = _nonlinear_chain(cuts)
         opts = SolveOptions(N=12, m=5)
         xi = initial_guess(problem, opts, grids)
-        J = _jacobian(problem, grids, system, xi)
-        mats = list(system.A) + [J]
+        J = dense_from_blocks(_jacobian(problem, grids, system, xi), layout)
+        mats = [dense_matrix(system, d) for d in (0, 1, 2)] + [J]
         for mat in mats:
             for k in range(1, n + 1):
                 allowed = set(range(layout.xi_slice(k).start, layout.xi_slice(k).stop))

@@ -4,6 +4,7 @@ import pytest
 from hybvp.assembly import assemble_all, per_segment, segment_grids
 from hybvp.expressions import UnknownLayout, segment_block
 from hybvp.switching import beta
+from oracles import dense_matrix, dense_offsets, full_width
 
 
 def _layout(n, m):
@@ -46,7 +47,7 @@ def test_boundary_row_embeds_y0_for_any_xi():
     grids = segment_grids([0.0, 0.5, 1.0], N=12, m=5)
     y0, yf = -2.0, 3.0
     sm = assemble_all(grids, y0, yf)
-    A, B = sm.A[0], sm.B[0]
+    A, B = dense_matrix(sm, 0), dense_offsets(sm, 0)
     rng = np.random.default_rng(0)
     for _ in range(10):
         xi = rng.standard_normal(grids.layout.total)
@@ -59,7 +60,7 @@ def test_zero_padding_blocks_are_exact():
     layout = grids.layout
     sm = assemble_all(grids, 0.0, 1.0)
     for d in (0, 1, 2):
-        A = sm.A[d]
+        A = dense_matrix(sm, d)
         # segment-1 rows touch xi1 and junction 1 only
         rows1 = grids.row_slice(1)
         assert np.all(A[rows1, layout.xi_slice(2)] == 0.0)
@@ -81,7 +82,7 @@ def test_offsets_zero_on_middle_segments():
     grids = segment_grids([0.0, 1.0, 2.0, 3.0], N=8, m=4)
     sm = assemble_all(grids, 5.0, -7.0)
     for d in (0, 1, 2):
-        B = sm.B[d]
+        B = dense_offsets(sm, d)
         assert np.all(B[grids.row_slice(2)] == 0.0)
         if d == 0:
             assert B[grids.row_slice(1)][0] == 5.0
@@ -93,13 +94,13 @@ def test_two_segment_second_derivative_block_structure():
     grids = segment_grids([0.0, 0.5, 1.0], N=7, m=5)
     layout = grids.layout
     sm = assemble_all(grids, 0.0, 1.0)
-    A, B = sm.A[2], sm.B[2]
+    A, B = dense_matrix(sm, 2), dense_offsets(sm, 2)
     x1 = grids.grids[0].points
     x2 = grids.grids[1].points
     iv1, iv2 = grids.grids[0].interval, grids.grids[1].interval
 
     H1, off1 = segment_block(grids.specs[0], iv1, 1, layout, 0.0, 1.0, x1, (2,))[2]
-    assert np.array_equal(A[grids.row_slice(1)], H1)
+    assert np.array_equal(A[grids.row_slice(1)], full_width(H1, layout, 1))
     assert np.array_equal(B[grids.row_slice(1)], off1)
 
     assert np.array_equal(A[grids.row_slice(1), layout.junction_value_index(1)],
@@ -124,7 +125,7 @@ def test_junction_rows_agree_between_adjacent_segments():
     rng = np.random.default_rng(5)
     sm = assemble_all(grids, 1.5, -0.5)
     for d in (0, 1):
-        A, B = sm.A[d], sm.B[d]
+        A, B = dense_matrix(sm, d), dense_offsets(sm, d)
         for k in (1, 2):
             left_row = grids.row_slice(k).stop - 1
             right_row = grids.row_slice(k + 1).start
@@ -150,23 +151,24 @@ def test_first_derivative_consistent_with_value_differences():
         def block(x, d):
             return segment_block(spec, iv, k, layout, 0.3, 0.9, x, (d,))[d]
 
+        local = xi[layout.window(k)]
         c_plus, o_plus = block(xs + h, 0)
         c_minus, o_minus = block(xs - h, 0)
         c_mid, o_mid = block(xs, 1)
-        fd = ((c_plus - c_minus) @ xi + (o_plus - o_minus)) / (2 * h)
-        analytic = c_mid @ xi + o_mid
+        fd = ((c_plus - c_minus) @ local + (o_plus - o_minus)) / (2 * h)
+        analytic = c_mid @ local + o_mid
         assert np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))) < 1e-6
 
 
 def test_shapes_and_single_segment_path():
     grids = segment_grids([0.0, 2.0], N=12, m=5)
     sm = assemble_all(grids, 1.0, 2.0)
-    assert sm.A[0].shape == (12, 5)
-    assert sm.B[2].shape == (12,)
+    assert dense_matrix(sm, 0).shape == (12, 5)
+    assert dense_offsets(sm, 2).shape == (12,)
     xi = np.zeros(5)
     vals = sm.evaluate(xi, 0)
     assert vals[0] == 1.0 and abs(vals[-1] - 2.0) < 1e-15
 
     grids = segment_grids([0.0, 1.0, 2.0, 3.0, 4.0], N=7, m=(3, 4, 5, 6))
     sm = assemble_all(grids, 0.0, 1.0)
-    assert sm.A[1].shape == (28, 3 + 4 + 5 + 6 + 6)
+    assert dense_matrix(sm, 1).shape == (28, 3 + 4 + 5 + 6 + 6)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from hybvp.assembly import assemble_all
+from hybvp.expressions import UnknownLayout
 from hybvp.problems import HybridProblem, builtin, generic_linear, nonlinear_dynamics
 from hybvp.solver import (
     DivergenceError,
@@ -12,31 +13,62 @@ from hybvp.solver import (
     _scaled_qr_lstsq,
     _stacked_residual,
     initial_guess,
-    lstsq_scaled_qr,
     solve,
     solve_linear,
     solve_nonlinear,
 )
-from oracles import residual_partial_check
+from oracles import dense_from_blocks, dense_scaled_qr_lstsq, residual_partial_check
+
+
+def _block_lstsq(layout, blocks, b):
+    return _scaled_qr_lstsq(blocks, b, layout)
+
+
+def _dense_lstsq(layout, blocks, b):
+    return dense_scaled_qr_lstsq(dense_from_blocks(blocks, layout), b)
+
+
+SOLVERS = (_block_lstsq, _dense_lstsq)
+
+
+def _random_blocks(rng, ms, Ns):
+    """Random per-segment blocks over each segment's window, and their dense stack."""
+    layout = UnknownLayout(ms=ms)
+    blocks = [rng.standard_normal((N, layout.window(k).stop - layout.window(k).start))
+              for k, N in enumerate(Ns, 1)]
+    return layout, blocks, dense_from_blocks(blocks, layout)
 
 
 def test_lstsq_identity_and_stacked_identity():
     b = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(lstsq_scaled_qr(np.eye(3), b), b)
-    M = np.vstack([np.eye(3), np.eye(3)])
-    bb = np.concatenate([b, b])
-    assert np.allclose(lstsq_scaled_qr(M, bb), b, atol=1e-15)
+    one = UnknownLayout(ms=(3,))
+    # two one-coefficient segments: rows e0, e1, e2 on segment 1 and e3 on
+    # segment 2 make the 4 x 4 identity over (xi_1, y_1, y'_1, xi_2)
+    two = UnknownLayout(ms=(1, 1))
+    b4 = np.array([1.0, -2.0, 3.0, 0.5])
+    for lstsq in SOLVERS:
+        assert np.array_equal(lstsq(one, [np.eye(3)], b)[0], b)
+        M = np.vstack([np.eye(3), np.eye(3)])
+        bb = np.concatenate([b, b])
+        assert np.allclose(lstsq(one, [M], bb)[0], b, atol=1e-15)
+        x, diag = lstsq(two, [np.eye(3), np.array([[0.0, 0.0, 1.0]])], b4)
+        assert np.allclose(x, b4, atol=1e-15) and diag.rank == 4
 
 
 def test_lstsq_is_the_minimizer_among_perturbations():
     rng = np.random.default_rng(12)
     M = rng.standard_normal((50, 10))
     b = rng.standard_normal(50)
-    x = lstsq_scaled_qr(M, b)
-    base = np.linalg.norm(M @ x - b)
-    for _ in range(100):
-        xp = x + rng.standard_normal(10) * rng.uniform(1e-6, 1.0)
-        assert base <= np.linalg.norm(M @ xp - b) + 1e-12
+    cases = [(UnknownLayout(ms=(10,)), [M], M, b)]
+    layout, blocks, dense = _random_blocks(rng, (3, 4, 2, 3), (9, 12, 7, 8))
+    cases.append((layout, blocks, dense, rng.standard_normal(dense.shape[0])))
+    for lstsq in SOLVERS:
+        for layout, blocks, M, b in cases:
+            x = lstsq(layout, blocks, b)[0]
+            base = np.linalg.norm(M @ x - b)
+            for _ in range(100):
+                xp = x + rng.standard_normal(x.size) * rng.uniform(1e-6, 1.0)
+                assert base <= np.linalg.norm(M @ xp - b) + 1e-12
 
 
 def test_lstsq_flags_zero_columns_and_zeroes_their_unknowns():
@@ -44,17 +76,35 @@ def test_lstsq_flags_zero_columns_and_zeroes_their_unknowns():
     M = rng.standard_normal((20, 5))
     M[:, 2] = 0.0
     b = rng.standard_normal(20)
-    x, diag = _scaled_qr_lstsq(M, b)
-    assert diag.rank_deficient and diag.rank == 4
-    assert x[2] == 0.0
-    # still minimizes over the remaining columns
-    ref = np.linalg.lstsq(np.delete(M, 2, axis=1), b, rcond=None)[0]
-    assert np.allclose(np.delete(x, 2), ref, atol=1e-12)
+    # three segments with one zeroed local column (segment 2) and one
+    # zeroed junction column (y'_2, shared by segments 2 and 3)
+    layout, blocks, _ = _random_blocks(rng, (3, 4, 3), (9, 11, 8))
+    blocks[1][:, 2 + 1] = 0.0
+    blocks[1][:, -1] = 0.0
+    blocks[2][:, 1] = 0.0
+    dense = dense_from_blocks(blocks, layout)
+    zeroed = [layout.xi_slice(2).start + 1, layout.junction_slope_index(2)]
+    cases = [(UnknownLayout(ms=(5,)), [M], M, b, [2]),
+             (layout, blocks, dense, rng.standard_normal(dense.shape[0]), zeroed)]
+    for lstsq in SOLVERS:
+        for layout, blocks, M, b, cols in cases:
+            x, diag = lstsq(layout, blocks, b)
+            assert diag.rank_deficient and diag.rank == M.shape[1] - len(cols)
+            assert np.all(x[cols] == 0.0)
+            # still minimizes over the remaining columns
+            ref = np.linalg.lstsq(np.delete(M, cols, axis=1), b, rcond=None)[0]
+            assert np.allclose(np.delete(x, cols), ref, atol=1e-12)
 
 
 def test_lstsq_rejects_underdetermined_systems():
-    with pytest.raises(ValueError):
-        lstsq_scaled_qr(np.ones((3, 5)), np.ones(3))
+    for lstsq in SOLVERS:
+        with pytest.raises(ValueError):
+            lstsq(UnknownLayout(ms=(5,)), [np.ones((3, 5))], np.ones(3))
+    # the block solver names the segment with fewer rows than own columns
+    layout = UnknownLayout(ms=(2, 3))
+    blocks = [np.ones((6, 4)), np.ones((2, 5))]
+    with pytest.raises(ValueError, match="segment 2: 2 rows < 3"):
+        _block_lstsq(layout, blocks, np.ones(8))
 
 
 def test_solve_linear_accuracy_and_junction_values():
@@ -177,7 +227,7 @@ def test_jacobian_matches_finite_differences_at_start_and_solution(name):
     else:
         states.append(solve_nonlinear(p, opts).xi)
     for xi in states:
-        J = _jacobian(p, grids, system, xi)
+        J = dense_from_blocks(_jacobian(p, grids, system, xi), grids.layout)
         fd = _fd_jacobian(p, grids, system, xi)
         for col in range(J.shape[1]):
             scale = 1.0 + np.max(np.abs(J[:, col]))
@@ -190,8 +240,8 @@ def test_jacobian_zero_blocks_bit_exact():
     grids = _resolve_grids(p, opts)
     system = assemble_all(grids, p.y0, p.yf)
     xi = initial_guess(p, opts, grids)
-    J = _jacobian(p, grids, system, xi)
     layout = grids.layout
+    J = dense_from_blocks(_jacobian(p, grids, system, xi), layout)
     assert np.all(J[grids.row_slice(1), layout.xi_slice(2)] == 0.0)
     assert np.all(J[grids.row_slice(2), layout.xi_slice(1)] == 0.0)
 
@@ -223,7 +273,7 @@ def test_boundary_values_embedded_at_every_iterate():
     for _ in range(4):
         J = _jacobian(p, grids, system, xi)
         r = _stacked_residual(p, grids, system, xi)
-        xi = xi - _scaled_qr_lstsq(J, r)[0]
+        xi = xi - _scaled_qr_lstsq(J, r, grids.layout)[0]
         y = system.evaluate(xi, 0)
         assert abs(y[0] - p.y0) <= 1e-14 * max(1.0, abs(p.y0))
         assert abs(y[-1] - p.yf) <= 1e-14 * max(1.0, abs(p.yf))
