@@ -35,9 +35,8 @@ y0, yf = -2.0, 3.0
 
 print("\nwhat each segment pins (order 0 = value, 1 = slope; column None = boundary value):")
 for k in (1, 2):
-    family, first, constraints = segment_constraints(k, layout, y0, yf)
-    print(f"  segment {k}: {family} from index {first}")
-    for c in constraints:
+    print(f"  segment {k}:")
+    for c in segment_constraints(k, layout, y0, yf):
         print(f"    order {c.order} at {'x0' if c.end == 0 else 'xf'}: "
               + (f"boundary value {c.value:+.1f}" if c.column is None else f"unknown column {c.column}"))
 

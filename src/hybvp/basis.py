@@ -118,38 +118,21 @@ def collocation_grid(iv: Interval, N: int) -> Grid:
     return Grid(interval=iv, points=x)
 
 
-def _chebyshev_table(z: np.ndarray, m: int, d: int) -> list:
-    """T_k and derivatives of orders 0..d at points z, one (len(z), m) array per order."""
-    npts = z.size
+def _table(family: str, z: np.ndarray, m: int, d: int) -> list:
+    """p_k and derivatives of orders 0..d at points z, one (len(z), m) array per order.
+
+    Both families follow p_k = a_k z p_{k-1} - b_k p_{k-2}; the
+    derivative rows differentiate that recurrence.
+    """
     # one array per order, so a caller can release each table on its own
-    out = [np.zeros((npts, m)) for _ in range(d + 1)]
+    out = [np.zeros((z.size, m)) for _ in range(d + 1)]
     out[0][:, 0] = 1.0
     if m > 1:
         out[0][:, 1] = z
         if d >= 1:
             out[1][:, 1] = 1.0
     for k in range(2, m):
-        out[0][:, k] = 2.0 * z * out[0][:, k - 1] - out[0][:, k - 2]
-        if d >= 1:
-            out[1][:, k] = 2.0 * out[0][:, k - 1] + 2.0 * z * out[1][:, k - 1] - out[1][:, k - 2]
-        if d >= 2:
-            out[2][:, k] = 4.0 * out[1][:, k - 1] + 2.0 * z * out[2][:, k - 1] - out[2][:, k - 2]
-    return out
-
-
-def _legendre_table(z: np.ndarray, m: int, d: int) -> list:
-    """P_k and derivatives of orders 0..d at points z, one (len(z), m) array per order."""
-    npts = z.size
-    # one array per order, so a caller can release each table on its own
-    out = [np.zeros((npts, m)) for _ in range(d + 1)]
-    out[0][:, 0] = 1.0
-    if m > 1:
-        out[0][:, 1] = z
-        if d >= 1:
-            out[1][:, 1] = 1.0
-    for k in range(2, m):
-        a = (2.0 * k - 1.0) / k
-        b = (k - 1.0) / k
+        a, b = (2.0, 1.0) if family == "chebyshev" else ((2.0 * k - 1.0) / k, (k - 1.0) / k)
         out[0][:, k] = a * z * out[0][:, k - 1] - b * out[0][:, k - 2]
         if d >= 1:
             out[1][:, k] = a * (out[0][:, k - 1] + z * out[1][:, k - 1]) - b * out[1][:, k - 2]
@@ -164,7 +147,7 @@ def eval_basis(spec: BasisSpec, z, d=0):
     Returns shape (m,) for scalar z, (len(z), m) for array z.  d may also
     be a tuple of orders, which returns one such table per order, all
     from a single recurrence pass.  The c**d chain-rule factor is NOT
-    applied here; callers that work in x apply it (see basis_matrix).
+    applied here; callers that work in x apply it.
     """
     orders = (d,) if np.isscalar(d) else tuple(d)
     if min(orders) < 0 or max(orders) > MAX_DERIVATIVE:
@@ -172,13 +155,7 @@ def eval_basis(spec: BasisSpec, z, d=0):
     zz = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(np.abs(zz) > 1.0 + 1e-12):
         raise ValueError("basis evaluation point outside [-1, 1]")
-    table = _chebyshev_table if spec.family == "chebyshev" else _legendre_table
-    tables = table(zz, spec.m, max(orders))
+    tables = _table(spec.family, zz, spec.m, max(orders))
     picked = tuple(tables[o][0] if np.ndim(z) == 0 else tables[o] for o in orders)
     return picked[0] if np.isscalar(d) else picked
 
-
-def basis_matrix(spec: BasisSpec, grid: Grid, d: int = 0) -> np.ndarray:
-    """N x m matrix of c**d * h^(d)(z(x_i)) over the grid points."""
-    z = map_point(grid.interval, grid.points)
-    return (spec.c ** d) * eval_basis(spec, z, d)

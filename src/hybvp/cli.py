@@ -43,6 +43,13 @@ class RunConfig:
     output: str = "."
     emit_plot_data: bool = False
 
+    def __post_init__(self):
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"solver.format: expected 'csv' or 'json', got {self.format!r}")
+        if self.eval_points < 2:
+            raise ValueError(f"solver.eval_points: need at least 2 points per segment, "
+                             f"got {self.eval_points}")
+
     def solve_options(self) -> SolveOptions:
         return SolveOptions(N=self.N, m=self.m, family=self.basis, tol=self.tol,
                             max_iter=self.max_iter, init_policy=self.init_policy,
@@ -83,8 +90,17 @@ def _parse_number_list(text: str, path: str):
         raise ValueError(f"{path}: expected comma-separated numbers, got {text!r}") from exc
 
 
-def _scalar_or_tuple(values: tuple):
-    return int(values[0]) if len(values) == 1 else tuple(int(v) for v in values)
+def _integer(value, key: str) -> int:
+    """A number with an integral value (not a bool) as int; else an error naming solver.<key>."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"solver.{key}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _scalar_or_tuple(values: tuple, key: str):
+    ints = tuple(_integer(v, key) for v in values)
+    return ints[0] if len(ints) == 1 else ints
 
 
 def parse_config(path) -> tuple[HybridProblem, RunConfig]:
@@ -115,13 +131,14 @@ def parse_config(path) -> tuple[HybridProblem, RunConfig]:
     for key in ("N", "m"):
         if key in solver_cfg:
             v = solver_cfg[key]
-            kwargs[key] = tuple(int(u) for u in v) if isinstance(v, list) else int(v)
+            kwargs[key] = tuple(_integer(u, key) for u in v) if isinstance(v, list) \
+                else _integer(v, key)
     if "basis" in solver_cfg:
         kwargs["basis"] = str(solver_cfg["basis"])
     if "tol" in solver_cfg:
         kwargs["tol"] = float(solver_cfg["tol"])
     if "max_iter" in solver_cfg:
-        kwargs["max_iter"] = int(solver_cfg["max_iter"])
+        kwargs["max_iter"] = _integer(solver_cfg["max_iter"], "max_iter")
     if "init_policy" in solver_cfg:
         kwargs["init_policy"] = str(solver_cfg["init_policy"])
     if "init" in solver_cfg:
@@ -129,13 +146,16 @@ def parse_config(path) -> tuple[HybridProblem, RunConfig]:
         kwargs["init"] = tuple(float(v) for v in init) if isinstance(init, list) \
             else _parse_number_list(init, "solver.init")
     if "eval_points" in solver_cfg:
-        kwargs["eval_points"] = int(solver_cfg["eval_points"])
+        kwargs["eval_points"] = _integer(solver_cfg["eval_points"], "eval_points")
     if "format" in solver_cfg:
         kwargs["format"] = str(solver_cfg["format"])
     if "output" in solver_cfg:
         kwargs["output"] = str(solver_cfg["output"])
     if "emit_plot_data" in solver_cfg:
-        kwargs["emit_plot_data"] = bool(solver_cfg["emit_plot_data"])
+        flag = solver_cfg["emit_plot_data"]
+        if not isinstance(flag, bool):
+            raise ValueError(f"solver.emit_plot_data: expected true or false, got {flag!r}")
+        kwargs["emit_plot_data"] = flag
     return problem, RunConfig(**kwargs)
 
 
@@ -149,12 +169,14 @@ def _solution_table(problem: HybridProblem, result: SolveResult, eval_points: in
     columns = ["segment_index", "x", "y", "dy", "d2y"]
     if has_exact:
         columns += ["y_exact", "abs_err", "dy_exact", "abs_err_dy"]
-    rows = []
     bp = problem.break_points
-    for k in range(1, problem.n_segments + 1):
-        xs = np.linspace(bp[k - 1], bp[k], eval_points)
-        y, dy, d2y = (evaluate_segment(problem, result.grids, result.xi, k, xs, d)
-                      for d in (0, 1, 2))
+    points = [np.linspace(bp[k - 1], bp[k], eval_points) for k in range(1, problem.n_segments + 1)]
+    # every segment is evaluated before the first row is built, so the
+    # kernel's work arrays never coexist with the row objects (peak memory)
+    values = [evaluate_segment(problem, result.grids, result.xi, k, xs)
+              for k, xs in enumerate(points, 1)]
+    rows = []
+    for k, (xs, (y, dy, d2y)) in enumerate(zip(points, values), 1):
         if has_exact:
             ye, dye = (problem.solution[k - 1][d](xs) for d in (0, 1))
             for i, x in enumerate(xs):
@@ -272,9 +294,9 @@ def main(argv=None) -> int:
             cfg = RunConfig()
         overrides = {}
         if args.N is not None:
-            overrides["N"] = _scalar_or_tuple(_parse_number_list(args.N, "--N"))
+            overrides["N"] = _scalar_or_tuple(_parse_number_list(args.N, "--N"), "N")
         if args.m is not None:
-            overrides["m"] = _scalar_or_tuple(_parse_number_list(args.m, "--m"))
+            overrides["m"] = _scalar_or_tuple(_parse_number_list(args.m, "--m"), "m")
         if args.basis is not None:
             overrides["basis"] = args.basis
         if args.tol is not None:

@@ -17,8 +17,11 @@ Segment k of n pins its value at both ends, plus its slope at each end
 that is a junction.  Each pinned functional takes its value either from
 a boundary condition (y0, yf), which lands in the offset, or from a
 junction unknown, which lands in that unknown's coefficient column.
-segment_constraints derives this list from k and n, and segment_block
-builds the rows of every segment role from it.
+segment_constraints derives this list from k and n; it is the only
+place that knows a segment's role.  segment_block hands the list to
+switching.switching_functions, which derives the matching switching
+functions, and builds the rows of every segment the same way: it never
+names a switching family.
 
 The free function of a segment with k embedded constraints skips the
 first k basis polynomials: the constraint support reproduces every
@@ -38,16 +41,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import BasisSpec, Interval, eval_basis, map_point
-from .switching import FAMILY_CONSTRAINTS, alpha, beta, gamma
-
-# (slope pinned at x0, slope pinned at xf) -> (switching family, first
-# index, key of its functionals in FAMILY_CONSTRAINTS)
-_SWITCHING = {
-    (False, False): ("alpha", 1, "alpha"),
-    (False, True): ("beta", 1, "beta_first"),
-    (True, False): ("beta", 4, "beta_last"),
-    (True, True): ("gamma", 1, "gamma"),
-}
+from .switching import switching_functions
 
 
 @dataclass(frozen=True)
@@ -127,25 +121,25 @@ class Constraint(NamedTuple):
 
 
 def segment_constraints(k: int, layout: UnknownLayout, y0: float, yf: float):
-    """Switching family, first index and pinned functionals of segment k.
+    """Functionals segment k pins, in the order of its switching columns.
 
-    The functionals follow FAMILY_CONSTRAINTS order, which is also the
-    order of the family's switching indices.
+    One rule for every segment: the value at both ends, then the slope
+    at each end that is a junction.
     """
     n = layout.n_segments
     if not 1 <= k <= n:
         raise ValueError(f"segment index {k} out of range 1..{n}")
-    family, first, key = _SWITCHING[k > 1, k < n]
     out = []
-    for order, end in FAMILY_CONSTRAINTS[key]:
+    for order, end in ((0, 0), (0, 1), (1, 0), (1, 1)):
         j = k - 1 + end  # break-point index of this end: 0 and n are the domain boundaries
         if j in (0, n):
-            out.append(Constraint(order, end, None, y0 if j == 0 else yf))
+            if order == 0:
+                out.append(Constraint(order, end, None, y0 if j == 0 else yf))
         elif order == 0:
             out.append(Constraint(order, end, layout.junction_value_index(j)))
         else:
             out.append(Constraint(order, end, layout.junction_slope_index(j)))
-    return family, first, tuple(out)
+    return tuple(out)
 
 
 def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
@@ -157,37 +151,28 @@ def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
     y^(d)(x) = coeffs @ Xi[layout.window(k)] + offsets.  Segment k's
     rows touch no unknown outside its window.
     """
-    family, first, constraints = segment_constraints(k, layout, y0, yf)
-    # looked up per call, so wrappers set on this module's names (the
-    # benchmark's span tracer) see every switching evaluation
-    switching = {"alpha": alpha, "beta": beta, "gamma": gamma}[family]
+    constraints = segment_constraints(k, layout, y0, yf)
     skip = len(constraints)
     wide = BasisSpec(spec.family, spec.m + skip, spec.c)
     window = layout.window(k)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = map_point(iv, x)
     tables = list(eval_basis(wide, z, tuple(orders)))
-    # h and c*h' of the free expansion at z = -1, +1
+    # h and c*h' of the free expansion at z = -1, +1: each row is one
+    # pinned functional applied to the free basis
     h, dh = eval_basis(wide, np.array([-1.0, 1.0]), (0, 1))
-    support = {(0, 0): h[0, skip:], (0, 1): h[1, skip:],
-               (1, 0): spec.c * dh[0, skip:], (1, 1): spec.c * dh[1, skip:]}
+    support = np.array([(spec.c * dh if con.order else h)[con.end, skip:] for con in constraints])
+    S = switching_functions([(con.order, con.end) for con in constraints], iv, x, orders)
+    values = np.array([con.value for con in constraints])  # 0 for junction columns
     out = {}
     for d in orders:
         coeffs = np.zeros((x.size, window.stop - window.start))
         local = coeffs[:, layout.own_in_window(k)]
         # each table is released once its order is built
         np.multiply(spec.c ** d, tables.pop(0)[:, skip:], out=local)
-        s = [np.atleast_1d(switching(first + i, iv, x, d)) for i in range(skip)]
-        # subtraction order fixes the rounding
-        for s_i, con in zip(s, constraints):
-            local -= np.outer(s_i, support[con.order, con.end])
-        offsets = None  # the first boundary term starts the sum, keeping its signed zeros
-        for s_i, con in zip(s, constraints):
+        local -= S[d] @ support
+        for i, con in enumerate(constraints):
             if con.column is not None:
-                coeffs[:, con.column - window.start] = s_i
-            elif offsets is None:
-                offsets = s_i * con.value
-            else:
-                offsets = offsets + s_i * con.value
-        out[d] = (coeffs, np.zeros(x.size) if offsets is None else offsets)
+                coeffs[:, con.column - window.start] = S[d][:, i]
+        out[d] = (coeffs, S[d] @ values)
     return out

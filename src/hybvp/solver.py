@@ -142,13 +142,15 @@ def evaluate_solution(problem: HybridProblem, grids: SegmentGrids, xi: np.ndarra
 
 
 def evaluate_segment(problem: HybridProblem, grids: SegmentGrids, xi: np.ndarray, k: int,
-                     x, d: int = 0) -> np.ndarray:
-    """y^(d) at points x of segment k (1-based) from segment k's own expression.
+                     x) -> tuple:
+    """(y, y', y'') at points x of segment k (1-based) from segment k's own expression.
 
-    At a junction this is the limit from inside segment k, so y'' takes
-    the value of the segment's own ODE there.
+    All three orders come from one kernel call.  At a junction this is
+    the limit from inside segment k, so y'' takes the value of the
+    segment's own ODE there.
     """
-    return _segment_values(problem, grids, xi, k, x, (d,))[d]
+    values = _segment_values(problem, grids, xi, k, x, (0, 1, 2))
+    return values[0], values[1], values[2]
 
 
 def _segment_values(problem, grids, xi, k, x, orders) -> dict:

@@ -1,28 +1,32 @@
 """Polynomial switching functions that embed point constraints.
 
-Each family is the unique set of polynomials that act as Kronecker deltas
-on a fixed list of constraint functionals over an interval [x0, xf]:
+A switching set is fixed by a list of pinned functionals alone: for k
+functionals (derivative order, end) over an interval [x0, xf] it is the
+unique set of k polynomials of degree below k that act as Kronecker
+deltas on them.  switching_functions derives the set by inverting the
+k x k matrix of the functionals applied to the monomials, so a new kind
+of constraint needs only a new functional, never a new formula.
 
-* alpha (2): value at x0, value at xf                      (linear)
-* beta 1..3 (first segment): value at x0, value at xf,
-  first derivative at xf                                   (quadratic)
-* beta 4..6 (last segment): value at x0, first derivative
-  at x0, value at xf                                       (quadratic)
-* gamma 1..4 (middle segments): value at x0, value at xf,
-  derivative at x0, derivative at xf                       (cubic Hermite)
+The paper's families are named functional lists in FAMILY_CONSTRAINTS:
+alpha (linear, single segment), beta_first and beta_last (quadratic,
+first and last segment), gamma (cubic Hermite, middle segments).  The
+public alpha/beta/gamma evaluate them by 1-based index, beta 1..3 being
+beta_first and 4..6 beta_last.
 
-All formulas are evaluated in the normalized variable t = (x - x0)/dx so
-the delta property holds exactly (not merely to rounding) at the
-interval endpoints.  Derivative orders 0..2 are supported.
+Everything is evaluated in the normalized variable t = (x - x0)/dx, in
+which the inverse matrix holds small integers, so the delta property
+holds exactly (not merely to rounding) at the interval endpoints.
+Derivative orders 0..2 are supported.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from math import perm
+
 import numpy as np
 
-from .basis import Interval
-
-FAMILY_SIZES = {"alpha": 2, "beta": 6, "gamma": 4}
+from .basis import MAX_DERIVATIVE, Interval
 
 # Constraint functionals per family as (derivative order, endpoint) pairs,
 # endpoint 0 = x0, 1 = xf.  Order matches the delta-property index.
@@ -34,23 +38,61 @@ FAMILY_CONSTRAINTS = {
 }
 
 
-def _normalize(iv: Interval, x):
-    x = np.asarray(x, dtype=float)
+@cache
+def _monomial_coeffs(functionals: tuple) -> tuple:
+    """Per derivative order d, the t-monomial coefficients of the switching set.
+
+    Entry d is a (k, k) array whose column j holds the coefficients of
+    the d-th t-derivative of switching function j.  Functional (o, e)
+    applied to t**p is its o-th derivative at t = e, perm(p, o) e**(p-o).
+    """
+    k = len(functionals)
+    M = np.array([[perm(p, o) * e ** max(p - o, 0) for p in range(k)] for o, e in functionals],
+                 dtype=float)
+    P = np.linalg.inv(M)
+    out = []
+    for d in range(MAX_DERIVATIVE + 1):
+        D = np.zeros((k, k))
+        D[: max(k - d, 0)] = np.array([perm(p, d) for p in range(d, k)])[:, None] * P[d:]
+        D.setflags(write=False)
+        out.append(D)
+    return tuple(out)
+
+
+def switching_functions(functionals, iv: Interval, x, orders=(0, 1, 2)) -> dict:
+    """The switching set of a list of pinned functionals, evaluated at x.
+
+    functionals is a sequence of (derivative order, end) pairs, end 0 =
+    x0 and 1 = xf.  Returns {d: (len(x), k) array} for d in orders,
+    column j being the d-th x-derivative of the polynomial that takes
+    the value 1 on functional j and 0 on every other.
+    """
+    functionals = tuple((int(o), int(e)) for o, e in functionals)
+    orders = tuple(orders)
+    if min(orders) < 0 or max(orders) > MAX_DERIVATIVE:
+        raise ValueError(f"derivative order {orders} unsupported (0..{MAX_DERIVATIVE})")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < iv.x0) or np.any(x > iv.xf):
         raise ValueError(f"x={x} outside interval [{iv.x0}, {iv.xf}]")
-    return (x - iv.x0) / iv.width, iv.width
+    dx = float(iv.width)
+    coeffs = _monomial_coeffs(functionals)
+    V = np.vander((x - iv.x0) / dx, len(functionals), increasing=True)
+    pinned = np.array([o for o, _ in functionals])
+    # x-derivatives: each t-derivative brings 1/dx, and function j carries
+    # dx**pinned[j] so that its own functional reads exactly 1
+    return {d: (V @ coeffs[d]) * dx ** (pinned - d) for d in orders}
+
+
+def _one(family: str, index: int, iv: Interval, x, d: int):
+    out = switching_functions(FAMILY_CONSTRAINTS[family], iv, x, (d,))[d][:, index]
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def alpha(index: int, iv: Interval, x, d: int = 0):
     """Linear value-switching functions, index 1 (at x0) or 2 (at xf)."""
-    t, dx = _normalize(iv, x)
-    if index == 1:
-        vals = {0: 1.0 - t, 1: -1.0 / dx + 0.0 * t, 2: 0.0 * t}
-    elif index == 2:
-        vals = {0: t, 1: 1.0 / dx + 0.0 * t, 2: 0.0 * t}
-    else:
+    if index not in (1, 2):
         raise ValueError(f"alpha index must be 1 or 2, got {index}")
-    return _order(vals, d)
+    return _one("alpha", index - 1, iv, x, d)
 
 
 def beta(index: int, iv: Interval, x, d: int = 0):
@@ -60,66 +102,13 @@ def beta(index: int, iv: Interval, x, d: int = 0):
     xf); 4..6 treat x0 as the junction (value and derivative at x0,
     value at xf).
     """
-    t, dx = _normalize(iv, x)
-    s = t - 1.0  # (x - xf)/dx, zero exactly at xf
-    if index == 1:
-        vals = {0: s * s, 1: 2.0 * s / dx, 2: 2.0 / dx ** 2 + 0.0 * t}
-    elif index == 2:
-        # (x0-x)(x+x0-2xf)/dx^2 = -t*(t-2) = 1 - s*s
-        vals = {0: -t * (t - 2.0), 1: -2.0 * s / dx, 2: -2.0 / dx ** 2 + 0.0 * t}
-    elif index == 3:
-        vals = {0: dx * t * s, 1: t + s, 2: 2.0 / dx + 0.0 * t}
-    elif index == 4:
-        # (xf-x)(x-2x0+xf)/dx^2 = -s*(t+1) = 1 - t*t
-        vals = {0: -s * (t + 1.0), 1: -2.0 * t / dx, 2: -2.0 / dx ** 2 + 0.0 * t}
-    elif index == 5:
-        vals = {0: -dx * t * s, 1: -(t + s), 2: -2.0 / dx + 0.0 * t}
-    elif index == 6:
-        vals = {0: t * t, 1: 2.0 * t / dx, 2: 2.0 / dx ** 2 + 0.0 * t}
-    else:
+    if not 1 <= index <= 6:
         raise ValueError(f"beta index must be 1..6, got {index}")
-    return _order(vals, d)
+    return _one("beta_first" if index <= 3 else "beta_last", (index - 1) % 3, iv, x, d)
 
 
 def gamma(index: int, iv: Interval, x, d: int = 0):
     """Cubic Hermite switching functions for interior segments."""
-    t, dx = _normalize(iv, x)
-    if index == 1:
-        vals = {0: 1.0 + t * t * (2.0 * t - 3.0),
-                1: (6.0 * t * (t - 1.0)) / dx,
-                2: (12.0 * t - 6.0) / dx ** 2}
-    elif index == 2:
-        vals = {0: t * t * (3.0 - 2.0 * t),
-                1: (-6.0 * t * (t - 1.0)) / dx,
-                2: (6.0 - 12.0 * t) / dx ** 2}
-    elif index == 3:
-        # dx * t * (t-1)^2
-        vals = {0: dx * t * (t - 1.0) ** 2,
-                1: 3.0 * t * t - 4.0 * t + 1.0,
-                2: (6.0 * t - 4.0) / dx}
-    elif index == 4:
-        # dx * t^2 * (t-1)
-        vals = {0: dx * t * t * (t - 1.0),
-                1: 3.0 * t * t - 2.0 * t,
-                2: (6.0 * t - 2.0) / dx}
-    else:
+    if not 1 <= index <= 4:
         raise ValueError(f"gamma index must be 1..4, got {index}")
-    return _order(vals, d)
-
-
-def _order(vals: dict, d: int):
-    if d not in vals:
-        raise ValueError(f"derivative order {d} unsupported (0..2)")
-    out = np.asarray(vals[d], dtype=float)
-    return float(out) if out.ndim == 0 else out
-
-
-def switching_eval(family: str, index: int, iv: Interval, x, d: int = 0):
-    """Evaluate one switching function by family name and 1-based index."""
-    try:
-        fn = {"alpha": alpha, "beta": beta, "gamma": gamma}[family]
-    except KeyError:
-        raise ValueError(f"unknown switching family {family!r}") from None
-    if not 1 <= index <= FAMILY_SIZES[family]:
-        raise ValueError(f"{family} index must be 1..{FAMILY_SIZES[family]}, got {index}")
-    return fn(index, iv, x, d)
+    return _one("gamma", index - 1, iv, x, d)

@@ -6,9 +6,13 @@
   solver replaced.
 * AffineRow / segment_row: one evaluation of the segment kernel as a
   callable row, for point-wise constraint checks.
+* closed_form_switching: the alpha/beta/gamma switching functions as
+  hand-derived formulas, the check on the library's derivation of them
+  from their pinned functionals.
 * The alpha-based two-segment cascade, which eliminates the junction
   value analytically instead of treating it as an unknown.  It is built
-  from raw basis and switching evaluations, not from the kernel.
+  from raw basis evaluations and the closed-form switching functions,
+  not from the kernel.
 * Hand-coded loss-partial rows of the two reference nonlinear problems
   and residual_partial_check, which compares the chain-rule Jacobian row
   against them and against central finite differences.
@@ -26,10 +30,52 @@ from hybvp.assembly import segment_grids
 from hybvp.basis import BasisSpec, Interval, eval_basis, map_point
 from hybvp.expressions import segment_block
 from hybvp.solver import QrDiagnostic
-from hybvp.switching import alpha, beta
 
 CASCADE_SKIP = 2   # the alpha support pins the value at both ends
 BOUNDARY_SKIP = 3  # value at both ends + slope at the junction end
+
+
+# --- closed-form switching functions --------------------------------------
+
+def closed_form_switching(family: str, index: int, iv: Interval, x, d: int = 0):
+    """Switching function `index` of family alpha, beta or gamma, hand-derived.
+
+    Same index meaning as hybvp.switching: alpha 1..2, beta 1..3 (first
+    segment) and 4..6 (last segment), gamma 1..4.  Written in
+    t = (x - x0)/dx, for derivative orders 0..2.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < iv.x0) or np.any(x > iv.xf):
+        raise ValueError(f"x={x} outside interval [{iv.x0}, {iv.xf}]")
+    dx = iv.width
+    t = (x - iv.x0) / dx
+    s = t - 1.0  # (x - xf)/dx, zero exactly at xf
+    forms = {
+        ("alpha", 1): (1.0 - t, -1.0 / dx + 0.0 * t, 0.0 * t),
+        ("alpha", 2): (t, 1.0 / dx + 0.0 * t, 0.0 * t),
+        ("beta", 1): (s * s, 2.0 * s / dx, 2.0 / dx ** 2 + 0.0 * t),
+        # (x0-x)(x+x0-2xf)/dx^2 = -t*(t-2) = 1 - s*s
+        ("beta", 2): (-t * (t - 2.0), -2.0 * s / dx, -2.0 / dx ** 2 + 0.0 * t),
+        ("beta", 3): (dx * t * s, t + s, 2.0 / dx + 0.0 * t),
+        # (xf-x)(x-2x0+xf)/dx^2 = -s*(t+1) = 1 - t*t
+        ("beta", 4): (-s * (t + 1.0), -2.0 * t / dx, -2.0 / dx ** 2 + 0.0 * t),
+        ("beta", 5): (-dx * t * s, -(t + s), -2.0 / dx + 0.0 * t),
+        ("beta", 6): (t * t, 2.0 * t / dx, 2.0 / dx ** 2 + 0.0 * t),
+        ("gamma", 1): (1.0 + t * t * (2.0 * t - 3.0), (6.0 * t * (t - 1.0)) / dx,
+                       (12.0 * t - 6.0) / dx ** 2),
+        ("gamma", 2): (t * t * (3.0 - 2.0 * t), (-6.0 * t * (t - 1.0)) / dx,
+                       (6.0 - 12.0 * t) / dx ** 2),
+        # dx * t * (t-1)^2
+        ("gamma", 3): (dx * t * (t - 1.0) ** 2, 3.0 * t * t - 4.0 * t + 1.0, (6.0 * t - 4.0) / dx),
+        # dx * t^2 * (t-1)
+        ("gamma", 4): (dx * t * t * (t - 1.0), 3.0 * t * t - 2.0 * t, (6.0 * t - 2.0) / dx),
+    }
+    if (family, index) not in forms:
+        raise ValueError(f"no switching function {family}[{index}]")
+    if d not in (0, 1, 2):
+        raise ValueError(f"derivative order {d} unsupported (0..2)")
+    out = np.asarray(forms[family, index][d], dtype=float)
+    return float(out) if out.ndim == 0 else out
 
 
 # --- dense path -----------------------------------------------------------
@@ -150,10 +196,11 @@ def cascade_junction_coeffs(spec1, spec2, iv1, iv2, y0, yf):
     """
     _check_cascade_geometry(iv1, iv2)
     x1 = iv1.xf
-    da2_left = alpha(2, iv1, x1, 1)   # slope of the left final-value switch
-    da1_right = alpha(1, iv2, iv2.x0, 1)
-    da1_left = alpha(1, iv1, x1, 1)
-    da2_right = alpha(2, iv2, iv2.x0, 1)
+    # slope of the left final-value switch
+    da2_left = closed_form_switching("alpha", 2, iv1, x1, 1)
+    da1_right = closed_form_switching("alpha", 1, iv2, iv2.x0, 1)
+    da1_left = closed_form_switching("alpha", 1, iv1, x1, 1)
+    da2_right = closed_form_switching("alpha", 2, iv2, iv2.x0, 1)
     denom = da2_left - da1_right
     if denom == 0.0:
         raise ZeroDivisionError("degenerate cascade junction (zero switching-slope gap)")
@@ -194,8 +241,8 @@ def cascade_block(spec1, spec2, iv1, iv2, y0, yf, x, d):
     left = x <= iv1.xf
     if np.any(left):
         xs = x[left]
-        a1 = np.atleast_1d(alpha(1, iv1, xs, d))
-        a2 = np.atleast_1d(alpha(2, iv1, xs, d))
+        a1 = np.atleast_1d(closed_form_switching("alpha", 1, iv1, xs, d))
+        a2 = np.atleast_1d(closed_form_switching("alpha", 2, iv1, xs, d))
         block = np.zeros((xs.size, m1 + m2))
         block[:, :m1] = (_free_rows(spec1, iv1, xs, d, CASCADE_SKIP)
                          - np.outer(a1, h1_at_x0)
@@ -207,8 +254,8 @@ def cascade_block(spec1, spec2, iv1, iv2, y0, yf, x, d):
     right = ~left
     if np.any(right):
         xs = x[right]
-        a1 = np.atleast_1d(alpha(1, iv2, xs, d))
-        a2 = np.atleast_1d(alpha(2, iv2, xs, d))
+        a1 = np.atleast_1d(closed_form_switching("alpha", 1, iv2, xs, d))
+        a2 = np.atleast_1d(closed_form_switching("alpha", 2, iv2, xs, d))
         block = np.zeros((xs.size, m1 + m2))
         block[:, m1:] = (_free_rows(spec2, iv2, xs, d, CASCADE_SKIP)
                          - np.outer(a1, h2_at_x1)
@@ -246,7 +293,7 @@ def _handcoded_boundary_row(spec, iv, layout, x, d, role):
     wide = _wide(spec, skip)
     row = np.zeros(layout.total)
     if role == "first":
-        b = [beta(j, iv, x, d) for j in (1, 2, 3)]
+        b = [closed_form_switching("beta", j, iv, x, d) for j in (1, 2, 3)]
         h_part = (c ** d) * eval_basis(wide, z, d)[skip:] \
             - b[0] * eval_basis(wide, -1.0, 0)[skip:] \
             - b[1] * eval_basis(wide, 1.0, 0)[skip:] \
@@ -256,7 +303,7 @@ def _handcoded_boundary_row(spec, iv, layout, x, d, role):
         row[layout.junction_slope_index(1)] = b[2]
     else:
         n = layout.n_segments
-        b = [beta(j, iv, x, d) for j in (4, 5, 6)]
+        b = [closed_form_switching("beta", j, iv, x, d) for j in (4, 5, 6)]
         h_part = (c ** d) * eval_basis(wide, z, d)[skip:] \
             - b[0] * eval_basis(wide, -1.0, 0)[skip:] \
             - b[1] * c * eval_basis(wide, -1.0, 1)[skip:] \

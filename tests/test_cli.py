@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hybvp.cli import RunConfig, build_parser, main, parse_config, run
+from hybvp.expressions import segment_block
 from hybvp.problems import builtin
-from hybvp.solver import SolveOptions, solve_linear
+from hybvp.solver import SolveOptions, solve, solve_linear
 
 _LL_JSON = {
     "name": "discontinuous_forcing",
@@ -59,6 +60,38 @@ def test_parse_config_error_paths(tmp_path):
         parse_config(tmp_path / "broken.json")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("format", "xml"), ("eval_points", 0), ("eval_points", 1), ("eval_points", 20.5),
+    ("emit_plot_data", "false"), ("emit_plot_data", 1), ("N", 40.9), ("N", True),
+    ("m", [8, 8.5]), ("max_iter", 2.5)])
+def test_main_rejects_bad_solver_values(tmp_path, capsys, key, value):
+    payload = dict(_LL_JSON, solver=dict(_LL_JSON["solver"], **{key: value}))
+    out = tmp_path / "out"
+    status = main(["--config", str(_write_config(tmp_path, payload)), "--output", str(out)])
+    assert status == 2
+    assert f"solver.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,key", [("--eval-points", "0", "eval_points"),
+                                            ("--eval-points", "1", "eval_points"),
+                                            ("--N", "40.9", "N"), ("--m", "8,8.5", "m")])
+def test_bad_flag_values_are_rejected(tmp_path, capsys, flag, value, key):
+    out = tmp_path / "out"
+    status = main(["--problem", "linear_linear", "--output", str(out), flag, value])
+    assert status == 2
+    assert f"solver.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_floats_are_accepted(tmp_path):
+    payload = dict(_LL_JSON, solver={"N": 80.0, "m": [8.0, 9], "max_iter": 3.0,
+                                     "eval_points": 20.0, "emit_plot_data": False})
+    _, cfg = parse_config(_write_config(tmp_path, payload))
+    assert (cfg.N, cfg.m, cfg.max_iter, cfg.eval_points) == (80, (8, 9), 3, 20)
+    assert all(type(v) is int for v in (cfg.N, *cfg.m, cfg.max_iter, cfg.eval_points))
+
+
 def test_run_writes_tables_and_summary(tmp_path):
     problem = builtin("linear_linear")
     cfg = RunConfig(N=100, m=8, output=str(tmp_path), eval_points=200, emit_plot_data=True)
@@ -85,6 +118,24 @@ def test_run_writes_tables_and_summary(tmp_path):
 
     assert (tmp_path / "plot_solution.csv").is_file()
     assert (tmp_path / "plot_error.csv").is_file()
+
+
+def test_solution_table_equals_the_per_order_evaluation(tmp_path):
+    """One kernel call per segment gives the bytes of one call per order."""
+    problem = builtin("linear_nonlinear")
+    run(problem, RunConfig(output=str(tmp_path), eval_points=200))
+    result = solve(problem)
+    rows = [line.split(",") for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
+    layout = result.grids.layout
+    for k in (1, 2):
+        iv = result.grids.grids[k - 1].interval
+        xs = np.linspace(iv.x0, iv.xf, 200)
+        for d in (0, 1, 2):
+            coeffs, offsets = segment_block(result.grids.specs[k - 1], iv, k, layout,
+                                            problem.y0, problem.yf, xs, (d,))[d]
+            values = coeffs @ result.xi[layout.window(k)] + offsets
+            column = [row[2 + d] for row in rows[(k - 1) * 200:k * 200]]
+            assert column == [format(v, ".17g") for v in values]
 
 
 def test_junction_rows_use_their_own_segment(tmp_path):

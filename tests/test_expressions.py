@@ -208,15 +208,13 @@ def test_one_call_for_all_orders_equals_one_call_per_order():
 
 def test_segment_constraints_are_the_switching_table_data():
     layout = UnknownLayout(ms=(3, 3, 3))
-    expect = {1: ("beta", 1, [(0, 0, None, 1.5), (0, 1, 3, 0.0), (1, 1, 4, 0.0)]),
-              2: ("gamma", 1, [(0, 0, 3, 0.0), (0, 1, 8, 0.0), (1, 0, 4, 0.0), (1, 1, 9, 0.0)]),
-              3: ("beta", 4, [(0, 0, 8, 0.0), (1, 0, 9, 0.0), (0, 1, None, -2.0)])}
-    for k, (family, first, cons) in expect.items():
+    expect = {1: [(0, 0, None, 1.5), (0, 1, 3, 0.0), (1, 1, 4, 0.0)],
+              2: [(0, 0, 3, 0.0), (0, 1, 8, 0.0), (1, 0, 4, 0.0), (1, 1, 9, 0.0)],
+              3: [(0, 0, 8, 0.0), (0, 1, None, -2.0), (1, 0, 9, 0.0)]}
+    for k, cons in expect.items():
         got = segment_constraints(k, layout, 1.5, -2.0)
-        assert got[:2] == (family, first)
-        assert [tuple(c) for c in got[2]] == cons
-    family, first, cons = segment_constraints(1, UnknownLayout(ms=(3,)), 1.5, -2.0)
-    assert (family, first) == ("alpha", 1)
+        assert [tuple(c) for c in got] == cons
+    cons = segment_constraints(1, UnknownLayout(ms=(3,)), 1.5, -2.0)
     assert [tuple(c) for c in cons] == [(0, 0, None, 1.5), (0, 1, None, -2.0)]
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hybvp.basis import Interval
-from hybvp.switching import FAMILY_CONSTRAINTS, alpha, beta, gamma, switching_eval
+from hybvp.switching import FAMILY_CONSTRAINTS, alpha, beta, gamma, switching_functions
+from oracles import closed_form_switching
 
 
 def _random_intervals(n, seed=0):
@@ -42,8 +43,7 @@ def test_kronecker_identities_on_random_intervals():
     for iv in _random_intervals(100, seed=42):
         for name, (fns, constraints) in families.items():
             mat = _constraint_matrix(fns, constraints, iv)
-            err = np.max(np.abs(mat - np.eye(len(fns))))
-            assert err <= 1e-14, f"{name} delta property failed on {iv}: {err}"
+            assert np.array_equal(mat, np.eye(len(fns))), f"{name} delta property failed on {iv}"
 
 
 def test_alpha_lambda_closure_bug_guard():
@@ -137,26 +137,46 @@ def test_invalid_indices_and_family():
     with pytest.raises(ValueError):
         alpha(3, iv, 0.5)
     with pytest.raises(ValueError):
+        alpha(0, iv, 0.5)
+    with pytest.raises(ValueError):
         beta(7, iv, 0.5)
+    with pytest.raises(ValueError):
+        beta(0, iv, 0.5)
     with pytest.raises(ValueError):
         gamma(0, iv, 0.5)
     with pytest.raises(ValueError):
-        switching_eval("delta", 1, iv, 0.5)
-    with pytest.raises(ValueError):
-        switching_eval("alpha", 3, iv, 0.5)
-    with pytest.raises(ValueError):
-        switching_eval("gamma", 0, iv, 0.5)
+        gamma(5, iv, 0.5)
     with pytest.raises(ValueError):
         beta(1, iv, 0.5, 3)
+    with pytest.raises(ValueError):
+        switching_functions(FAMILY_CONSTRAINTS["gamma"], iv, 0.5, (0, 3))
 
 
-def test_switching_eval_dispatch_and_vectorization():
+def test_vectorized_evaluation_matches_scalar():
     iv = Interval(1.0, 4.0)
     xs = np.linspace(1.0, 4.0, 9)
-    vec = switching_eval("gamma", 2, iv, xs, 1)
-    assert vec.shape == (9,)
-    for i, x in enumerate(xs):
-        assert vec[i] == gamma(2, iv, x, 1)
+    for fn, indices in ((alpha, (1, 2)), (beta, (1, 2, 3, 4, 5, 6)), (gamma, (1, 2, 3, 4))):
+        for j in indices:
+            for d in (0, 1, 2):
+                vec = fn(j, iv, xs, d)
+                assert vec.shape == (9,)
+                for i, x in enumerate(xs):
+                    assert vec[i] == fn(j, iv, x, d)
+
+
+@pytest.mark.parametrize("family,fn,indices", [("alpha", alpha, (1, 2)),
+                                               ("beta", beta, (1, 2, 3, 4, 5, 6)),
+                                               ("gamma", gamma, (1, 2, 3, 4))])
+def test_derived_functions_match_the_closed_forms(family, fn, indices):
+    rng = np.random.default_rng(5)
+    for iv in _random_intervals(200, seed=31):
+        xs = np.concatenate([[iv.x0, iv.xf], rng.uniform(iv.x0, iv.xf, 8)])
+        for j in indices:
+            for d in (0, 1, 2):
+                derived = fn(j, iv, xs, d)
+                closed = closed_form_switching(family, j, iv, xs, d)
+                assert np.all(np.abs(derived - closed) <= 1e-14 * np.maximum(1.0, np.abs(closed))), \
+                    f"{family}[{j}] d={d} on {iv}: {np.max(np.abs(derived - closed))}"
 
 
 def test_out_of_interval_points_rejected():
