@@ -8,10 +8,10 @@ recovers the piecewise quartic exactly.
 
 import numpy as np
 
-from hybvp import SolveOptions, analytic_value, builtin, solve_linear
+from hybvp import SolveOptions, analytic_value, builtin, solve
 
 problem = builtin("linear_linear")
-result = solve_linear(problem, SolveOptions(N=100, m=8))
+result = solve(problem, SolveOptions(N=100, m=8))
 
 print("converged:", result.converged, "in", result.iterations, "solve")
 print(f"residual 2-norm: {result.residual_norm:.3e}")

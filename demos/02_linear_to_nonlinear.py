@@ -8,17 +8,17 @@ solution, and the plain straight line between the boundary points.
 
 import numpy as np
 
-from hybvp import SolveOptions, analytic_value, builtin, solve_nonlinear
+from hybvp import SolveOptions, analytic_value, builtin, solve
 
 problem = builtin("linear_nonlinear")
 print(f"boundary values: y(0) = {problem.y0:.6f}, y(pi) = {problem.yf:.6f}")
 
 for label, opts in [
     ("reference start (y1, y1') = (1, -1)",
-     SolveOptions(N=100, m=16, init_policy="explicit", init_values=(1.0, -1.0))),
+     SolveOptions(N=100, m=16, init_values=(1.0, -1.0))),
     ("line start", SolveOptions(N=100, m=16)),
 ]:
-    result = solve_nonlinear(problem, opts)
+    result = solve(problem, opts)
     print(f"\n{label}:")
     print("  converged:", result.converged, "after", result.iterations, "iterations")
     print("  residual trace:", "  ".join(f"{v:.1e}" for v in result.residual_trace))

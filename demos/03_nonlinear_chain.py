@@ -7,12 +7,12 @@ level.  Watch the quadratic tail of the Gauss-Newton trace.
 
 import numpy as np
 
-from hybvp import SolveOptions, analytic_value, builtin, solve_nonlinear
+from hybvp import SolveOptions, analytic_value, builtin, solve
 
 problem = builtin("nonlinear_nonlinear")
-result = solve_nonlinear(
+result = solve(
     problem,
-    SolveOptions(N=100, m=60, init_policy="explicit", init_values=(1.30685, -0.5)),
+    SolveOptions(N=100, m=60, init_values=(1.30685, -0.5)),
 )
 
 print("converged:", result.converged, "after", result.iterations, "iterations")

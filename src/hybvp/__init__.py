@@ -3,8 +3,8 @@
 Boundary and C1 junction conditions are embedded analytically through
 switching-function constrained expressions over Chebyshev or Legendre
 bases, so every candidate solution satisfies them exactly and the ODE
-residual alone is minimized: one least-squares solve for linear
-sequences, Gauss-Newton iteration otherwise.
+residual alone is minimized by Gauss-Newton iteration, which on a
+linear sequence is one least-squares solve.
 """
 
 from .basis import BasisSpec, Interval
@@ -24,8 +24,6 @@ from .solver import (
     SolveResult,
     evaluate_solution,
     solve,
-    solve_linear,
-    solve_nonlinear,
 )
 from .switching import alpha, beta, gamma
 
@@ -50,6 +48,4 @@ __all__ = [
     "linear_dynamics",
     "nonlinear_dynamics",
     "solve",
-    "solve_linear",
-    "solve_nonlinear",
 ]

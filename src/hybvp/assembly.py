@@ -61,10 +61,6 @@ class SegmentGrids:
     def total_points(self) -> int:
         return self._row_starts[-1]
 
-    @property
-    def all_points(self) -> np.ndarray:
-        return np.concatenate([g.points for g in self.grids])
-
     def row_slice(self, k: int) -> slice:
         """Row range of segment k (1-based) in the stacked system."""
         return slice(self._row_starts[k - 1], self._row_starts[k])
@@ -109,12 +105,6 @@ class SystemMatrices:
         """y, y', y'' at segment k's grid points for a given Xi."""
         local = np.asarray(xi, dtype=float)[self.layout.window(k)]
         return tuple(A @ local + B for A, B in (self.blocks[k - 1][d] for d in (0, 1, 2)))
-
-    def evaluate(self, xi: np.ndarray, d: int = 0) -> np.ndarray:
-        """y^(d) at every stacked grid point for a given Xi."""
-        xi = np.asarray(xi, dtype=float)
-        return np.concatenate([A @ xi[self.layout.window(k)] + B
-                               for k, (A, B) in enumerate((b[d] for b in self.blocks), 1)])
 
 
 def assemble_all(grids: SegmentGrids, y0: float, yf: float) -> SystemMatrices:

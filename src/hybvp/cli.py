@@ -21,10 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import BUILTIN_NAMES, HybridProblem, builtin, generic_linear
-from .solver import DivergenceError, SolveOptions, SolveResult, evaluate_segment, solve
-
-_SOLVER_KEYS = {"N", "m", "basis", "tol", "max_iter", "init_policy", "init",
-                "eval_points", "format", "output", "emit_plot_data"}
+from .solver import DivergenceError, SolveOptions, SolveResult, evaluate_segment, resolve_sizes, solve
 
 
 @dataclass(frozen=True)
@@ -36,7 +33,6 @@ class RunConfig:
     basis: str = "chebyshev"
     tol: float = 1e-13
     max_iter: int = 50
-    init_policy: str = "line"
     init: Optional[tuple] = None
     eval_points: int = 1000
     format: str = "csv"
@@ -52,8 +48,7 @@ class RunConfig:
 
     def solve_options(self) -> SolveOptions:
         return SolveOptions(N=self.N, m=self.m, family=self.basis, tol=self.tol,
-                            max_iter=self.max_iter, init_policy=self.init_policy,
-                            init_values=self.init)
+                            max_iter=self.max_iter, init_values=self.init)
 
 
 def _fmt(value) -> str:
@@ -85,9 +80,12 @@ def _to_json(obj, indent=0) -> str:
 
 def _parse_number_list(text: str, path: str):
     try:
-        return tuple(float(v) for v in str(text).split(","))
-    except ValueError as exc:
-        raise ValueError(f"{path}: expected comma-separated numbers, got {text!r}") from exc
+        values = tuple(float(v) for v in text.split(","))
+        if all(math.isfinite(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: expected comma-separated finite numbers, got {text!r}")
 
 
 def _integer(value, key: str) -> int:
@@ -96,6 +94,47 @@ def _integer(value, key: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ValueError(f"solver.{key}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, key: str) -> float:
+    """A finite number (not a bool) as float; else an error naming solver.<key>."""
+    # the comparison also rejects nan and integers beyond the float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"solver.{key}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"solver.{key}: expected a string, got {value!r}")
+    return value
+
+
+def _flag(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"solver.{key}: expected true or false, got {value!r}")
+    return value
+
+
+def _integers(value, key: str):
+    """An integer, or a list of them (one per segment) as a tuple."""
+    return tuple(_integer(v, key) for v in value) if isinstance(value, list) else _integer(value, key)
+
+
+def _numbers(value, key: str) -> tuple:
+    """A list of finite numbers, or their comma-separated text, as a tuple."""
+    if isinstance(value, str):
+        return _parse_number_list(value, f"solver.{key}")
+    if not isinstance(value, list):
+        raise ValueError(f"solver.{key}: expected a list of numbers, got {value!r}")
+    return tuple(_number(v, key) for v in value)
+
+
+# the "solver" keys of a config file, each with the check that converts its value
+_SOLVER_KEYS = {"N": _integers, "m": _integers, "basis": _string, "tol": _number,
+                "max_iter": _integer, "init": _numbers, "eval_points": _integer,
+                "format": _string, "output": _string, "emit_plot_data": _flag}
 
 
 def _scalar_or_tuple(values: tuple, key: str):
@@ -108,8 +147,8 @@ def parse_config(path) -> tuple[HybridProblem, RunConfig]:
 
     The file carries the piecewise linear problem (break_points,
     segments, y0, yf; see problems.generic_linear) plus an optional
-    "solver" mapping with any of: N, m, basis, tol, max_iter,
-    init_policy, init, eval_points, format, output, emit_plot_data.
+    "solver" mapping with any of: N, m, basis, tol, max_iter, init,
+    eval_points, format, output, emit_plot_data.
     """
     p = Path(path)
     if not p.is_file():
@@ -124,39 +163,11 @@ def parse_config(path) -> tuple[HybridProblem, RunConfig]:
     solver_cfg = raw.get("solver", {})
     if not isinstance(solver_cfg, dict):
         raise ValueError("solver: expected a mapping of solver options")
-    unknown = set(solver_cfg) - _SOLVER_KEYS
+    unknown = set(solver_cfg) - set(_SOLVER_KEYS)
     if unknown:
         raise ValueError(f"solver.{sorted(unknown)[0]}: unknown option")
-    kwargs = {}
-    for key in ("N", "m"):
-        if key in solver_cfg:
-            v = solver_cfg[key]
-            kwargs[key] = tuple(_integer(u, key) for u in v) if isinstance(v, list) \
-                else _integer(v, key)
-    if "basis" in solver_cfg:
-        kwargs["basis"] = str(solver_cfg["basis"])
-    if "tol" in solver_cfg:
-        kwargs["tol"] = float(solver_cfg["tol"])
-    if "max_iter" in solver_cfg:
-        kwargs["max_iter"] = _integer(solver_cfg["max_iter"], "max_iter")
-    if "init_policy" in solver_cfg:
-        kwargs["init_policy"] = str(solver_cfg["init_policy"])
-    if "init" in solver_cfg:
-        init = solver_cfg["init"]
-        kwargs["init"] = tuple(float(v) for v in init) if isinstance(init, list) \
-            else _parse_number_list(init, "solver.init")
-    if "eval_points" in solver_cfg:
-        kwargs["eval_points"] = _integer(solver_cfg["eval_points"], "eval_points")
-    if "format" in solver_cfg:
-        kwargs["format"] = str(solver_cfg["format"])
-    if "output" in solver_cfg:
-        kwargs["output"] = str(solver_cfg["output"])
-    if "emit_plot_data" in solver_cfg:
-        flag = solver_cfg["emit_plot_data"]
-        if not isinstance(flag, bool):
-            raise ValueError(f"solver.emit_plot_data: expected true or false, got {flag!r}")
-        kwargs["emit_plot_data"] = flag
-    return problem, RunConfig(**kwargs)
+    return problem, RunConfig(**{key: _SOLVER_KEYS[key](value, key)
+                                 for key, value in solver_cfg.items()})
 
 
 def _solution_table(problem: HybridProblem, result: SolveResult, eval_points: int):
@@ -199,6 +210,8 @@ def _write_table(path: Path, columns, rows, fmt: str):
 
 def run(problem: HybridProblem, cfg: RunConfig) -> int:
     """Solve and write artifacts; returns the process exit status."""
+    opts = cfg.solve_options()
+    Ns, ms = resolve_sizes(problem, opts)
     outdir = Path(cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -206,7 +219,7 @@ def run(problem: HybridProblem, cfg: RunConfig) -> int:
     trace = []
     converged = False
     try:
-        result = solve(problem, cfg.solve_options())
+        result = solve(problem, opts)
         trace = list(result.residual_trace)
         converged = result.converged
     except DivergenceError as exc:
@@ -216,22 +229,13 @@ def run(problem: HybridProblem, cfg: RunConfig) -> int:
     junctions = []
     max_abs_err = None
     if result is not None:
-        grids_n = [g.n for g in result.grids.grids]
-        grids_m = [s.m for s in result.grids.specs]
         junctions = [{"x": x, "y": y, "dy": dy} for x, y, dy in result.junctions]
         max_abs_err = result.max_abs_err
-    else:
-        # solve aborted before producing a result: report the request
-        grids_n = list(cfg.N) if isinstance(cfg.N, tuple) else [cfg.N] * problem.n_segments
-        m_req = cfg.m if cfg.m is not None else problem.default_m
-        grids_m = (list(m_req) if isinstance(m_req, tuple)
-                   else [m_req] * problem.n_segments if m_req is not None else None)
     summary = {
         "problem": problem.name,
         "n_segments": problem.n_segments,
-        "N": grids_n[0] if grids_n and len(set(grids_n)) == 1 else grids_n,
-        "m": (grids_m[0] if grids_m and len(set(grids_m)) == 1 else grids_m)
-             if grids_m is not None else None,
+        "N": Ns[0] if len(set(Ns)) == 1 else Ns,
+        "m": ms[0] if len(set(ms)) == 1 else ms,
         "iterations": len(trace),
         "converged": converged,
         "residual_trace": trace,
@@ -271,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, help="residual 2-norm convergence threshold")
     parser.add_argument("--max-iter", type=int, help="iteration cap for nonlinear solves")
     parser.add_argument("--init", metavar="v1,d1[,v2,d2,...]",
-                        help="explicit junction (value, slope) initial guesses")
-    parser.add_argument("--init-policy", choices=("line", "explicit"),
-                        help="initial guess policy (default: line; --init implies explicit)")
+                        help="junction (value, slope) seeds for nonlinear solves "
+                             "(default: the straight line between the boundary values)")
     parser.add_argument("--output", metavar="DIR", help="output directory (default: .)")
     parser.add_argument("--format", choices=("csv", "json"), help="table format (default: csv)")
     parser.add_argument("--emit-plot-data", action="store_true", default=None,
@@ -300,14 +303,11 @@ def main(argv=None) -> int:
         if args.basis is not None:
             overrides["basis"] = args.basis
         if args.tol is not None:
-            overrides["tol"] = args.tol
+            overrides["tol"] = _number(args.tol, "tol")
         if args.max_iter is not None:
             overrides["max_iter"] = args.max_iter
         if args.init is not None:
             overrides["init"] = _parse_number_list(args.init, "--init")
-            overrides["init_policy"] = args.init_policy or "explicit"
-        elif args.init_policy is not None:
-            overrides["init_policy"] = args.init_policy
         if args.output is not None:
             overrides["output"] = args.output
         if args.format is not None:

@@ -32,8 +32,6 @@ class SegmentDynamics:
     d_dy: StateFn
     d_d2y: StateFn
     is_linear: bool = False
-    # (a2, a1, a0, f) callables of x when is_linear
-    linear_coeffs: Optional[tuple] = None
 
 
 def _as_coeff_fn(c) -> Callable[[Array], Array]:
@@ -59,7 +57,6 @@ def linear_dynamics(a2, a1=0.0, a0=0.0, f=0.0) -> SegmentDynamics:
         d_dy=lambda x, y, dy, d2y: a1f(x),
         d_d2y=lambda x, y, dy, d2y: a2f(x),
         is_linear=True,
-        linear_coeffs=(a2f, a1f, a0f, ff),
     )
 
 

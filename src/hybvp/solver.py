@@ -1,8 +1,14 @@
 """Least-squares solution of hybrid BVPs.
 
-All-linear problems reduce to one least-squares solve of the stacked
-collocation system; problems with any nonlinear segment run Gauss-Newton
-with the update dXi = lstsq(J, L) at each step.
+One Gauss-Newton loop, Xi <- Xi - lstsq(J, L) for the stacked residual
+L and its Jacobian J, solves every problem.  When every segment is
+linear, L is affine in Xi, so one step from Xi = 0 is the least-squares
+solution: the loop takes that step and is converged when ||L|| <=
+max(tol, 1e-12 (1 + ||L(0)||)).  Otherwise it starts from the junction
+seeds, stops when ||L|| <= tol, returns unconverged after max_iter
+steps and raises DivergenceError after DIVERGENCE_WINDOW consecutive
+residual increases.  A non-finite residual, the starting one included,
+raises DivergenceError.
 
 Segment k's rows touch only the unknowns of its window: its own
 coefficients and the (value, slope) pairs of the junctions at its ends.
@@ -38,7 +44,7 @@ from .problems import HybridProblem, analytic_value
 
 
 class DivergenceError(RuntimeError):
-    """Gauss-Newton residual grew for too many consecutive iterations."""
+    """The residual became non-finite or grew DIVERGENCE_WINDOW times in a row."""
 
     def __init__(self, message: str, trace):
         super().__init__(message)
@@ -47,26 +53,29 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for grid size, basis, convergence, and initialization."""
+    """Grid size, basis, convergence and starting point of a solve.
+
+    N and m (a scalar or one value per segment; m defaults to the
+    problem's default_m, else 16) size each segment's grid and basis.
+    The solve converges when the residual 2-norm drops to tol, raised to
+    1e-12 (1 + ||L(0)||) on an all-linear problem, which takes one step
+    from Xi = 0.  Otherwise it takes up to max_iter steps from
+    init_values, one (value, slope) pair per junction, or from the
+    straight line between the boundary values when they are None.
+    """
 
     N: int | tuple = 100
     m: Optional[int | tuple] = None
     family: str = "chebyshev"
     tol: float = 1e-13
     max_iter: int = 50
-    init_policy: str = "line"
     init_values: Optional[tuple] = None
-    divergence_window: int = 5
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.init_policy not in ("line", "explicit"):
-            raise ValueError("init_policy must be 'line' or 'explicit'")
-        if self.divergence_window < 1:
-            raise ValueError("divergence_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -301,23 +310,20 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout, rank_rtol: 
 def initial_guess(problem: HybridProblem, opts: SolveOptions, grids: SegmentGrids) -> np.ndarray:
     """Starting Xi: zero basis coefficients plus junction seeds.
 
-    The line policy seeds every junction with the value and slope of the
-    straight line joining the two boundary points; the explicit policy
-    installs caller-provided (value, slope) pairs.
+    Without opts.init_values every junction is seeded with the value and
+    slope of the straight line joining the two boundary points; with
+    them, each junction gets its given (value, slope) pair.
     """
     layout = grids.layout
     xi = np.zeros(layout.total)
     n = layout.n_segments
-    if opts.init_policy == "line":
+    values = opts.init_values
+    if values is None:
         x0, xf = problem.break_points[0], problem.break_points[-1]
         slope = (problem.yf - problem.y0) / (xf - x0)
-        for j in range(1, n):
-            xj = problem.break_points[j]
-            xi[layout.junction_value_index(j)] = problem.y0 + slope * (xj - x0)
-            xi[layout.junction_slope_index(j)] = slope
-        return xi
-    values = opts.init_values
-    if values is None or len(values) != 2 * (n - 1):
+        values = [v for xj in problem.break_points[1:-1]
+                  for v in (problem.y0 + slope * (xj - x0), slope)]
+    elif len(values) != 2 * (n - 1):
         raise ValueError(f"explicit initial guess needs {2 * (n - 1)} values "
                          f"(value, slope per junction), got {values!r}")
     for j in range(1, n):
@@ -328,14 +334,23 @@ def initial_guess(problem: HybridProblem, opts: SolveOptions, grids: SegmentGrid
 
 # --- solving ----------------------------------------------------------------
 
-def _resolve_grids(problem: HybridProblem, opts: SolveOptions) -> SegmentGrids:
+# consecutive residual increases after which Gauss-Newton gives up
+DIVERGENCE_WINDOW = 5
+
+
+def resolve_sizes(problem: HybridProblem, opts: SolveOptions) -> tuple:
+    """Per-segment (N_k, ...) and (m_k, ...) that a solve of problem with opts uses."""
     n = problem.n_segments
     m = opts.m if opts.m is not None else (problem.default_m or 16)
-    ms, Ns = per_segment(m, n, "m"), per_segment(opts.N, n, "N")
+    Ns, ms = per_segment(opts.N, n, "N"), per_segment(m, n, "m")
     for Nk, mk in zip(Ns, ms):
         if Nk < mk + 4:
             raise ValueError(f"need N >= m + 4 collocation points per segment, got N={Nk}, m={mk}")
-    return segment_grids(problem.break_points, Ns, ms, opts.family)
+    return Ns, ms
+
+
+def _resolve_grids(problem: HybridProblem, opts: SolveOptions) -> SegmentGrids:
+    return segment_grids(problem.break_points, *resolve_sizes(problem, opts), opts.family)
 
 
 def _stacked_residual(problem, grids, system, xi):
@@ -379,44 +394,26 @@ def _finalize(problem, grids, system, xi, trace, converged, diag, eval_points=10
                        max_abs_err=max_err, errors_by_order=errors)
 
 
-def solve_linear(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveResult:
-    """Single least-squares solve; requires every segment linear."""
-    if not problem.is_linear:
-        raise ValueError("problem has nonlinear segments; use solve_nonlinear")
-    grids = _resolve_grids(problem, opts)
-    layout = grids.layout
-    system = assemble_all(grids, problem.y0, problem.yf)
-    blocks = []
-    rhs = np.empty(grids.total_points)
-    for k in range(1, grids.n_segments + 1):
-        x = grids.grids[k - 1].points
-        (A0, B0), (A1, B1), (A2, B2) = (system.blocks[k - 1][d] for d in (0, 1, 2))
-        a2f, a1f, a0f, ff = problem.segments[k - 1].linear_coeffs
-        a2, a1, a0 = (np.broadcast_to(np.asarray(c(x), dtype=float), x.shape) for c in (a2f, a1f, a0f))
-        blocks.append(a2[:, None] * A2 + a1[:, None] * A1 + a0[:, None] * A0)
-        rhs[grids.row_slice(k)] = ff(x) - (a2 * B2 + a1 * B1 + a0 * B0)
-    xi, diag = _scaled_qr_lstsq(blocks, rhs, layout)
-    fitted = np.concatenate([M @ xi[layout.window(k)] for k, M in enumerate(blocks, 1)])
-    norm = float(np.linalg.norm(fitted - rhs))
-    converged = norm <= max(opts.tol, 1e-12 * (1.0 + float(np.linalg.norm(rhs))))
-    return _finalize(problem, grids, system, xi, [norm], converged, diag)
+def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveResult:
+    """Gauss-Newton iteration with block-elimination least-squares steps.
 
-
-def solve_nonlinear(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveResult:
-    """Gauss-Newton iteration with scaled-QR inner solves.
-
-    Stops when the stacked residual 2-norm drops to opts.tol; returns an
-    unconverged result at max_iter; raises DivergenceError after
-    opts.divergence_window consecutive residual increases.
+    One step from Xi = 0 when every segment is linear, else up to
+    opts.max_iter steps from initial_guess; the stopping rules are in
+    the module docstring.
     """
     grids = _resolve_grids(problem, opts)
     system = assemble_all(grids, problem.y0, problem.yf)
-    xi = initial_guess(problem, opts, grids)
-    trace: list[float] = []
-    diag = QrDiagnostic(grids.layout.total, grids.layout.total, np.nan, False)
+    if problem.is_linear:
+        xi, max_iter = np.zeros(grids.layout.total), 1
+    else:
+        xi, max_iter = initial_guess(problem, opts, grids), opts.max_iter
     residual = _stacked_residual(problem, grids, system, xi)
-    increases = 0
-    for _ in range(opts.max_iter):
+    start = float(np.linalg.norm(residual))
+    if not math.isfinite(start):
+        raise DivergenceError("starting residual is non-finite", [])
+    tol = max(opts.tol, 1e-12 * (1.0 + start)) if problem.is_linear else opts.tol
+    trace: list[float] = []
+    for _ in range(max_iter):
         J = _jacobian(problem, grids, system, xi)
         dxi, diag = _scaled_qr_lstsq(J, residual, grids.layout)
         xi = xi - dxi
@@ -425,20 +422,10 @@ def solve_nonlinear(problem: HybridProblem, opts: SolveOptions = SolveOptions())
         if not math.isfinite(norm):
             raise DivergenceError("residual became non-finite", trace + [norm])
         trace.append(norm)
-        if norm <= opts.tol:
+        if norm <= tol:
             return _finalize(problem, grids, system, xi, trace, True, diag)
-        if len(trace) >= 2 and trace[-1] > trace[-2]:
-            increases += 1
-            if increases >= opts.divergence_window:
-                raise DivergenceError(
-                    f"residual increased for {increases} consecutive iterations", trace)
-        else:
-            increases = 0
+        rising = trace[-DIVERGENCE_WINDOW - 1:]
+        if len(rising) > DIVERGENCE_WINDOW and all(a < b for a, b in zip(rising, rising[1:])):
+            raise DivergenceError(
+                f"residual increased for {DIVERGENCE_WINDOW} consecutive iterations", trace)
     return _finalize(problem, grids, system, xi, trace, False, diag)
-
-
-def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveResult:
-    """Dispatch to the linear or Gauss-Newton path by problem structure."""
-    if problem.is_linear:
-        return solve_linear(problem, opts)
-    return solve_nonlinear(problem, opts)

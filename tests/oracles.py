@@ -4,6 +4,10 @@
   full width, and dense_scaled_qr_lstsq solves the full-width system by
   one column-equilibrated, column-pivoted QR: the dense path the block
   solver replaced.
+* linear_system: the direct assembly of an all-linear problem's
+  least-squares system from its ODE coefficients, the check on the
+  Gauss-Newton step that replaced it.  evaluate and all_points read a
+  system's values and grid points at every stacked collocation point.
 * AffineRow / segment_row: one evaluation of the segment kernel as a
   callable row, for point-wise constraint checks.
 * closed_form_switching: the alpha/beta/gamma switching functions as
@@ -98,6 +102,39 @@ def dense_matrix(system, d: int) -> np.ndarray:
 def dense_offsets(system, d: int) -> np.ndarray:
     """Stacked B^(d) of a SystemMatrices."""
     return np.concatenate([b[d][1] for b in system.blocks])
+
+
+def evaluate(system, xi: np.ndarray, d: int = 0) -> np.ndarray:
+    """y^(d) at every stacked grid point of system for a given Xi."""
+    return np.concatenate([A @ xi[system.layout.window(k)] + B
+                           for k, (A, B) in enumerate((b[d] for b in system.blocks), 1)])
+
+
+def all_points(grids) -> np.ndarray:
+    """Every segment's collocation points, stacked in segment order."""
+    return np.concatenate([g.points for g in grids.grids])
+
+
+def linear_system(problem, grids, system):
+    """(blocks, rhs) of an all-linear problem's collocation system M Xi = rhs.
+
+    Segment k's ODE a2 y'' + a1 y' + a0 y = f gives the window block
+    M_k = a2 A2 + a1 A1 + a0 A0 and rhs_k = f - (a2 B2 + a1 B1 + a0 B0).
+    The coefficients are read back from the segment: a0, a1 and a2 are
+    its state partials, and f is minus its residual at y = y' = y'' = 0.
+    """
+    blocks, rhs = [], np.empty(grids.total_points)
+    for k in range(1, grids.n_segments + 1):
+        x = grids.grids[k - 1].points
+        dyn = problem.segments[k - 1]
+        state = (x, *(np.zeros_like(x),) * 3)
+        a0, a1, a2 = (np.broadcast_to(np.asarray(p(*state), dtype=float), x.shape)
+                      for p in (dyn.d_y, dyn.d_dy, dyn.d_d2y))
+        f = -dyn.residual(*state)
+        (A0, B0), (A1, B1), (A2, B2) = (system.blocks[k - 1][d] for d in (0, 1, 2))
+        blocks.append(a2[:, None] * A2 + a1[:, None] * A1 + a0[:, None] * A0)
+        rhs[grids.row_slice(k)] = f - (a2 * B2 + a1 * B1 + a0 * B0)
+    return blocks, rhs
 
 
 def dense_scaled_qr_lstsq(M: np.ndarray, b: np.ndarray, rank_rtol: float = 1e-12):

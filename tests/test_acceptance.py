@@ -18,11 +18,11 @@ from hybvp.solver import (
     _resolve_grids,
     _stacked_residual,
     initial_guess,
-    solve_linear,
-    solve_nonlinear,
+    solve,
 )
 from hybvp.switching import FAMILY_CONSTRAINTS, alpha, beta, gamma
 from oracles import (
+    all_points,
     cascade_block,
     cascade_eval,
     dense_from_blocks,
@@ -40,7 +40,7 @@ def _report(num, desc, ok, details):
 
 def test_criterion_01_linear_linear_reproduction():
     t0 = time.perf_counter()
-    res = solve_linear(builtin("linear_linear"), SolveOptions(N=100, m=8))
+    res = solve(builtin("linear_linear"), SolveOptions(N=100, m=8))
     elapsed = time.perf_counter() - t0
     (xj, yj, dyj), = res.junctions
     err = max(res.errors_by_order.values())
@@ -57,9 +57,8 @@ def test_criterion_01_linear_linear_reproduction():
 
 def test_criterion_02_linear_nonlinear_reproduction():
     t0 = time.perf_counter()
-    res = solve_nonlinear(builtin("linear_nonlinear"),
-                          SolveOptions(N=100, m=16, init_policy="explicit",
-                                       init_values=(1.0, -1.0)))
+    res = solve(builtin("linear_nonlinear"),
+                SolveOptions(N=100, m=16, init_values=(1.0, -1.0)))
     elapsed = time.perf_counter() - t0
     ok = (res.converged
           and res.residual_norm <= 1e-12
@@ -73,9 +72,8 @@ def test_criterion_02_linear_nonlinear_reproduction():
 
 def test_criterion_03_nonlinear_nonlinear_reproduction():
     t0 = time.perf_counter()
-    res = solve_nonlinear(builtin("nonlinear_nonlinear"),
-                          SolveOptions(N=100, m=60, init_policy="explicit",
-                                       init_values=(1.30685, -0.5)))
+    res = solve(builtin("nonlinear_nonlinear"),
+                SolveOptions(N=100, m=60, init_values=(1.30685, -0.5)))
     elapsed = time.perf_counter() - t0
     ok = (res.converged
           and res.iterations <= 20
@@ -90,7 +88,7 @@ def test_criterion_04_line_initial_guess_robustness():
     counts = {}
     ok = True
     for name, m in (("linear_nonlinear", 16), ("nonlinear_nonlinear", 60)):
-        res = solve_nonlinear(builtin(name), SolveOptions(N=100, m=m, max_iter=50))
+        res = solve(builtin(name), SolveOptions(N=100, m=m, max_iter=50))
         counts[name] = res.iterations
         ok = ok and res.converged and res.iterations <= 50
     _report(4, "line-policy initial guess converges for both nonlinear sequences", ok,
@@ -197,14 +195,14 @@ def test_criterion_08_cascade_cross_validation():
     s1 = BasisSpec.for_interval("chebyshev", m, iv1)
     s2 = BasisSpec.for_interval("chebyshev", m, iv2)
     grids = segment_grids(problem.break_points, N, m)
-    x_all = grids.all_points
+    x_all = all_points(grids)
     rows, offs = cascade_block(s1, s2, iv1, iv2, 0.0, 1.0, x_all, 2)
     forcing = np.where(x_all <= 0.5, x_all ** 2, x_all ** 2 + 1.0)
     xi, _ = dense_scaled_qr_lstsq(rows, forcing - offs)
     g1 = (s1, xi[:m])
     g2 = (s2, xi[m:])
 
-    res = solve_linear(problem, SolveOptions(N=N, m=m))
+    res = solve(problem, SolveOptions(N=N, m=m))
     worst = 0.0
     for seg in (iv1, iv2):
         xs = np.linspace(seg.x0, seg.xf, 500)
@@ -271,7 +269,7 @@ def test_criterion_10_four_segment_generalization():
     }
     problem = generic_linear(cfg)
     opts = SolveOptions(N=30, m=8)
-    res = solve_linear(problem, opts)
+    res = solve(problem, opts)
     grids = res.grids
     resid = _stacked_residual(problem, grids, res.system, res.xi)
     max_resid = float(np.max(np.abs(resid)))

@@ -4,7 +4,7 @@ import pytest
 from hybvp.assembly import assemble_all, per_segment, segment_grids
 from hybvp.expressions import UnknownLayout, segment_block
 from hybvp.switching import beta
-from oracles import dense_matrix, dense_offsets, full_width
+from oracles import dense_matrix, dense_offsets, evaluate, full_width
 
 
 def _layout(n, m):
@@ -166,7 +166,7 @@ def test_shapes_and_single_segment_path():
     assert dense_matrix(sm, 0).shape == (12, 5)
     assert dense_offsets(sm, 2).shape == (12,)
     xi = np.zeros(5)
-    vals = sm.evaluate(xi, 0)
+    vals = evaluate(sm, xi, 0)
     assert vals[0] == 1.0 and abs(vals[-1] - 2.0) < 1e-15
 
     grids = segment_grids([0.0, 1.0, 2.0, 3.0, 4.0], N=7, m=(3, 4, 5, 6))

@@ -27,7 +27,7 @@ from hybvp.problems import (
     linear_dynamics,
     nonlinear_dynamics,
 )
-from hybvp.solver import SolveOptions, evaluate_solution, solve, solve_linear, solve_nonlinear
+from hybvp.solver import SolveOptions, evaluate_solution, solve
 from oracles import dense_from_blocks, dense_scaled_qr_lstsq
 
 HYPOTHESIS = settings(max_examples=25, deadline=None,
@@ -109,7 +109,7 @@ def test_linear_solve_agrees_with_the_dense_oracle(geometry):
     n, ms, Ns, family, rng = geometry
     problem = _linear_problem(rng, n)
     opts = SolveOptions(N=Ns, m=ms, family=family)
-    (blocks, rhs, layout), = _recorded_systems(lambda: solve_linear(problem, opts))
+    (blocks, rhs, layout), = _recorded_systems(lambda: solve(problem, opts))
     xb, db = _assert_agree(blocks, rhs, layout)
     assert not db.rank_deficient
 
@@ -135,7 +135,7 @@ def test_gauss_newton_step_agrees_with_the_dense_oracle(geometry):
     n, ms, Ns, family, rng = geometry
     problem = _nonlinear_problem(rng, n)
     opts = SolveOptions(N=Ns, m=ms, family=family, max_iter=1)
-    (blocks, rhs, layout), = _recorded_systems(lambda: solve_nonlinear(problem, opts))
+    (blocks, rhs, layout), = _recorded_systems(lambda: solve(problem, opts))
     _, diag = _assert_agree(blocks, rhs, layout)
     assert not diag.rank_deficient
 
@@ -175,7 +175,7 @@ def _solve_peak_mib(n):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        result = solve_linear(problem, SolveOptions(N=40, m=12))
+        result = solve(problem, SolveOptions(N=40, m=12))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

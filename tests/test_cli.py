@@ -7,7 +7,7 @@ import pytest
 from hybvp.cli import RunConfig, build_parser, main, parse_config, run
 from hybvp.expressions import segment_block
 from hybvp.problems import builtin
-from hybvp.solver import SolveOptions, solve, solve_linear
+from hybvp.solver import SolveOptions, solve
 
 _LL_JSON = {
     "name": "discontinuous_forcing",
@@ -33,8 +33,8 @@ def test_parse_config_reproduces_builtin_problem(tmp_path):
     problem, cfg = parse_config(path)
     assert problem.break_points == (0.0, 0.5, 1.0)
     assert cfg.N == 80 and cfg.m == 8 and cfg.tol == 1e-13
-    res_cfg = solve_linear(problem, cfg.solve_options())
-    res_ref = solve_linear(builtin("linear_linear"), SolveOptions(N=80, m=8))
+    res_cfg = solve(problem, cfg.solve_options())
+    res_ref = solve(builtin("linear_linear"), SolveOptions(N=80, m=8))
     xs = np.linspace(0, 1, 201)
     assert np.max(np.abs(res_cfg.evaluate(xs) - res_ref.evaluate(xs))) <= 1e-13
 
@@ -63,7 +63,11 @@ def test_parse_config_error_paths(tmp_path):
 @pytest.mark.parametrize("key,value", [
     ("format", "xml"), ("eval_points", 0), ("eval_points", 1), ("eval_points", 20.5),
     ("emit_plot_data", "false"), ("emit_plot_data", 1), ("N", 40.9), ("N", True),
-    ("m", [8, 8.5]), ("max_iter", 2.5)])
+    ("m", [8, 8.5]), ("max_iter", 2.5), ("tol", [1e-13]), ("tol", True), ("tol", "abc"),
+    ("tol", math.inf), pytest.param("tol", 10 ** 400, id="tol-int-beyond-float"),
+    ("init", [None, 1]), ("init", [True, 1]), ("init", [math.nan, 1]), ("init", "1,inf"),
+    ("init", 1.0), ("basis", 1), ("format", ["csv"]), ("output", [1]),
+    ("init_policy", "line")])
 def test_main_rejects_bad_solver_values(tmp_path, capsys, key, value):
     payload = dict(_LL_JSON, solver=dict(_LL_JSON["solver"], **{key: value}))
     out = tmp_path / "out"
@@ -75,7 +79,8 @@ def test_main_rejects_bad_solver_values(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("flag,value,key", [("--eval-points", "0", "eval_points"),
                                             ("--eval-points", "1", "eval_points"),
-                                            ("--N", "40.9", "N"), ("--m", "8,8.5", "m")])
+                                            ("--N", "40.9", "N"), ("--m", "8,8.5", "m"),
+                                            ("--tol", "inf", "tol"), ("--tol", "nan", "tol")])
 def test_bad_flag_values_are_rejected(tmp_path, capsys, flag, value, key):
     out = tmp_path / "out"
     status = main(["--problem", "linear_linear", "--output", str(out), flag, value])
@@ -90,6 +95,22 @@ def test_integral_floats_are_accepted(tmp_path):
     _, cfg = parse_config(_write_config(tmp_path, payload))
     assert (cfg.N, cfg.m, cfg.max_iter, cfg.eval_points) == (80, (8, 9), 3, 20)
     assert all(type(v) is int for v in (cfg.N, *cfg.m, cfg.max_iter, cfg.eval_points))
+
+
+def test_non_finite_forcing_fails_the_run(tmp_path):
+    # exp(800 x) overflows to inf for x > 0.89; errstate silences numpy's warning
+    payload = dict(_LL_JSON, segments=[{"a2": [1.0]},
+                                       {"a2": [1.0], "f": {"terms": [{"fn": "exp", "k": 800.0}]}}],
+                   solver={})
+    with np.errstate(over="ignore"):
+        status = main(["--config", str(_write_config(tmp_path, payload)),
+                       "--output", str(tmp_path / "out")])
+    assert status == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["converged"] is False
+    # the sizes the solver resolved: the default N and the fallback m
+    assert (summary["N"], summary["m"]) == (100, 16)
+    assert not (tmp_path / "out" / "solution.csv").exists()
 
 
 def test_run_writes_tables_and_summary(tmp_path):
@@ -171,15 +192,14 @@ def test_serialized_numbers_round_trip_exactly(tmp_path):
             # parse-and-reformat reproduces the text: no precision was lost
             assert format(float(field), ".17g") == field
     # and the exact junction value survives the text round trip
-    res = solve_linear(problem, cfg.solve_options())
+    res = solve(problem, cfg.solve_options())
     y_mid = res.evaluate(np.array([0.5]))[0]
     assert float(format(y_mid, ".17g")) == y_mid
 
 
 def test_json_table_format(tmp_path):
     problem = builtin("nonlinear_nonlinear")
-    cfg = RunConfig(output=str(tmp_path), format="json", eval_points=20,
-                    init_policy="explicit", init=(1.30685, -0.5))
+    cfg = RunConfig(output=str(tmp_path), format="json", eval_points=20, init=(1.30685, -0.5))
     status = run(problem, cfg)
     assert status == 0
     table = json.loads((tmp_path / "solution.json").read_text())

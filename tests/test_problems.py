@@ -9,7 +9,7 @@ from hybvp.problems import (
     generic_linear,
     linear_dynamics,
 )
-from hybvp.solver import SolveOptions, solve, solve_linear
+from hybvp.solver import SolveOptions, solve
 from oracles import residual_partial_check
 
 
@@ -140,8 +140,8 @@ def test_generic_linear_reproduces_builtin_solution():
     custom = generic_linear(_LL_CONFIG)
     ref = builtin("linear_linear")
     opts = SolveOptions(N=60, m=8)
-    r1 = solve_linear(custom, opts)
-    r2 = solve_linear(ref, opts)
+    r1 = solve(custom, opts)
+    r2 = solve(ref, opts)
     assert np.max(np.abs(r1.xi - r2.xi)) <= 1e-13
     xs = np.linspace(0, 1, 301)
     assert np.max(np.abs(r1.evaluate(xs) - r2.evaluate(xs))) <= 1e-13

@@ -1,11 +1,21 @@
 import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from hybvp import solver
 from hybvp.assembly import assemble_all
 from hybvp.expressions import UnknownLayout
-from hybvp.problems import HybridProblem, builtin, generic_linear, nonlinear_dynamics
+from hybvp.problems import (
+    HybridProblem,
+    builtin,
+    generic_linear,
+    linear_dynamics,
+    nonlinear_dynamics,
+)
 from hybvp.solver import (
+    DIVERGENCE_WINDOW,
     DivergenceError,
     SolveOptions,
     _jacobian,
@@ -14,10 +24,14 @@ from hybvp.solver import (
     _stacked_residual,
     initial_guess,
     solve,
-    solve_linear,
-    solve_nonlinear,
 )
-from oracles import dense_from_blocks, dense_scaled_qr_lstsq, residual_partial_check
+from oracles import (
+    dense_from_blocks,
+    dense_scaled_qr_lstsq,
+    evaluate,
+    linear_system,
+    residual_partial_check,
+)
 
 
 def _block_lstsq(layout, blocks, b):
@@ -108,7 +122,7 @@ def test_lstsq_rejects_underdetermined_systems():
 
 
 def test_solve_linear_accuracy_and_junction_values():
-    res = solve_linear(builtin("linear_linear"), SolveOptions(N=100, m=8))
+    res = solve(builtin("linear_linear"), SolveOptions(N=100, m=8))
     assert res.converged and res.iterations == 1
     assert res.errors_by_order[0] <= 1e-12
     assert res.errors_by_order[1] <= 1e-12
@@ -117,11 +131,6 @@ def test_solve_linear_accuracy_and_junction_values():
     assert xj == 0.5
     assert abs(yj - 77.0 / 192.0) <= 1e-12
     assert abs(dyj - 5.0 / 6.0) <= 1e-12
-
-
-def test_solve_linear_rejects_nonlinear_problems():
-    with pytest.raises(ValueError, match="solve_nonlinear"):
-        solve_linear(builtin("nonlinear_nonlinear"))
 
 
 def test_adding_basis_functions_leaves_solution_unchanged():
@@ -149,7 +158,7 @@ def test_initial_guess_line_policy_linear_linear():
 
 def test_initial_guess_explicit_policy_matches_reference_vectors():
     p = builtin("linear_nonlinear")
-    opts = SolveOptions(N=20, m=5, init_policy="explicit", init_values=(1.0, -1.0))
+    opts = SolveOptions(N=20, m=5, init_values=(1.0, -1.0))
     grids = _resolve_grids(p, opts)
     xi = initial_guess(p, opts, grids)
     layout = grids.layout
@@ -159,7 +168,7 @@ def test_initial_guess_explicit_policy_matches_reference_vectors():
     assert np.array_equal(xi, expect)
 
     p = builtin("nonlinear_nonlinear")
-    opts = SolveOptions(N=20, m=5, init_policy="explicit", init_values=(1.30685, -0.5))
+    opts = SolveOptions(N=20, m=5, init_values=(1.30685, -0.5))
     grids = _resolve_grids(p, opts)
     xi = initial_guess(p, opts, grids)
     layout = grids.layout
@@ -169,16 +178,15 @@ def test_initial_guess_explicit_policy_matches_reference_vectors():
 
 def test_initial_guess_explicit_arity_checked():
     p = builtin("linear_nonlinear")
-    opts = SolveOptions(N=20, m=5, init_policy="explicit", init_values=(1.0,))
+    opts = SolveOptions(N=20, m=5, init_values=(1.0,))
     grids = _resolve_grids(p, opts)
     with pytest.raises(ValueError):
         initial_guess(p, opts, grids)
 
 
 def test_solve_nonlinear_linear_nonlinear_from_reference_start():
-    res = solve_nonlinear(builtin("linear_nonlinear"),
-                          SolveOptions(N=100, m=16, init_policy="explicit",
-                                       init_values=(1.0, -1.0)))
+    res = solve(builtin("linear_nonlinear"),
+                SolveOptions(N=100, m=16, init_values=(1.0, -1.0)))
     assert res.converged
     assert res.iterations <= 30
     assert res.residual_norm <= 1e-12
@@ -186,21 +194,64 @@ def test_solve_nonlinear_linear_nonlinear_from_reference_start():
 
 
 def test_solve_nonlinear_nonlinear_nonlinear_from_reference_start():
-    res = solve_nonlinear(builtin("nonlinear_nonlinear"),
-                          SolveOptions(N=100, m=60, init_policy="explicit",
-                                       init_values=(1.30685, -0.5)))
+    res = solve(builtin("nonlinear_nonlinear"),
+                SolveOptions(N=100, m=60, init_values=(1.30685, -0.5)))
     assert res.converged
     assert res.iterations <= 20
     assert res.errors_by_order[0] <= 1e-11
 
 
-def test_solve_nonlinear_on_linear_problem_converges_in_one_step():
-    p = builtin("linear_linear")
-    res_gn = solve_nonlinear(p, SolveOptions(N=60, m=8))
-    res_ls = solve_linear(p, SolveOptions(N=60, m=8))
-    assert res_gn.converged and res_gn.iterations == 1
-    xs = np.linspace(0, 1, 101)
-    assert np.max(np.abs(res_gn.evaluate(xs) - res_ls.evaluate(xs))) <= 1e-12
+_TWO_TERMS = {"break_points": [0.0, 0.3, 1.0], "y0": 1.0, "yf": -0.5,
+              "segments": [{"a2": [1.0, 0.5], "a1": [0.0, -2.0], "f": [1.0, 3.0]},
+                           {"a2": [2.0], "a0": [-1.0, 0.5], "f": [0.0, 0.0, 1.0]}]}
+_THREE_TERMS = (linear_dynamics(lambda x: 1.0 + x, 0.3, lambda x: -np.cos(x), np.exp),
+                linear_dynamics(2.0, lambda x: -0.5 * x, -1.0, 1.0))
+LINEAR_PROBLEMS = [
+    # (problem, at most two of a2, a1, a0 nonzero on every segment)
+    pytest.param(builtin("linear_linear"), True, id="linear_linear"),
+    pytest.param(generic_linear(_TWO_TERMS), True, id="two_terms"),
+    pytest.param(HybridProblem(break_points=(0.0, 0.4, 1.0), segments=_THREE_TERMS,
+                               y0=0.2, yf=-0.7, name="three_terms"), False, id="three_terms"),
+]
+
+
+@pytest.mark.parametrize("p,two_terms", LINEAR_PROBLEMS)
+def test_linear_solve_is_one_gauss_newton_step_on_the_direct_system(p, two_terms):
+    opts = SolveOptions(N=40, m=20)
+    grids = _resolve_grids(p, opts)
+    system = assemble_all(grids, p.y0, p.yf)
+    blocks, rhs = linear_system(p, grids, system)
+    # the Jacobian is the direct matrix at any Xi; bitwise when the two
+    # sums add the same two nonzero terms, else up to rounding
+    xi = np.random.default_rng(7).standard_normal(grids.layout.total)
+    for J, M in zip(_jacobian(p, grids, system, xi), blocks):
+        if two_terms:
+            assert np.array_equal(J, M)
+        else:
+            assert np.max(np.abs(J - M)) <= 1e-15 * np.max(np.abs(M))
+    assert np.array_equal(-_stacked_residual(p, grids, system, np.zeros(grids.layout.total)), rhs)
+
+    with mock.patch.object(solver, "_scaled_qr_lstsq", wraps=_scaled_qr_lstsq) as lstsq:
+        res = solve(p, opts)
+    assert lstsq.call_count == 1
+    assert res.converged and res.iterations == 1
+    direct = _scaled_qr_lstsq(blocks, rhs, grids.layout)[0]
+    if two_terms:
+        assert np.array_equal(res.xi, direct)
+    else:
+        assert np.all(np.abs(res.xi - direct) <= 1e-14 * (1.0 + np.abs(direct)))
+    # junction seeds play no part, even ones of the wrong arity
+    assert np.array_equal(solve(p, SolveOptions(N=40, m=20, init_values=(5.0,))).xi, res.xi)
+
+
+def test_non_finite_linear_solve_raises():
+    # the forcing is inf on part of the last segment; np.where raises no warning
+    overflow = linear_dynamics(1.0, f=lambda x: np.where(x > 0.7, np.inf, 0.0))
+    p = HybridProblem(break_points=(0.0, 0.5, 1.0), segments=(linear_dynamics(1.0), overflow),
+                      y0=0.0, yf=1.0, name="overflow")
+    with pytest.raises(DivergenceError, match="non-finite") as excinfo:
+        solve(p, SolveOptions(N=20, m=5))
+    assert excinfo.value.trace == []
 
 
 def _fd_jacobian(problem, grids, system, xi, h=1e-6):
@@ -221,11 +272,7 @@ def test_jacobian_matches_finite_differences_at_start_and_solution(name):
     opts = SolveOptions(N=24, m=8)
     grids = _resolve_grids(p, opts)
     system = assemble_all(grids, p.y0, p.yf)
-    states = [initial_guess(p, opts, grids)]
-    if p.is_linear:
-        states.append(solve_linear(p, opts).xi)
-    else:
-        states.append(solve_nonlinear(p, opts).xi)
+    states = [initial_guess(p, opts, grids), solve(p, opts).xi]
     for xi in states:
         J = dense_from_blocks(_jacobian(p, grids, system, xi), grids.layout)
         fd = _fd_jacobian(p, grids, system, xi)
@@ -274,7 +321,7 @@ def test_boundary_values_embedded_at_every_iterate():
         J = _jacobian(p, grids, system, xi)
         r = _stacked_residual(p, grids, system, xi)
         xi = xi - _scaled_qr_lstsq(J, r, grids.layout)[0]
-        y = system.evaluate(xi, 0)
+        y = evaluate(system, xi, 0)
         assert abs(y[0] - p.y0) <= 1e-14 * max(1.0, abs(p.y0))
         assert abs(y[-1] - p.yf) <= 1e-14 * max(1.0, abs(p.yf))
 
@@ -284,15 +331,14 @@ def test_monotone_tail_of_converged_traces():
         ("linear_nonlinear", SolveOptions(N=60, m=16)),
         ("nonlinear_nonlinear", SolveOptions(N=100, m=60)),
     ]:
-        res = solve_nonlinear(builtin(name), opts)
+        res = solve(builtin(name), opts)
         assert res.converged
         tail = res.residual_trace[-3:]
         assert all(a >= b for a, b in zip(tail, tail[1:]))
 
 
 def test_unconverged_result_is_returned_not_raised():
-    res = solve_nonlinear(builtin("nonlinear_nonlinear"),
-                          SolveOptions(N=60, m=40, max_iter=2))
+    res = solve(builtin("nonlinear_nonlinear"), SolveOptions(N=60, m=40, max_iter=2))
     assert not res.converged
     assert res.iterations == 2
     assert len(res.residual_trace) == 2
@@ -316,9 +362,9 @@ def test_divergence_raises_with_trace():
     p = HybridProblem(break_points=(0.0, 1.0), segments=(dyn,), y0=0.0, yf=0.0,
                       name="runaway")
     with pytest.raises(DivergenceError) as excinfo:
-        solve_nonlinear(p, SolveOptions(N=20, m=5, divergence_window=3))
+        solve(p, SolveOptions(N=20, m=5))
     trace = excinfo.value.trace
-    assert len(trace) >= 3
+    assert len(trace) >= DIVERGENCE_WINDOW
     assert trace[-1] > trace[-2] > trace[-3]
 
 
@@ -328,9 +374,7 @@ def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
-        SolveOptions(init_policy="guess")
-    with pytest.raises(ValueError):
-        solve_linear(builtin("linear_linear"), SolveOptions(N=10, m=8))
+        solve(builtin("linear_linear"), SolveOptions(N=10, m=8))
 
 
 def _three_segment_log_problem():
@@ -354,7 +398,7 @@ def _three_segment_log_problem():
 
 def test_three_segment_nonlinear_solve_recovers_global_solution():
     p = _three_segment_log_problem()
-    res = solve_nonlinear(p, SolveOptions(N=60, m=24))
+    res = solve(p, SolveOptions(N=60, m=24))
     assert res.converged
     xs = np.linspace(0.0, 2.0, 801)
     exact = 2.0 - np.log(xs + 1.0)
@@ -373,7 +417,7 @@ def test_middle_segment_jacobian_matches_finite_differences():
 
 
 def test_legendre_family_solves_to_the_same_accuracy():
-    res = solve_linear(builtin("linear_linear"), SolveOptions(N=60, m=8, family="legendre"))
+    res = solve(builtin("linear_linear"), SolveOptions(N=60, m=8, family="legendre"))
     assert res.converged
     assert res.errors_by_order[0] <= 1e-12
     assert abs(res.junctions[0][1] - 77.0 / 192.0) <= 1e-12
@@ -383,5 +427,5 @@ def test_runtime_of_reference_solves_is_modest():
     import time
 
     t0 = time.perf_counter()
-    solve_linear(builtin("linear_linear"), SolveOptions(N=100, m=8))
+    solve(builtin("linear_linear"), SolveOptions(N=100, m=8))
     assert time.perf_counter() - t0 < 1.0
