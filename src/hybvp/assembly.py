@@ -5,7 +5,9 @@ points of segment k are y^(d) = A_k^(d) Xi[window(k)] + B_k^(d).  The
 stacked A^(d) is block sparse: segment k's rows touch only the unknowns
 of its window, its own basis coefficients and the junction unknowns at
 its ends.  Only the blocks A_k^(d), one column per window unknown, are
-stored.
+stored.  Each block is built from segment k's Grid, so its basis
+tables come from the reference tables cached per (family, m, N) and a
+second assembly of the same sizes runs no basis recurrence.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ class SystemMatrices:
 
 
 def assemble_all(grids: SegmentGrids, y0: float, yf: float) -> SystemMatrices:
-    """Per-segment (A_k^(d), B_k^(d)) for d = 0, 1, 2, one segment_block call per segment."""
+    """Per-segment (A_k^(d), B_k^(d)) for d = 0, 1, 2, one segment_block call per segment grid."""
     layout = grids.layout
-    blocks = tuple(segment_block(spec, grid.interval, k, layout, y0, yf, grid.points)
+    blocks = tuple(segment_block(spec, grid.interval, k, layout, y0, yf, grid)
                    for k, (grid, spec) in enumerate(zip(grids.grids, grids.specs), 1))
     return SystemMatrices(blocks=blocks, grids=grids)

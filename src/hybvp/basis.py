@@ -5,16 +5,29 @@ segment [x0, xf] is mapped affinely onto that domain.  Values and the
 first two derivatives are computed by three-term recurrences (stable near
 z = +-1), and collocation grids use the Gauss-Lobatto cosine distribution
 so that both segment endpoints are grid points.
+
+Because the map is affine, every grid of N points has the same
+reference nodes z_j, and a segment's basis table in x is the reference
+table scaled by c**d.  So the recurrence runs once per (family, m, N):
+node_tables holds T_0, T_1, T_2 at the Lobatto nodes and end_tables the
+value and slope at z = -1, +1 per (family, m).  Both are bounded caches
+of read-only arrays, filled through eval_basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
 FAMILIES = ("chebyshev", "legendre")
 MAX_DERIVATIVE = 2
+# entries kept per table cache: a geometry of uniform sizes uses two or
+# three (family, m, N), and a node table holds 3*N*m floats (150 KiB at
+# N = 100, m = 64); a miss costs one recurrence, as without the cache
+TABLE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -67,10 +80,16 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing collocation points spanning an interval."""
+    """Strictly increasing collocation points spanning an interval.
+
+    nodes is lobatto_nodes(n), the reference grid on [-1, 1] the points
+    were mapped from, when they are Gauss-Lobatto points
+    (collocation_grid); else None.
+    """
 
     interval: Interval
     points: np.ndarray
+    nodes: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -81,6 +100,9 @@ class Grid:
             raise ValueError("grid points must be strictly increasing")
         if pts[0] != self.interval.x0 or pts[-1] != self.interval.xf:
             raise ValueError("grid must start at x0 and end at xf")
+        # the cached tables at a grid's nodes are keyed by its size alone
+        if self.nodes is not None and not np.array_equal(self.nodes, lobatto_nodes(pts.size)):
+            raise ValueError("grid nodes must be the Gauss-Lobatto nodes of its size")
 
     @property
     def n(self) -> int:
@@ -100,22 +122,40 @@ def map_point(iv: Interval, x):
     return float(z) if z.ndim == 0 else z
 
 
-def collocation_grid(iv: Interval, N: int) -> Grid:
-    """Gauss-Lobatto cosine-spaced grid of N points over iv.
+def _read_only(*arrays) -> tuple:
+    """Views that cannot be written, nor made writable again."""
+    for a in arrays:
+        a.setflags(write=False)
+    return tuple(a.view() for a in arrays)
 
-    z_j = -cos(j*pi/(N-1)), j = 0..N-1, mapped onto the interval; the
-    set is symmetrized so it is exactly antisymmetric about the interval
-    midpoint and contains both endpoints exactly.
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def lobatto_nodes(N: int) -> np.ndarray:
+    """The N Gauss-Lobatto nodes z_j = -cos(j*pi/(N-1)) on [-1, 1], read-only.
+
+    The set is symmetrized so it is exactly antisymmetric about 0 and
+    its endpoints are exactly -1 and +1.
     """
     if N < 2:
         raise ValueError("collocation grid needs N >= 2 points")
     j = np.arange(N)
     z = -np.cos(j * np.pi / (N - 1))
     z = 0.5 * (z - z[::-1])  # kill rounding asymmetry; endpoints become exactly -+1
+    return _read_only(z)[0]
+
+
+def collocation_grid(iv: Interval, N: int) -> Grid:
+    """Gauss-Lobatto cosine-spaced grid of N points over iv.
+
+    lobatto_nodes(N) mapped onto the interval, so the points are exactly
+    antisymmetric about the interval midpoint and contain both endpoints
+    exactly.
+    """
+    z = lobatto_nodes(N)
     x = 0.5 * (iv.x0 + iv.xf) + 0.5 * iv.width * z
     x[0] = iv.x0
     x[-1] = iv.xf
-    return Grid(interval=iv, points=x)
+    return Grid(interval=iv, points=x, nodes=z)
 
 
 def _table(family: str, z: np.ndarray, m: int, d: int) -> list:
@@ -159,3 +199,20 @@ def eval_basis(spec: BasisSpec, z, d=0):
     picked = tuple(tables[o][0] if np.ndim(z) == 0 else tables[o] for o in orders)
     return picked[0] if np.isscalar(d) else picked
 
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def node_tables(family: str, m: int, N: int) -> tuple:
+    """(T_0, T_1, T_2): the z-derivatives of m basis polynomials at lobatto_nodes(N).
+
+    Each is a read-only (N, m) array, computed once per (family, m, N).
+    """
+    return _read_only(*eval_basis(BasisSpec(family, m, 1.0), lobatto_nodes(N), (0, 1, 2)))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def end_tables(family: str, m: int) -> tuple:
+    """(h, h'): m basis polynomials and their z-slopes at z = -1 (row 0) and +1 (row 1).
+
+    Read-only (2, m) arrays, computed once per (family, m).
+    """
+    return _read_only(*eval_basis(BasisSpec(family, m, 1.0), np.array([-1.0, 1.0]), (0, 1)))

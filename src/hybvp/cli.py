@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .basis import FAMILIES
 from .problems import BUILTIN_NAMES, HybridProblem, builtin, generic_linear
 from .solver import DivergenceError, SolveOptions, SolveResult, evaluate_segment, resolve_sizes, solve
 
@@ -40,6 +41,8 @@ class RunConfig:
     emit_plot_data: bool = False
 
     def __post_init__(self):
+        if self.basis not in FAMILIES:
+            raise ValueError(f"solver.basis: expected one of {FAMILIES}, got {self.basis!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"solver.format: expected 'csv' or 'json', got {self.format!r}")
         if self.eval_points < 2:
@@ -61,7 +64,10 @@ def _fmt(value) -> str:
 
 
 def _to_json(obj, indent=0) -> str:
-    """JSON text with floats rendered by _fmt (json.dumps re-rounds)."""
+    """JSON text with floats rendered by _fmt (json.dumps re-rounds).
+
+    JSON has no inf or nan, so a non-finite float is written as null.
+    """
     pad = " " * indent
     if isinstance(obj, dict):
         items = ",\n".join(f'{pad}  {json.dumps(k)}: {_to_json(v, indent + 2)}'
@@ -74,7 +80,7 @@ def _to_json(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
+        return _fmt(float(obj)) if math.isfinite(obj) else "null"
     return json.dumps(obj)
 
 

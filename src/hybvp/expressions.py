@@ -23,6 +23,14 @@ switching.switching_functions, which derives the matching switching
 functions, and builds the rows of every segment the same way: it never
 names a switching family.
 
+segment_block takes either points x or a segment's collocation Grid.
+On a Gauss-Lobatto Grid it reads the basis tables at the reference
+nodes from basis.node_tables, which every segment with the same
+(family, m, N) shares, and only scales them by c**d; at other points
+it runs the recurrence at z(x).  Both ways share everything else: the
+end values of basis.end_tables and switching tables computed from the
+points in x.
+
 The free function of a segment with k embedded constraints skips the
 first k basis polynomials: the constraint support reproduces every
 polynomial up to degree k-1 exactly, so those directions cancel out of
@@ -40,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import BasisSpec, Interval, eval_basis, map_point
+from .basis import BasisSpec, Grid, Interval, end_tables, eval_basis, map_point, node_tables
 from .switching import switching_functions
 
 
@@ -146,8 +154,11 @@ def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
                   y0: float, yf: float, x, orders=(0, 1, 2)) -> dict:
     """Rows of segment k's constrained expression at points x.
 
-    Returns {d: (coeffs, offsets)} for every d in orders, with coeffs of
-    shape (len(x), width of layout.window(k)) so that
+    x is an array of points in iv, or segment k's collocation Grid.  On
+    a Gauss-Lobatto Grid the basis tables come from the cached
+    reference tables at its nodes; at other points the recurrence runs
+    at z(x).  Returns {d: (coeffs, offsets)} for every d in orders, with
+    coeffs of shape (len(x), width of layout.window(k)) so that
     y^(d)(x) = coeffs @ Xi[layout.window(k)] + offsets.  Segment k's
     rows touch no unknown outside its window.
     """
@@ -155,12 +166,19 @@ def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
     skip = len(constraints)
     wide = BasisSpec(spec.family, spec.m + skip, spec.c)
     window = layout.window(k)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = map_point(iv, x)
-    tables = list(eval_basis(wide, z, tuple(orders)))
+    if isinstance(x, Grid):
+        if x.interval != iv:
+            raise ValueError(f"grid spans {x.interval}, segment {k} spans {iv}")
+        nodes, x = x.nodes, x.points
+    else:
+        nodes, x = None, np.atleast_1d(np.asarray(x, dtype=float))
+    if nodes is not None:  # Gauss-Lobatto points: the tables at their nodes are shared
+        tables = [node_tables(wide.family, wide.m, nodes.size)[d] for d in orders]
+    else:
+        tables = list(eval_basis(wide, map_point(iv, x), tuple(orders)))
     # h and c*h' of the free expansion at z = -1, +1: each row is one
     # pinned functional applied to the free basis
-    h, dh = eval_basis(wide, np.array([-1.0, 1.0]), (0, 1))
+    h, dh = end_tables(wide.family, wide.m)
     support = np.array([(spec.c * dh if con.order else h)[con.end, skip:] for con in constraints])
     S = switching_functions([(con.order, con.end) for con in constraints], iv, x, orders)
     values = np.array([con.value for con in constraints])  # 0 for junction columns
@@ -168,7 +186,7 @@ def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
     for d in orders:
         coeffs = np.zeros((x.size, window.stop - window.start))
         local = coeffs[:, layout.own_in_window(k)]
-        # each table is released once its order is built
+        # a table from the recurrence is released once its order is built
         np.multiply(spec.c ** d, tables.pop(0)[:, skip:], out=local)
         local -= S[d] @ support
         for i, con in enumerate(constraints):

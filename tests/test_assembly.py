@@ -99,7 +99,7 @@ def test_two_segment_second_derivative_block_structure():
     x2 = grids.grids[1].points
     iv1, iv2 = grids.grids[0].interval, grids.grids[1].interval
 
-    H1, off1 = segment_block(grids.specs[0], iv1, 1, layout, 0.0, 1.0, x1, (2,))[2]
+    H1, off1 = segment_block(grids.specs[0], iv1, 1, layout, 0.0, 1.0, grids.grids[0], (2,))[2]
     assert np.array_equal(A[grids.row_slice(1)], full_width(H1, layout, 1))
     assert np.array_equal(B[grids.row_slice(1)], off1)
 

@@ -6,7 +6,7 @@ import pytest
 
 from hybvp.cli import RunConfig, build_parser, main, parse_config, run
 from hybvp.expressions import segment_block
-from hybvp.problems import builtin
+from hybvp.problems import HybridProblem, builtin, nonlinear_dynamics
 from hybvp.solver import SolveOptions, solve
 
 _LL_JSON = {
@@ -67,7 +67,7 @@ def test_parse_config_error_paths(tmp_path):
     ("tol", math.inf), pytest.param("tol", 10 ** 400, id="tol-int-beyond-float"),
     ("init", [None, 1]), ("init", [True, 1]), ("init", [math.nan, 1]), ("init", "1,inf"),
     ("init", 1.0), ("basis", 1), ("format", ["csv"]), ("output", [1]),
-    ("init_policy", "line")])
+    ("init_policy", "line"), ("basis", "foo")])
 def test_main_rejects_bad_solver_values(tmp_path, capsys, key, value):
     payload = dict(_LL_JSON, solver=dict(_LL_JSON["solver"], **{key: value}))
     out = tmp_path / "out"
@@ -87,6 +87,30 @@ def test_bad_flag_values_are_rejected(tmp_path, capsys, flag, value, key):
     assert status == 2
     assert f"solver.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summary_stays_strict_json_when_the_residual_turns_non_finite(tmp_path):
+    calls = []
+
+    def residual(x, y, dy, d2y):
+        calls.append(1)
+        return d2y + y ** 2 - (1.0 if len(calls) == 1 else np.inf)
+
+    dyn = nonlinear_dynamics(residual, d_y=lambda x, y, dy, d2y: 2.0 * y,
+                             d_dy=lambda x, y, dy, d2y: np.zeros_like(x),
+                             d_d2y=lambda x, y, dy, d2y: np.ones_like(x))
+    problem = HybridProblem(break_points=(0.0, 1.0), segments=(dyn,), y0=0.0, yf=0.5,
+                            name="blow_up")
+    status = run(problem, RunConfig(N=20, m=5, output=str(tmp_path)))
+    assert status == 1
+    summary = json.loads((tmp_path / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["converged"] is False
+    assert summary["residual_trace"] == [None]
 
 
 def test_integral_floats_are_accepted(tmp_path):

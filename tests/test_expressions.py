@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as ncheb
 
-from hybvp.basis import BasisSpec, Interval, eval_basis, map_point
+from hybvp import basis
+from hybvp.assembly import assemble_all, segment_grids
+from hybvp.basis import FAMILIES, BasisSpec, Interval, eval_basis, map_point
 from hybvp.expressions import UnknownLayout, segment_block, segment_constraints
 from oracles import CASCADE_SKIP, cascade_eval, cascade_junction_value, segment_row
 
@@ -284,3 +286,81 @@ def test_cascade_rejects_mismatched_junction():
     s1, s2 = _spec_for(iv1, 4), _spec_for(iv2, 4)
     with pytest.raises(ValueError):
         cascade_junction_value((s1, np.zeros(4)), (s2, np.zeros(4)), iv1, iv2, 0.0, 1.0)
+
+
+# --- grid path: cached reference tables ----------------------------------
+
+def _grid_and_point_blocks(grids, k, y0, yf):
+    spec, grid = grids.specs[k - 1], grids.grids[k - 1]
+    args = (spec, grid.interval, k, grids.layout, y0, yf)
+    return segment_block(*args, grid), segment_block(*args, grid.points)
+
+
+def test_grid_path_matches_the_point_path_on_random_geometries():
+    rng = np.random.default_rng(601)
+    worst = 0.0
+    for trial in range(24):
+        n = int(rng.integers(1, 9))
+        family = FAMILIES[trial % 2]
+        m = [int(v) for v in rng.integers(1, 61, n)]
+        N = [mk + int(rng.integers(4, 20)) for mk in m]
+        grids = segment_grids(_random_geometry(rng, n), N, m, family)
+        y0, yf = rng.standard_normal(2)
+        for k in range(1, n + 1):
+            on_grid, at_points = _grid_and_point_blocks(grids, k, y0, yf)
+            for d in (0, 1, 2):
+                (A, B), (A_x, B_x) = on_grid[d], at_points[d]
+                scale = np.max(np.abs(A))
+                worst = max(worst, np.max(np.abs(A - A_x)) / scale)
+                assert np.max(np.abs(A - A_x)) <= 1e-12 * scale
+                # offsets and junction columns come from the same switching tables
+                assert np.array_equal(B, B_x)
+    assert worst > 0.0  # the two paths really use different reference points
+
+
+def test_grid_path_embeds_boundary_values_and_c1_exactly():
+    rng = np.random.default_rng(17)
+    for family in FAMILIES:
+        grids = segment_grids(_random_geometry(rng, 5), 23, (4, 9, 12, 7, 15), family)
+        sm = assemble_all(grids, -1.25, 2.5)
+        layout = grids.layout
+        for _ in range(5):
+            xi = rng.standard_normal(layout.total)
+            states = [sm.segment_states(xi, k) for k in range(1, 6)]
+            assert states[0][0][0] == -1.25
+            assert states[-1][0][-1] == 2.5
+            for j in range(1, 5):
+                left, right = states[j - 1], states[j]
+                value = xi[layout.junction_value_index(j)]
+                slope = xi[layout.junction_slope_index(j)]
+                assert left[0][-1] == value == right[0][0]
+                assert left[1][-1] == slope == right[1][0]
+
+
+def test_reassembly_runs_no_basis_recurrence(monkeypatch):
+    grids = segment_grids([0.0, 0.3, 1.0, 1.8, 2.0], 30, (8, 8, 11, 8), "legendre")
+    first = assemble_all(grids, 0.5, -0.5)
+    calls = []
+    recurrence = basis._table
+
+    def counted(*args):
+        calls.append(args[0])
+        return recurrence(*args)
+
+    monkeypatch.setattr(basis, "_table", counted)
+    again = assemble_all(grids, 0.5, -0.5)
+    assert calls == []
+    for k in range(1, 5):
+        for d in (0, 1, 2):
+            assert np.array_equal(first.blocks[k - 1][d][0], again.blocks[k - 1][d][0])
+    # points off the collocation grid still run the recurrence
+    segment_block(grids.specs[0], grids.grids[0].interval, 1, grids.layout, 0.5, -0.5,
+                  np.array([0.1, 0.2]))
+    assert calls == ["legendre"]
+
+
+def test_grid_of_another_segment_is_rejected():
+    grids = segment_grids([0.0, 0.5, 1.0], 12, 5)
+    with pytest.raises(ValueError, match="segment 1"):
+        segment_block(grids.specs[0], grids.grids[0].interval, 1, grids.layout, 0.0, 1.0,
+                      grids.grids[1])
