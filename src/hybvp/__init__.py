@@ -22,7 +22,6 @@ from .solver import (
     DivergenceError,
     SolveOptions,
     SolveResult,
-    evaluate_solution,
     solve,
 )
 from .switching import alpha, beta, gamma
@@ -42,7 +41,6 @@ __all__ = [
     "analytic_value",
     "beta",
     "builtin",
-    "evaluate_solution",
     "gamma",
     "generic_linear",
     "linear_dynamics",

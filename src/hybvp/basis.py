@@ -21,9 +21,13 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import chebyshev, legendre
 
 FAMILIES = ("chebyshev", "legendre")
 MAX_DERIVATIVE = 2
+# per family: the Clenshaw sum val(z, coef) and the x-derivative series der(coef, d, scl=c)
+SERIES = {"chebyshev": (chebyshev.chebval, chebyshev.chebder),
+          "legendre": (legendre.legval, legendre.legder)}
 # entries kept per table cache: a geometry of uniform sizes uses two or
 # three (family, m, N), and a node table holds 3*N*m floats (150 KiB at
 # N = 100, m = 64); a miss costs one recurrence, as without the cache

@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import FAMILIES
 from .problems import BUILTIN_NAMES, HybridProblem, builtin, generic_linear
-from .solver import DivergenceError, SolveOptions, SolveResult, evaluate_segment, resolve_sizes, solve
+from .solver import DivergenceError, SolveOptions, SolveResult, resolve_sizes, solve
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,10 @@ class RunConfig:
             raise ValueError(f"solver.basis: expected one of {FAMILIES}, got {self.basis!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"solver.format: expected 'csv' or 'json', got {self.format!r}")
+        if not self.tol > 0:
+            raise ValueError(f"solver.tol: must be positive, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"solver.max_iter: must be at least 1, got {self.max_iter!r}")
         if self.eval_points < 2:
             raise ValueError(f"solver.eval_points: need at least 2 points per segment, "
                              f"got {self.eval_points}")
@@ -54,19 +58,11 @@ class RunConfig:
                             max_iter=self.max_iter, init_values=self.init)
 
 
-def _fmt(value) -> str:
-    """17-significant-digit decimal text; round-trip exact for float64."""
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            return repr(value)
-        return format(value, ".17g")
-    return str(value)
-
-
 def _to_json(obj, indent=0) -> str:
-    """JSON text with floats rendered by _fmt (json.dumps re-rounds).
+    """JSON text with floats in 17 significant digits (json.dumps re-rounds).
 
-    JSON has no inf or nan, so a non-finite float is written as null.
+    17 digits round-trip every float64 exactly.  JSON has no inf or nan,
+    so a non-finite float is written as null.
     """
     pad = " " * indent
     if isinstance(obj, dict):
@@ -80,7 +76,7 @@ def _to_json(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj)) if math.isfinite(obj) else "null"
+        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
     return json.dumps(obj)
 
 
@@ -177,7 +173,7 @@ def parse_config(path) -> tuple[HybridProblem, RunConfig]:
 
 
 def _solution_table(problem: HybridProblem, result: SolveResult, eval_points: int):
-    """Per-segment evaluation table as (column names, row lists).
+    """Per-segment evaluation table as (column names, float array of one row per point).
 
     Each segment's rows, its junction end points included, come from
     that segment's own expression and closed form.
@@ -187,37 +183,36 @@ def _solution_table(problem: HybridProblem, result: SolveResult, eval_points: in
     if has_exact:
         columns += ["y_exact", "abs_err", "dy_exact", "abs_err_dy"]
     bp = problem.break_points
-    points = [np.linspace(bp[k - 1], bp[k], eval_points) for k in range(1, problem.n_segments + 1)]
-    # every segment is evaluated before the first row is built, so the
-    # kernel's work arrays never coexist with the row objects (peak memory)
-    values = [evaluate_segment(problem, result.grids, result.xi, k, xs)
-              for k, xs in enumerate(points, 1)]
-    rows = []
-    for k, (xs, (y, dy, d2y)) in enumerate(zip(points, values), 1):
+    segments = []
+    for k in range(1, problem.n_segments + 1):
+        xs = np.linspace(bp[k - 1], bp[k], eval_points)
+        y, dy, d2y = (result.segment_values(k, xs, d) for d in (0, 1, 2))
+        cols = [np.full(eval_points, float(k)), xs, y, dy, d2y]
         if has_exact:
             ye, dye = (problem.solution[k - 1][d](xs) for d in (0, 1))
-            for i, x in enumerate(xs):
-                rows.append([k, x, y[i], dy[i], d2y[i],
-                             ye[i], abs(y[i] - ye[i]), dye[i], abs(dy[i] - dye[i])])
-        else:
-            for i, x in enumerate(xs):
-                rows.append([k, x, y[i], dy[i], d2y[i]])
-    return columns, rows
+            cols += [ye, np.abs(y - ye), dye, np.abs(dy - dye)]
+        segments.append(np.column_stack(cols))
+    return columns, np.concatenate(segments)
 
 
-def _write_table(path: Path, columns, rows, fmt: str):
+def _write_table(path: Path, columns, table: np.ndarray, fmt: str):
+    """Write table (one row per point) as CSV or JSON, every number with 17 digits."""
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
+        # %.17g also writes the integral segment index without a fraction
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
     else:
-        path.write_text(_to_json({"columns": list(columns), "rows": [list(r) for r in rows]}) + "\n")
+        path.write_text(_to_json({"columns": list(columns), "rows": table.tolist()}) + "\n")
 
 
 def run(problem: HybridProblem, cfg: RunConfig) -> int:
     """Solve and write artifacts; returns the process exit status."""
     opts = cfg.solve_options()
     Ns, ms = resolve_sizes(problem, opts)
+    seeds = 2 * (problem.n_segments - 1)
+    # an all-linear solve starts from zero and never reads the seeds
+    if cfg.init is not None and not problem.is_linear and len(cfg.init) != seeds:
+        raise ValueError(f"solver.init: expected {seeds} values (value, slope per junction), "
+                         f"got {len(cfg.init)}")
     outdir = Path(cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -253,16 +248,14 @@ def run(problem: HybridProblem, cfg: RunConfig) -> int:
 
     if result is not None:
         ext = "csv" if cfg.format == "csv" else "json"
-        columns, rows = _solution_table(problem, result, cfg.eval_points)
-        _write_table(outdir / f"solution.{ext}", columns, rows, cfg.format)
+        columns, table = _solution_table(problem, result, cfg.eval_points)
+        _write_table(outdir / f"solution.{ext}", columns, table, cfg.format)
         if cfg.emit_plot_data:
-            _write_table(outdir / f"plot_solution.{ext}",
-                         ["x", "y", "dy", "d2y"],
-                         [[r[1], r[2], r[3], r[4]] for r in rows], cfg.format)
+            _write_table(outdir / f"plot_solution.{ext}", columns[1:5], table[:, 1:5], cfg.format)
             if problem.solution is not None:
-                _write_table(outdir / f"plot_error.{ext}",
-                             ["x", "abs_err", "abs_err_dy"],
-                             [[r[1], r[6], r[8]] for r in rows], cfg.format)
+                picked = [1, 6, 8]  # x, abs_err, abs_err_dy
+                _write_table(outdir / f"plot_error.{ext}", [columns[i] for i in picked],
+                             table[:, picked], cfg.format)
     return 0 if converged else 1
 
 

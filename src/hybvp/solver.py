@@ -27,20 +27,28 @@ coefficients that annihilate a basis direction on the grid, or m so
 large that columns agree to rounding.  Columns it drops get zero
 coefficients (the basic solution), and the diagnostic flags the solve
 as rank deficient.
+
+A solved segment is its constrained expression with Xi folded in: the
+free series g with the solved coefficients, corrected by the switching
+functions on the functionals the segment pins.  SolveResult builds it,
+and the closed-form errors, on first use, so solve does no evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .assembly import SegmentGrids, SystemMatrices, assemble_all, per_segment, segment_grids
-from .expressions import UnknownLayout, segment_block
+from .basis import MAX_DERIVATIVE, SERIES, map_point
+from .expressions import UnknownLayout, segment_constraints
 from .problems import HybridProblem, analytic_value
+from .switching import switching_functions
 
 
 class DivergenceError(RuntimeError):
@@ -110,8 +118,6 @@ class SolveResult:
     residual_trace: list
     converged: bool
     qr_diagnostic: QrDiagnostic
-    max_abs_err: Optional[float] = None
-    errors_by_order: Optional[dict] = None
 
     @property
     def iterations(self) -> int:
@@ -136,52 +142,78 @@ class SolveResult:
         """Basis coefficients of segment k, 1-based."""
         return self.xi[self.grids.layout.xi_slice(k)]
 
+    @cached_property
+    def _series(self) -> tuple:
+        """Per segment: pinned functionals, g^(d) for d = 0..2, phi and kappa.
+
+        g is [0] * skip + xi_k; phi is g on each pinned functional, at z = +-1.
+        """
+        out = []
+        for k, spec in enumerate(self.grids.specs, 1):
+            constraints = segment_constraints(k, self.grids.layout, self.problem.y0, self.problem.yf)
+            val, der = SERIES[spec.family]
+            series = [np.concatenate([np.zeros(len(constraints)), self.segment_coefficients(k)])]
+            while len(series) <= MAX_DERIVATIVE:
+                series.append(der(series[-1], 1, scl=spec.c))
+            ends = [val([-1.0, 1.0], g) for g in series[:2]]  # g and g' at z = -1, +1
+            out.append(([(con.order, con.end) for con in constraints], series,
+                        np.array([ends[con.order][con.end] for con in constraints]),
+                        np.array([con.value if con.column is None else self.xi[con.column]
+                                  for con in constraints])))
+        return tuple(out)
+
+    def segment_values(self, k: int, x, d: int = 0) -> np.ndarray:
+        """y^(d) = (g^(d) - S_d phi) + S_d kappa at points x of segment k (1-based).
+
+        S_d are the switching functions of the pinned values kappa.  Where
+        one of order d is pinned, z is exactly +-1 and the S_d row an exact
+        delta, so the bracket is 0 and kappa comes back bit for bit.  At a
+        junction this is the limit from inside segment k.
+        """
+        if not 1 <= k <= self.grids.n_segments:
+            raise ValueError(f"segment index {k} out of range 1..{self.grids.n_segments}")
+        if d not in range(MAX_DERIVATIVE + 1):
+            raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE}, got {d!r}")
+        functionals, series, phi, kappa = self._series[k - 1]
+        iv = self.grids.grids[k - 1].interval
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        z = map_point(iv, x)
+        S = switching_functions(functionals, iv, x, (d,))[d]
+        return (SERIES[self.grids.specs[k - 1].family][0](z, series[d]) - S @ phi) + S @ kappa
+
     def evaluate(self, x, d: int = 0):
         """y^(d)(x) anywhere in the domain (junctions use the left segment)."""
-        return evaluate_solution(self.problem, self.grids, self.xi, x, d)
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel()
+        seg = self.problem.segment_of(flat)
+        order = np.argsort(seg, kind="stable")
+        cuts = np.searchsorted(seg[order], range(1, self.grids.n_segments))
+        out = np.empty_like(flat)
+        for k, at in enumerate(np.split(order, cuts), 1):
+            if at.size:
+                out[at] = self.segment_values(k, flat[at], d)
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
+    @cached_property
+    def errors_by_order(self) -> Optional[dict]:
+        """{d: max |y^(d) - exact|} for d = 0..2, or None without a closed form.
 
-def evaluate_solution(problem: HybridProblem, grids: SegmentGrids, xi: np.ndarray, x, d: int = 0):
-    """Evaluate the constrained expression defined by Xi at points x.
+        Over 1,000 points per segment, ends included; junctions use the left segment.
+        """
+        if self.problem.solution is None:
+            return None
+        errors = dict.fromkeys(range(MAX_DERIVATIVE + 1), 0.0)
+        for grid in self.grids.grids:
+            xs = np.linspace(grid.interval.x0, grid.interval.xf, 1000)
+            for d in errors:
+                err = np.max(np.abs(self.evaluate(xs, d) - analytic_value(self.problem, xs, d)))
+                errors[d] = max(errors[d], float(err))
+        return errors
 
-    A junction point is evaluated with the segment on its left.
-    """
-    out = _solution_values(problem, grids, xi, x, (d,))[d]
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def evaluate_segment(problem: HybridProblem, grids: SegmentGrids, xi: np.ndarray, k: int,
-                     x) -> tuple:
-    """(y, y', y'') at points x of segment k (1-based) from segment k's own expression.
-
-    All three orders come from one kernel call.  At a junction this is
-    the limit from inside segment k, so y'' takes the value of the
-    segment's own ODE there.
-    """
-    values = _segment_values(problem, grids, xi, k, x, (0, 1, 2))
-    return values[0], values[1], values[2]
-
-
-def _segment_values(problem, grids, xi, k, x, orders) -> dict:
-    """{d: y^(d)(x)} for d in orders from one segment_block call on segment k."""
-    layout = grids.layout
-    blocks = segment_block(grids.specs[k - 1], grids.grids[k - 1].interval, k, layout,
-                           problem.y0, problem.yf, x, orders)
-    local = np.asarray(xi, dtype=float)[layout.window(k)]
-    return {d: coeffs @ local + offsets for d, (coeffs, offsets) in blocks.items()}
-
-
-def _solution_values(problem, grids, xi, x, orders) -> dict:
-    """{d: y^(d)(x)} for d in orders; junction points use the left segment."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    seg = problem.segment_of(xs)
-    out = {d: np.empty_like(xs) for d in orders}
-    for k in range(1, grids.n_segments + 1):
-        mask = seg == k - 1
-        if np.any(mask):
-            for d, values in _segment_values(problem, grids, xi, k, xs[mask], orders).items():
-                out[d][mask] = values
-    return out
+    @cached_property
+    def max_abs_err(self) -> Optional[float]:
+        """Largest of errors_by_order, or None without a closed form."""
+        return None if self.errors_by_order is None else max(self.errors_by_order.values())
 
 
 # --- block-structured least squares ----------------------------------------
@@ -376,24 +408,6 @@ def _jacobian(problem, grids, system, xi):
     return blocks
 
 
-def _finalize(problem, grids, system, xi, trace, converged, diag, eval_points=1000):
-    errors = None
-    max_err = None
-    if problem.solution is not None:
-        errors = dict.fromkeys((0, 1, 2), 0.0)
-        for k in range(1, problem.n_segments + 1):
-            iv = grids.grids[k - 1].interval
-            xs = np.linspace(iv.x0, iv.xf, eval_points)
-            approx = _solution_values(problem, grids, xi, xs, (0, 1, 2))
-            for d in (0, 1, 2):
-                exact = analytic_value(problem, xs, d)
-                errors[d] = max(errors[d], float(np.max(np.abs(approx[d] - exact))))
-        max_err = max(errors.values())
-    return SolveResult(problem=problem, grids=grids, system=system, xi=xi,
-                       residual_trace=trace, converged=converged, qr_diagnostic=diag,
-                       max_abs_err=max_err, errors_by_order=errors)
-
-
 def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveResult:
     """Gauss-Newton iteration with block-elimination least-squares steps.
 
@@ -423,9 +437,10 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
             raise DivergenceError("residual became non-finite", trace + [norm])
         trace.append(norm)
         if norm <= tol:
-            return _finalize(problem, grids, system, xi, trace, True, diag)
+            break
         rising = trace[-DIVERGENCE_WINDOW - 1:]
         if len(rising) > DIVERGENCE_WINDOW and all(a < b for a, b in zip(rising, rising[1:])):
             raise DivergenceError(
                 f"residual increased for {DIVERGENCE_WINDOW} consecutive iterations", trace)
-    return _finalize(problem, grids, system, xi, trace, False, diag)
+    return SolveResult(problem=problem, grids=grids, system=system, xi=xi, residual_trace=trace,
+                       converged=norm <= tol, qr_diagnostic=diag)

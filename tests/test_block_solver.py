@@ -27,7 +27,7 @@ from hybvp.problems import (
     linear_dynamics,
     nonlinear_dynamics,
 )
-from hybvp.solver import SolveOptions, evaluate_solution, solve
+from hybvp.solver import SolveOptions, solve
 from oracles import dense_from_blocks, dense_scaled_qr_lstsq
 
 HYPOTHESIS = settings(max_examples=25, deadline=None,
@@ -160,7 +160,7 @@ def test_finalize_errors_equal_the_per_order_evaluation_bitwise():
             worst = 0.0
             for grid in result.grids.grids:
                 xs = np.linspace(grid.interval.x0, grid.interval.xf, 1000)
-                approx = evaluate_solution(problem, result.grids, result.xi, xs, d)
+                approx = result.evaluate(xs, d)
                 worst = max(worst, float(np.max(np.abs(approx - analytic_value(problem, xs, d)))))
             assert result.errors_by_order[d] == worst
 

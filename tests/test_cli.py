@@ -89,6 +89,27 @@ def test_bad_flag_values_are_rejected(tmp_path, capsys, flag, value, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["--problem", "linear_nonlinear", "--init", "1,2,3"], "init"),
+    (["--problem", "nonlinear_nonlinear", "--init", "1"], "init"),
+    (["--problem", "linear_linear", "--tol", "0"], "tol"),
+    (["--problem", "linear_linear", "--tol=-1e-3"], "tol"),
+    (["--problem", "linear_linear", "--max-iter", "0"], "max_iter")])
+def test_bad_solver_settings_are_rejected_before_any_output(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    status = main(argv + ["--output", str(out)])
+    assert status == 2
+    assert f"solver.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_linear_problems_ignore_the_init_seeds(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--problem", "linear_linear", "--init", "1,2,3", "--output", str(out),
+                 "--eval-points", "10"]) == 0
+    assert (out / "solution.csv").is_file()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -166,7 +187,7 @@ def test_run_writes_tables_and_summary(tmp_path):
 
 
 def test_solution_table_equals_the_per_order_evaluation(tmp_path):
-    """One kernel call per segment gives the bytes of one call per order."""
+    """The table holds the segment evaluator's values bit for bit, and the kernel's to rounding."""
     problem = builtin("linear_nonlinear")
     run(problem, RunConfig(output=str(tmp_path), eval_points=200))
     result = solve(problem)
@@ -176,11 +197,13 @@ def test_solution_table_equals_the_per_order_evaluation(tmp_path):
         iv = result.grids.grids[k - 1].interval
         xs = np.linspace(iv.x0, iv.xf, 200)
         for d in (0, 1, 2):
+            column = [row[2 + d] for row in rows[(k - 1) * 200:k * 200]]
+            assert column == [format(v, ".17g") for v in result.segment_values(k, xs, d)]
             coeffs, offsets = segment_block(result.grids.specs[k - 1], iv, k, layout,
                                             problem.y0, problem.yf, xs, (d,))[d]
-            values = coeffs @ result.xi[layout.window(k)] + offsets
-            column = [row[2 + d] for row in rows[(k - 1) * 200:k * 200]]
-            assert column == [format(v, ".17g") for v in values]
+            kernel = coeffs @ result.xi[layout.window(k)] + offsets
+            table = np.array([float(v) for v in column])
+            assert np.all(np.abs(table - kernel) <= 1e-13 * np.maximum(1.0, np.abs(kernel)))
 
 
 def test_junction_rows_use_their_own_segment(tmp_path):
