@@ -8,19 +8,18 @@
 
 import numpy as np
 
-from hybvp import BasisSpec, Interval, gamma
+from hybvp import BasisSpec, Interval
 from hybvp.expressions import UnknownLayout, segment_block, segment_constraints
+from hybvp.switching import switching_functions
 
-# 1 -- delta property of the cubic (interior segment) switching set
+# 1 -- delta property of the cubic (interior segment) switching set, the
+# gamma functions: value and slope pinned at both ends
 iv = Interval(1.3, 4.1)
+gamma = ((0, 0), (0, 1), (1, 0), (1, 1))
 print("gamma functions against their four constraint functionals")
 print("(rows: value@x0, value@xf, slope@x0, slope@xf; expect identity)")
-rows = [
-    [gamma(j, iv, iv.x0, 0) for j in (1, 2, 3, 4)],
-    [gamma(j, iv, iv.xf, 0) for j in (1, 2, 3, 4)],
-    [gamma(j, iv, iv.x0, 1) for j in (1, 2, 3, 4)],
-    [gamma(j, iv, iv.xf, 1) for j in (1, 2, 3, 4)],
-]
+S = switching_functions(gamma, iv, [iv.x0, iv.xf], (0, 1))
+rows = [S[order][end] for order, end in gamma]
 for row in rows:
     print("  " + "  ".join(f"{v:+.3f}" for v in row))
 

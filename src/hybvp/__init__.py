@@ -24,7 +24,6 @@ from .solver import (
     SolveResult,
     solve,
 )
-from .switching import alpha, beta, gamma
 
 __version__ = "0.1.0"
 
@@ -37,11 +36,8 @@ __all__ = [
     "SegmentDynamics",
     "SolveOptions",
     "SolveResult",
-    "alpha",
     "analytic_value",
-    "beta",
     "builtin",
-    "gamma",
     "generic_linear",
     "linear_dynamics",
     "nonlinear_dynamics",

@@ -4,10 +4,10 @@ For a geometry of n segments the evaluations of y^(d) at the grid
 points of segment k are y^(d) = A_k^(d) Xi[window(k)] + B_k^(d).  The
 stacked A^(d) is block sparse: segment k's rows touch only the unknowns
 of its window, its own basis coefficients and the junction unknowns at
-its ends.  Only the blocks A_k^(d), one column per window unknown, are
-stored.  Each block is built from segment k's Grid, so its basis
-tables come from the reference tables cached per (family, m, N) and a
-second assembly of the same sizes runs no basis recurrence.
+its ends.  A_k^(d) is never stored: it is the reference block of
+segment k's role (expressions.reference_block, cached per role, family,
+m and N) with its columns scaled by powers of the segment width, so a
+second assembly of the same sizes evaluates no basis at all.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisSpec, Grid, Interval, collocation_grid
-from .expressions import UnknownLayout, segment_block
+from .expressions import UnknownLayout, reference_block
 
 
 def per_segment(value, n: int, name: str) -> tuple[int, ...]:
@@ -92,26 +92,37 @@ def segment_grids(break_points: Sequence[float], N, m, family: str = "chebyshev"
 class SystemMatrices:
     """Per-segment (A_k^(d), B_k^(d)) for d = 0, 1, 2 over one geometry.
 
-    blocks[k-1][d] is the pair for segment k: A_k^(d) has shape
-    (N_k, width of layout.window(k)).
+    segments[k-1] is (R, s, B): A_k^(d) = R[d] * s[d], where R[d] is
+    shared by the segments of k's role and s[d] holds one scale per
+    column of layout.window(k), and B_k^(d) = B[d].
     """
 
-    blocks: tuple[dict, ...]
+    segments: tuple[tuple, ...]
     grids: SegmentGrids
 
     @property
     def layout(self) -> UnknownLayout:
         return self.grids.layout
 
+    def block(self, k: int, d: int) -> tuple:
+        """(A_k^(d), B_k^(d)) of segment k, A as a new (N_k, window width) array."""
+        R, s, B = self.segments[k - 1]
+        return R[d] * s[d], B[d]
+
     def segment_states(self, xi: np.ndarray, k: int) -> tuple:
         """y, y', y'' at segment k's grid points for a given Xi."""
+        R, s, B = self.segments[k - 1]
         local = np.asarray(xi, dtype=float)[self.layout.window(k)]
-        return tuple(A @ local + B for A, B in (self.blocks[k - 1][d] for d in (0, 1, 2)))
+        return tuple(R[d] @ (local * s[d]) + B[d] for d in (0, 1, 2))
 
 
 def assemble_all(grids: SegmentGrids, y0: float, yf: float) -> SystemMatrices:
-    """Per-segment (A_k^(d), B_k^(d)) for d = 0, 1, 2, one segment_block call per segment grid."""
-    layout = grids.layout
-    blocks = tuple(segment_block(spec, grid.interval, k, layout, y0, yf, grid)
-                   for k, (grid, spec) in enumerate(zip(grids.grids, grids.specs), 1))
-    return SystemMatrices(blocks=blocks, grids=grids)
+    """Per-segment (A_k^(d), B_k^(d)) for d = 0, 1, 2, from each segment role's reference block."""
+    n, boundary = grids.n_segments, np.array([y0, yf], dtype=float)
+    segments = []
+    for k, (grid, spec) in enumerate(zip(grids.grids, grids.specs), 1):
+        R, E, p = reference_block(spec.family, spec.m, grid.n, k == 1, k == n)
+        dx = grid.interval.width
+        segments.append((R, tuple(dx ** (p - d) for d in (0, 1, 2)),
+                         tuple(E[d] @ boundary / dx ** d for d in (0, 1, 2))))
+    return SystemMatrices(tuple(segments), grids)

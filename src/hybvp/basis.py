@@ -7,18 +7,17 @@ z = +-1), and collocation grids use the Gauss-Lobatto cosine distribution
 so that both segment endpoints are grid points.
 
 Because the map is affine, every grid of N points has the same
-reference nodes z_j, and a segment's basis table in x is the reference
-table scaled by c**d.  So the recurrence runs once per (family, m, N):
-node_tables holds T_0, T_1, T_2 at the Lobatto nodes and end_tables the
-value and slope at z = -1, +1 per (family, m).  Both are bounded caches
-of read-only arrays, filled through eval_basis.
+reference nodes z_j (lobatto_nodes), and a segment's basis table in x
+is the reference table scaled by c**d.  end_tables holds the value and
+slope at z = -1, +1 per (family, m); it and expressions.reference_block,
+which holds a whole segment's rows at the nodes, are bounded caches of
+read-only arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev, legendre
@@ -28,9 +27,9 @@ MAX_DERIVATIVE = 2
 # per family: the Clenshaw sum val(z, coef) and the x-derivative series der(coef, d, scl=c)
 SERIES = {"chebyshev": (chebyshev.chebval, chebyshev.chebder),
           "legendre": (legendre.legval, legendre.legder)}
-# entries kept per table cache: a geometry of uniform sizes uses two or
-# three (family, m, N), and a node table holds 3*N*m floats (150 KiB at
-# N = 100, m = 64); a miss costs one recurrence, as without the cache
+# entries kept per table cache: a geometry of uniform sizes uses at most
+# four segment roles, and a reference block holds about 3*N*(m + 6)
+# floats (164 KiB at N = 100, m = 64); a miss costs what no cache would
 TABLE_CACHE_SIZE = 32
 
 
@@ -54,6 +53,13 @@ class Interval:
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all((x >= self.x0) & (x <= self.xf)))
+
+    def check(self, x, where: str = "x") -> None:
+        """Raise ValueError naming the first point of x outside the interval (NaN is)."""
+        if not self.contains(x):
+            x = np.ravel(np.asarray(x, dtype=float))
+            i = int(np.argmin((x >= self.x0) & (x <= self.xf)))  # the first False
+            raise ValueError(f"{where}[{i}] = {float(x[i])!r} outside interval [{self.x0}, {self.xf}]")
 
 
 @dataclass(frozen=True)
@@ -84,16 +90,10 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing collocation points spanning an interval.
-
-    nodes is lobatto_nodes(n), the reference grid on [-1, 1] the points
-    were mapped from, when they are Gauss-Lobatto points
-    (collocation_grid); else None.
-    """
+    """Strictly increasing collocation points spanning an interval."""
 
     interval: Interval
     points: np.ndarray
-    nodes: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -104,24 +104,21 @@ class Grid:
             raise ValueError("grid points must be strictly increasing")
         if pts[0] != self.interval.x0 or pts[-1] != self.interval.xf:
             raise ValueError("grid must start at x0 and end at xf")
-        # the cached tables at a grid's nodes are keyed by its size alone
-        if self.nodes is not None and not np.array_equal(self.nodes, lobatto_nodes(pts.size)):
-            raise ValueError("grid nodes must be the Gauss-Lobatto nodes of its size")
 
     @property
     def n(self) -> int:
         return self.points.size
 
 
-def map_point(iv: Interval, x):
+def map_point(iv: Interval, x, where: str = "x"):
     """Map x in [x0, xf] onto z in [-1, 1].
 
     Endpoints map exactly: map_point(iv, x0) == -1.0 and
-    map_point(iv, xf) == +1.0.
+    map_point(iv, xf) == +1.0.  A point outside iv raises ValueError,
+    naming it as where[index].
     """
     x = np.asarray(x, dtype=float)
-    if not iv.contains(x):
-        raise ValueError(f"x={x} outside interval [{iv.x0}, {iv.xf}]")
+    iv.check(x, where)
     z = -1.0 + 2.0 * (x - iv.x0) / iv.width
     return float(z) if z.ndim == 0 else z
 
@@ -159,7 +156,7 @@ def collocation_grid(iv: Interval, N: int) -> Grid:
     x = 0.5 * (iv.x0 + iv.xf) + 0.5 * iv.width * z
     x[0] = iv.x0
     x[-1] = iv.xf
-    return Grid(interval=iv, points=x, nodes=z)
+    return Grid(interval=iv, points=x)
 
 
 def _table(family: str, z: np.ndarray, m: int, d: int) -> list:
@@ -202,15 +199,6 @@ def eval_basis(spec: BasisSpec, z, d=0):
     tables = _table(spec.family, zz, spec.m, max(orders))
     picked = tuple(tables[o][0] if np.ndim(z) == 0 else tables[o] for o in orders)
     return picked[0] if np.isscalar(d) else picked
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def node_tables(family: str, m: int, N: int) -> tuple:
-    """(T_0, T_1, T_2): the z-derivatives of m basis polynomials at lobatto_nodes(N).
-
-    Each is a read-only (N, m) array, computed once per (family, m, N).
-    """
-    return _read_only(*eval_basis(BasisSpec(family, m, 1.0), lobatto_nodes(N), (0, 1, 2)))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)

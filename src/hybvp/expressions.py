@@ -23,13 +23,13 @@ switching.switching_functions, which derives the matching switching
 functions, and builds the rows of every segment the same way: it never
 names a switching family.
 
-segment_block takes either points x or a segment's collocation Grid.
-On a Gauss-Lobatto Grid it reads the basis tables at the reference
-nodes from basis.node_tables, which every segment with the same
-(family, m, N) shares, and only scales them by c**d; at other points
-it runs the recurrence at z(x).  Both ways share everything else: the
-end values of basis.end_tables and switching tables computed from the
-points in x.
+Every term of a segment's expression is a polynomial in
+t = (x - x0)/dx times a power of dx, and a Gauss-Lobatto grid of N
+points has the same t-nodes on every segment.  So the collocation rows
+of all segments with the same role (first, last, both or neither), basis
+family, m and N are one reference block, built once on [0, 1] by
+segment_block and cached by reference_block: segment k's rows are its
+columns scaled by powers of its width.
 
 The free function of a segment with k embedded constraints skips the
 first k basis polynomials: the constraint support reproduces every
@@ -42,13 +42,14 @@ k + m - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import BasisSpec, Grid, Interval, end_tables, eval_basis, map_point, node_tables
+from .basis import (TABLE_CACHE_SIZE, BasisSpec, Interval, _read_only, collocation_grid,
+                    end_tables, eval_basis, map_point)
 from .switching import switching_functions
 
 
@@ -152,13 +153,10 @@ def segment_constraints(k: int, layout: UnknownLayout, y0: float, yf: float):
 
 def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
                   y0: float, yf: float, x, orders=(0, 1, 2)) -> dict:
-    """Rows of segment k's constrained expression at points x.
+    """Rows of segment k's constrained expression at points x in iv.
 
-    x is an array of points in iv, or segment k's collocation Grid.  On
-    a Gauss-Lobatto Grid the basis tables come from the cached
-    reference tables at its nodes; at other points the recurrence runs
-    at z(x).  Returns {d: (coeffs, offsets)} for every d in orders, with
-    coeffs of shape (len(x), width of layout.window(k)) so that
+    Returns {d: (coeffs, offsets)} for every d in orders, with coeffs of
+    shape (len(x), width of layout.window(k)) so that
     y^(d)(x) = coeffs @ Xi[layout.window(k)] + offsets.  Segment k's
     rows touch no unknown outside its window.
     """
@@ -166,16 +164,8 @@ def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
     skip = len(constraints)
     wide = BasisSpec(spec.family, spec.m + skip, spec.c)
     window = layout.window(k)
-    if isinstance(x, Grid):
-        if x.interval != iv:
-            raise ValueError(f"grid spans {x.interval}, segment {k} spans {iv}")
-        nodes, x = x.nodes, x.points
-    else:
-        nodes, x = None, np.atleast_1d(np.asarray(x, dtype=float))
-    if nodes is not None:  # Gauss-Lobatto points: the tables at their nodes are shared
-        tables = [node_tables(wide.family, wide.m, nodes.size)[d] for d in orders]
-    else:
-        tables = list(eval_basis(wide, map_point(iv, x), tuple(orders)))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    tables = list(eval_basis(wide, map_point(iv, x, f"segment {k} x"), tuple(orders)))
     # h and c*h' of the free expansion at z = -1, +1: each row is one
     # pinned functional applied to the free basis
     h, dh = end_tables(wide.family, wide.m)
@@ -194,3 +184,28 @@ def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
                 coeffs[:, con.column - window.start] = S[d][:, i]
         out[d] = (coeffs, S[d] @ values)
     return out
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def reference_block(family: str, m: int, N: int, first: bool, last: bool) -> tuple:
+    """(R, E, p): a segment's rows on the N Gauss-Lobatto points of [0, 1].
+
+    first and last say whether the segment starts and ends the domain:
+    its role.  A segment of width dx with this role, family and m has
+    A^(d) = R[d] * dx ** (p - d) and B^(d) = E[d] @ (y0, yf) / dx ** d,
+    where E[d] holds the offsets for (y0, yf) = (1, 0) and (0, 1) and p
+    is 1 on the junction-slope columns of the window, else 0.  The
+    integer exponents scale a pinned value at d = 0 and a pinned slope
+    at d = 1 by exactly 1.0, so they stay exact.  Arrays are read-only.
+    """
+    k = 1 if first else 2
+    layout = UnknownLayout((m,) * (k if last else k + 1))
+    window, unit = layout.window(k), Interval(0.0, 1.0)
+    x = collocation_grid(unit, N).points
+    one, other = (segment_block(BasisSpec(family, m, 2.0), unit, k, layout, y0, yf, x)
+                  for y0, yf in ((1.0, 0.0), (0.0, 1.0)))
+    powers = np.zeros(window.stop - window.start, dtype=int)
+    powers[[c.column - window.start for c in segment_constraints(k, layout, 0.0, 0.0) if c.order]] = 1
+    return (_read_only(*(one[d][0] for d in (0, 1, 2))),
+            _read_only(*(np.column_stack([one[d][1], other[d][1]]) for d in (0, 1, 2))),
+            _read_only(powers)[0])

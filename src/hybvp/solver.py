@@ -177,7 +177,7 @@ class SolveResult:
         functionals, series, phi, kappa = self._series[k - 1]
         iv = self.grids.grids[k - 1].interval
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        z = map_point(iv, x)
+        z = map_point(iv, x, f"segment {k} x")
         S = switching_functions(functionals, iv, x, (d,))[d]
         return (SERIES[self.grids.specs[k - 1].family][0](z, series[d]) - S @ phi) + S @ kappa
 
@@ -397,14 +397,15 @@ def _jacobian(problem, grids, system, xi):
     """Chain-rule Jacobian dL/dXi as one block per segment over its window."""
     blocks = []
     for k in range(1, grids.n_segments + 1):
-        x = grids.grids[k - 1].points
+        x, dx = grids.grids[k - 1].points, grids.grids[k - 1].interval.width
         dyn = problem.segments[k - 1]
         state = (x, *system.segment_states(xi, k))
-        A = [system.blocks[k - 1][d][0] for d in (0, 1, 2)]
+        (R0, R1, R2), scales, _ = system.segments[k - 1]
         p0 = np.broadcast_to(np.asarray(dyn.d_y(*state), dtype=float), x.shape)
-        p1 = np.broadcast_to(np.asarray(dyn.d_dy(*state), dtype=float), x.shape)
-        p2 = np.broadcast_to(np.asarray(dyn.d_d2y(*state), dtype=float), x.shape)
-        blocks.append(p0[:, None] * A[0] + p1[:, None] * A[1] + p2[:, None] * A[2])
+        p1 = np.broadcast_to(np.asarray(dyn.d_dy(*state), dtype=float), x.shape) / dx
+        p2 = np.broadcast_to(np.asarray(dyn.d_d2y(*state), dtype=float), x.shape) / dx ** 2
+        # A^(d) = R_d diag(dx**(p - d)), and scales[0] is dx**p
+        blocks.append((p0[:, None] * R0 + p1[:, None] * R1 + p2[:, None] * R2) * scales[0])
     return blocks
 
 

@@ -7,11 +7,10 @@ deltas on them.  switching_functions derives the set by inverting the
 k x k matrix of the functionals applied to the monomials, so a new kind
 of constraint needs only a new functional, never a new formula.
 
-The paper's families are named functional lists in FAMILY_CONSTRAINTS:
-alpha (linear, single segment), beta_first and beta_last (quadratic,
-first and last segment), gamma (cubic Hermite, middle segments).  The
-public alpha/beta/gamma evaluate them by 1-based index, beta 1..3 being
-beta_first and 4..6 beta_last.
+The paper's families are such lists: alpha (value at both ends, single
+segment), beta (plus the slope at the junction end, first and last
+segment) and gamma (value and slope at both ends, cubic Hermite, middle
+segments).  expressions.segment_constraints builds a segment's list.
 
 Everything is evaluated in the normalized variable t = (x - x0)/dx, in
 which the inverse matrix holds small integers, so the delta property
@@ -27,15 +26,6 @@ from math import perm
 import numpy as np
 
 from .basis import MAX_DERIVATIVE, Interval
-
-# Constraint functionals per family as (derivative order, endpoint) pairs,
-# endpoint 0 = x0, 1 = xf.  Order matches the delta-property index.
-FAMILY_CONSTRAINTS = {
-    "alpha": ((0, 0), (0, 1)),
-    "beta_first": ((0, 0), (0, 1), (1, 1)),
-    "beta_last": ((0, 0), (1, 0), (0, 1)),
-    "gamma": ((0, 0), (0, 1), (1, 0), (1, 1)),
-}
 
 
 @cache
@@ -72,8 +62,7 @@ def switching_functions(functionals, iv: Interval, x, orders=(0, 1, 2)) -> dict:
     if min(orders) < 0 or max(orders) > MAX_DERIVATIVE:
         raise ValueError(f"derivative order {orders} unsupported (0..{MAX_DERIVATIVE})")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < iv.x0) or np.any(x > iv.xf):
-        raise ValueError(f"x={x} outside interval [{iv.x0}, {iv.xf}]")
+    iv.check(x)
     dx = float(iv.width)
     coeffs = _monomial_coeffs(functionals)
     V = np.vander((x - iv.x0) / dx, len(functionals), increasing=True)
@@ -81,34 +70,3 @@ def switching_functions(functionals, iv: Interval, x, orders=(0, 1, 2)) -> dict:
     # x-derivatives: each t-derivative brings 1/dx, and function j carries
     # dx**pinned[j] so that its own functional reads exactly 1
     return {d: (V @ coeffs[d]) * dx ** (pinned - d) for d in orders}
-
-
-def _one(family: str, index: int, iv: Interval, x, d: int):
-    out = switching_functions(FAMILY_CONSTRAINTS[family], iv, x, (d,))[d][:, index]
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def alpha(index: int, iv: Interval, x, d: int = 0):
-    """Linear value-switching functions, index 1 (at x0) or 2 (at xf)."""
-    if index not in (1, 2):
-        raise ValueError(f"alpha index must be 1 or 2, got {index}")
-    return _one("alpha", index - 1, iv, x, d)
-
-
-def beta(index: int, iv: Interval, x, d: int = 0):
-    """Quadratic switching functions for boundary segments.
-
-    1..3 treat xf as the junction (value at x0, value and derivative at
-    xf); 4..6 treat x0 as the junction (value and derivative at x0,
-    value at xf).
-    """
-    if not 1 <= index <= 6:
-        raise ValueError(f"beta index must be 1..6, got {index}")
-    return _one("beta_first" if index <= 3 else "beta_last", (index - 1) % 3, iv, x, d)
-
-
-def gamma(index: int, iv: Interval, x, d: int = 0):
-    """Cubic Hermite switching functions for interior segments."""
-    if not 1 <= index <= 4:
-        raise ValueError(f"gamma index must be 1..4, got {index}")
-    return _one("gamma", index - 1, iv, x, d)

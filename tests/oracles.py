@@ -10,9 +10,10 @@
   system's values and grid points at every stacked collocation point.
 * AffineRow / segment_row: one evaluation of the segment kernel as a
   callable row, for point-wise constraint checks.
-* closed_form_switching: the alpha/beta/gamma switching functions as
-  hand-derived formulas, the check on the library's derivation of them
-  from their pinned functionals.
+* FAMILY_CONSTRAINTS and alpha/beta/gamma: the paper's named switching
+  families as functional lists, evaluated by 1-based index through the
+  library's switching_functions.  closed_form_switching: the same
+  functions as hand-derived formulas, the check on that derivation.
 * The alpha-based two-segment cascade, which eliminates the junction
   value analytically instead of treating it as an unknown.  It is built
   from raw basis evaluations and the closed-form switching functions,
@@ -34,9 +35,53 @@ from hybvp.assembly import segment_grids
 from hybvp.basis import BasisSpec, Interval, eval_basis, map_point
 from hybvp.expressions import segment_block
 from hybvp.solver import QrDiagnostic
+from hybvp.switching import switching_functions
 
 CASCADE_SKIP = 2   # the alpha support pins the value at both ends
 BOUNDARY_SKIP = 3  # value at both ends + slope at the junction end
+
+
+# --- the paper's switching families ----------------------------------------
+
+# Constraint functionals per family as (derivative order, endpoint) pairs,
+# endpoint 0 = x0, 1 = xf.  Order matches the delta-property index.
+FAMILY_CONSTRAINTS = {
+    "alpha": ((0, 0), (0, 1)),
+    "beta_first": ((0, 0), (0, 1), (1, 1)),
+    "beta_last": ((0, 0), (1, 0), (0, 1)),
+    "gamma": ((0, 0), (0, 1), (1, 0), (1, 1)),
+}
+
+
+def _one(family: str, index: int, iv: Interval, x, d: int):
+    out = switching_functions(FAMILY_CONSTRAINTS[family], iv, x, (d,))[d][:, index]
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def alpha(index: int, iv: Interval, x, d: int = 0):
+    """Linear value-switching functions, index 1 (at x0) or 2 (at xf)."""
+    if index not in (1, 2):
+        raise ValueError(f"alpha index must be 1 or 2, got {index}")
+    return _one("alpha", index - 1, iv, x, d)
+
+
+def beta(index: int, iv: Interval, x, d: int = 0):
+    """Quadratic switching functions for boundary segments.
+
+    1..3 treat xf as the junction (value at x0, value and derivative at
+    xf); 4..6 treat x0 as the junction (value and derivative at x0,
+    value at xf).
+    """
+    if not 1 <= index <= 6:
+        raise ValueError(f"beta index must be 1..6, got {index}")
+    return _one("beta_first" if index <= 3 else "beta_last", (index - 1) % 3, iv, x, d)
+
+
+def gamma(index: int, iv: Interval, x, d: int = 0):
+    """Cubic Hermite switching functions for interior segments."""
+    if not 1 <= index <= 4:
+        raise ValueError(f"gamma index must be 1..4, got {index}")
+    return _one("gamma", index - 1, iv, x, d)
 
 
 # --- closed-form switching functions --------------------------------------
@@ -44,8 +89,8 @@ BOUNDARY_SKIP = 3  # value at both ends + slope at the junction end
 def closed_form_switching(family: str, index: int, iv: Interval, x, d: int = 0):
     """Switching function `index` of family alpha, beta or gamma, hand-derived.
 
-    Same index meaning as hybvp.switching: alpha 1..2, beta 1..3 (first
-    segment) and 4..6 (last segment), gamma 1..4.  Written in
+    Same index meaning as alpha/beta/gamma above: alpha 1..2, beta 1..3
+    (first segment) and 4..6 (last segment), gamma 1..4.  Written in
     t = (x - x0)/dx, for derivative orders 0..2.
     """
     x = np.asarray(x, dtype=float)
@@ -96,18 +141,22 @@ def dense_from_blocks(blocks, layout) -> np.ndarray:
 
 def dense_matrix(system, d: int) -> np.ndarray:
     """Full-width A^(d) of a SystemMatrices."""
-    return dense_from_blocks([b[d][0] for b in system.blocks], system.layout)
+    n = system.layout.n_segments
+    return dense_from_blocks([system.block(k, d)[0] for k in range(1, n + 1)], system.layout)
 
 
 def dense_offsets(system, d: int) -> np.ndarray:
     """Stacked B^(d) of a SystemMatrices."""
-    return np.concatenate([b[d][1] for b in system.blocks])
+    return np.concatenate([system.block(k, d)[1] for k in range(1, system.layout.n_segments + 1)])
 
 
 def evaluate(system, xi: np.ndarray, d: int = 0) -> np.ndarray:
     """y^(d) at every stacked grid point of system for a given Xi."""
-    return np.concatenate([A @ xi[system.layout.window(k)] + B
-                           for k, (A, B) in enumerate((b[d] for b in system.blocks), 1)])
+    out = []
+    for k in range(1, system.layout.n_segments + 1):
+        A, B = system.block(k, d)
+        out.append(A @ xi[system.layout.window(k)] + B)
+    return np.concatenate(out)
 
 
 def all_points(grids) -> np.ndarray:
@@ -131,7 +180,7 @@ def linear_system(problem, grids, system):
         a0, a1, a2 = (np.broadcast_to(np.asarray(p(*state), dtype=float), x.shape)
                       for p in (dyn.d_y, dyn.d_dy, dyn.d_d2y))
         f = -dyn.residual(*state)
-        (A0, B0), (A1, B1), (A2, B2) = (system.blocks[k - 1][d] for d in (0, 1, 2))
+        (A0, B0), (A1, B1), (A2, B2) = (system.block(k, d) for d in (0, 1, 2))
         blocks.append(a2[:, None] * A2 + a1[:, None] * A1 + a0[:, None] * A0)
         rhs[grids.row_slice(k)] = f - (a2 * B2 + a1 * B1 + a0 * B0)
     return blocks, rhs

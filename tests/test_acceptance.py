@@ -20,14 +20,17 @@ from hybvp.solver import (
     initial_guess,
     solve,
 )
-from hybvp.switching import FAMILY_CONSTRAINTS, alpha, beta, gamma
 from oracles import (
+    FAMILY_CONSTRAINTS,
     all_points,
+    alpha,
+    beta,
     cascade_block,
     cascade_eval,
     dense_from_blocks,
     dense_matrix,
     dense_scaled_qr_lstsq,
+    gamma,
     residual_partial_check,
     segment_row,
 )

@@ -10,8 +10,8 @@ from hybvp.basis import (
     eval_basis,
     lobatto_nodes,
     map_point,
-    node_tables,
 )
+from hybvp.expressions import reference_block
 
 
 def test_interval_requires_increasing_endpoints():
@@ -71,32 +71,26 @@ def test_collocation_grid_spans_endpoints_and_increases():
     assert g.n == 37
 
 
-def test_collocation_grid_records_its_lobatto_nodes():
+def test_collocation_grid_maps_the_lobatto_nodes():
     iv = Interval(0.3, 2.7)
     g = collocation_grid(iv, 11)
-    assert g.nodes is lobatto_nodes(11)
-    assert g.nodes[0] == -1.0 and g.nodes[-1] == 1.0
-    mapped = 0.5 * (iv.x0 + iv.xf) + 0.5 * iv.width * g.nodes
+    nodes = lobatto_nodes(11)
+    assert nodes[0] == -1.0 and nodes[-1] == 1.0
+    mapped = 0.5 * (iv.x0 + iv.xf) + 0.5 * iv.width * nodes
     assert np.array_equal(g.points[1:-1], mapped[1:-1])
-    assert Grid(interval=iv, points=g.points).nodes is None
-    with pytest.raises(ValueError, match="Gauss-Lobatto nodes of its size"):
-        Grid(interval=iv, points=g.points, nodes=g.nodes[1:])
-    with pytest.raises(ValueError, match="Gauss-Lobatto nodes of its size"):
-        Grid(interval=iv, points=g.points, nodes=np.linspace(-1.0, 1.0, 11))
 
 
 def test_cached_tables_are_the_recurrence_at_the_reference_points():
     for family in ("chebyshev", "legendre"):
         spec = BasisSpec(family, 13, 1.0)
         assert all(np.array_equal(a, b) for a, b in
-                   zip(node_tables(family, 13, 17), eval_basis(spec, lobatto_nodes(17), (0, 1, 2))))
-        assert all(np.array_equal(a, b) for a, b in
                    zip(end_tables(family, 13), eval_basis(spec, np.array([-1.0, 1.0]), (0, 1))))
-        assert node_tables(family, 13, 17)[2] is node_tables(family, 13, 17)[2]
+        assert end_tables(family, 13)[1] is end_tables(family, 13)[1]
 
 
 def test_cached_tables_are_read_only():
-    for table in (lobatto_nodes(9), *node_tables("chebyshev", 5, 9), *end_tables("legendre", 5)):
+    rows, ends, powers = reference_block("chebyshev", 5, 9, False, True)
+    for table in (lobatto_nodes(9), *end_tables("legendre", 5), *rows, *ends, powers):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 7.0
         with pytest.raises(ValueError, match="WRITEABLE"):

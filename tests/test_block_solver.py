@@ -191,7 +191,7 @@ def test_blocks_span_only_each_segment_window():
     assert widths == [3 + 2, 4 + 4, 5 + 4, 6 + 2]
     for k, N in enumerate((9, 10, 11, 12), 1):
         for d in (0, 1, 2):
-            A, B = system.blocks[k - 1][d]
+            A, B = system.block(k, d)
             assert A.shape == (N, widths[k - 1]) and B.shape == (N,)
 
 

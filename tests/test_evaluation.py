@@ -105,6 +105,15 @@ def test_evaluate_rejects_points_outside_the_domain_and_unknown_orders(x, d):
         result.evaluate(x, d)
 
 
+def test_range_errors_name_the_segment_and_the_first_point_outside():
+    result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
+    xs = np.linspace(0.6, 1.0, 500)
+    xs[[7, 300]] = [0.1, np.nan]
+    for x, first in ((xs, r"x\[7\] = 0\.1"), (xs[::-1], r"x\[199\] = nan")):
+        with pytest.raises(ValueError, match=rf"^segment 2 {first} outside interval \[0\.5, 1\.0\]$"):
+            result.segment_values(2, x)
+
+
 def test_segment_values_rejects_an_unknown_segment():
     result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
     for k in (0, 3):

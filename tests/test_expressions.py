@@ -5,7 +5,7 @@ from numpy.polynomial import chebyshev as ncheb
 from hybvp import basis
 from hybvp.assembly import assemble_all, segment_grids
 from hybvp.basis import FAMILIES, BasisSpec, Interval, eval_basis, map_point
-from hybvp.expressions import UnknownLayout, segment_block, segment_constraints
+from hybvp.expressions import UnknownLayout, reference_block, segment_block, segment_constraints
 from oracles import CASCADE_SKIP, cascade_eval, cascade_junction_value, segment_row
 
 
@@ -288,13 +288,7 @@ def test_cascade_rejects_mismatched_junction():
         cascade_junction_value((s1, np.zeros(4)), (s2, np.zeros(4)), iv1, iv2, 0.0, 1.0)
 
 
-# --- grid path: cached reference tables ----------------------------------
-
-def _grid_and_point_blocks(grids, k, y0, yf):
-    spec, grid = grids.specs[k - 1], grids.grids[k - 1]
-    args = (spec, grid.interval, k, grids.layout, y0, yf)
-    return segment_block(*args, grid), segment_block(*args, grid.points)
-
+# --- assembly from cached reference blocks --------------------------------
 
 def test_grid_path_matches_the_point_path_on_random_geometries():
     rng = np.random.default_rng(601)
@@ -306,16 +300,17 @@ def test_grid_path_matches_the_point_path_on_random_geometries():
         N = [mk + int(rng.integers(4, 20)) for mk in m]
         grids = segment_grids(_random_geometry(rng, n), N, m, family)
         y0, yf = rng.standard_normal(2)
+        system = assemble_all(grids, y0, yf)
         for k in range(1, n + 1):
-            on_grid, at_points = _grid_and_point_blocks(grids, k, y0, yf)
+            spec, grid = grids.specs[k - 1], grids.grids[k - 1]
+            at_points = segment_block(spec, grid.interval, k, grids.layout, y0, yf, grid.points)
             for d in (0, 1, 2):
-                (A, B), (A_x, B_x) = on_grid[d], at_points[d]
+                (A, B), (A_x, B_x) = system.block(k, d), at_points[d]
                 scale = np.max(np.abs(A))
                 worst = max(worst, np.max(np.abs(A - A_x)) / scale)
                 assert np.max(np.abs(A - A_x)) <= 1e-12 * scale
-                # offsets and junction columns come from the same switching tables
-                assert np.array_equal(B, B_x)
-    assert worst > 0.0  # the two paths really use different reference points
+                assert np.max(np.abs(B - B_x)) <= 1e-13 * np.max(np.abs(B_x))
+    assert worst > 0.0  # the reference block really is evaluated at other points
 
 
 def test_grid_path_embeds_boundary_values_and_c1_exactly():
@@ -352,15 +347,23 @@ def test_reassembly_runs_no_basis_recurrence(monkeypatch):
     assert calls == []
     for k in range(1, 5):
         for d in (0, 1, 2):
-            assert np.array_equal(first.blocks[k - 1][d][0], again.blocks[k - 1][d][0])
+            assert np.array_equal(first.block(k, d)[0], again.block(k, d)[0])
     # points off the collocation grid still run the recurrence
     segment_block(grids.specs[0], grids.grids[0].interval, 1, grids.layout, 0.5, -0.5,
                   np.array([0.1, 0.2]))
     assert calls == ["legendre"]
 
 
+def test_a_uniform_chain_shares_one_reference_block_per_role():
+    reference_block.cache_clear()
+    system = assemble_all(segment_grids(np.linspace(0.0, 2.0, 65), 40, 12), 1.0, -1.0)
+    # first, middle and last: 64 segments of one size make three blocks
+    assert reference_block.cache_info().currsize <= 3
+    assert all(system.segments[k][0] is system.segments[1][0] for k in range(1, 63))
+
+
 def test_grid_of_another_segment_is_rejected():
     grids = segment_grids([0.0, 0.5, 1.0], 12, 5)
     with pytest.raises(ValueError, match="segment 1"):
         segment_block(grids.specs[0], grids.grids[0].interval, 1, grids.layout, 0.0, 1.0,
-                      grids.grids[1])
+                      grids.grids[1].points)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hybvp.basis import Interval
-from hybvp.switching import FAMILY_CONSTRAINTS, alpha, beta, gamma, switching_functions
-from oracles import closed_form_switching
+from hybvp.switching import switching_functions
+from oracles import FAMILY_CONSTRAINTS, alpha, beta, closed_form_switching, gamma
 
 
 def _random_intervals(n, seed=0):
@@ -182,3 +182,5 @@ def test_derived_functions_match_the_closed_forms(family, fn, indices):
 def test_out_of_interval_points_rejected():
     with pytest.raises(ValueError):
         beta(1, Interval(0, 1), 1.5)
+    with pytest.raises(ValueError, match=r"x\[1\] = nan outside"):
+        switching_functions([(0, 0), (0, 1)], Interval(0, 1), [0.5, np.nan])
