@@ -8,7 +8,7 @@
 
 import numpy as np
 
-from hybvp import BasisSpec, Interval
+from hybvp.basis import BasisSpec, Interval
 from hybvp.expressions import UnknownLayout, segment_block, segment_constraints
 from hybvp.switching import switching_functions
 

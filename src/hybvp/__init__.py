@@ -7,7 +7,6 @@ residual alone is minimized by Gauss-Newton iteration, which on a
 linear sequence is one least-squares solve.
 """
 
-from .basis import BasisSpec, Interval
 from .problems import (
     BUILTIN_NAMES,
     HybridProblem,
@@ -29,10 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES",
-    "BasisSpec",
     "DivergenceError",
     "HybridProblem",
-    "Interval",
     "SegmentDynamics",
     "SolveOptions",
     "SolveResult",

@@ -1,10 +1,12 @@
 """Command-line front end: solve a problem, write tables and a summary.
 
 Problems come either from the built-in catalog (--problem) or from a
-JSON config file (--config) describing a piecewise linear ODE.  Outputs
-are a solution table (CSV or JSON), a JSON run summary, and optional
-plot-ready data files.  All numbers are serialized with 17 significant
-digits so files round-trip exactly.
+JSON config file (--config) describing a piecewise linear ODE.  Every
+run option is one entry of _OPTIONS: a "solver" key of the config file
+and the flag "--" + key (with "_" written "-"), both parsed by the same
+converter.  Outputs are a solution table (CSV or JSON) and a JSON run
+summary.  All numbers are serialized with 17 significant digits so files
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .basis import FAMILIES
 from .problems import BUILTIN_NAMES, HybridProblem, builtin, generic_linear
 from .solver import DivergenceError, SolveOptions, SolveResult, resolve_sizes, solve
 
+FORMATS = ("csv", "json")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -38,13 +42,12 @@ class RunConfig:
     eval_points: int = 1000
     format: str = "csv"
     output: str = "."
-    emit_plot_data: bool = False
 
     def __post_init__(self):
         if self.basis not in FAMILIES:
             raise ValueError(f"solver.basis: expected one of {FAMILIES}, got {self.basis!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"solver.format: expected 'csv' or 'json', got {self.format!r}")
+        if self.format not in FORMATS:
+            raise ValueError(f"solver.format: expected one of {FORMATS}, got {self.format!r}")
         if not self.tol > 0:
             raise ValueError(f"solver.tol: must be positive, got {self.tol!r}")
         if self.max_iter < 1:
@@ -80,14 +83,12 @@ def _to_json(obj, indent=0) -> str:
     return json.dumps(obj)
 
 
-def _parse_number_list(text: str, path: str):
+def _as_numbers(text: str):
+    """Comma-separated text as a list of floats, or the text itself if it does not read so."""
     try:
-        values = tuple(float(v) for v in text.split(","))
-        if all(math.isfinite(v) for v in values):
-            return values
+        return [float(v) for v in text.split(",")]
     except ValueError:
-        pass
-    raise ValueError(f"{path}: expected comma-separated finite numbers, got {text!r}")
+        return text
 
 
 def _integer(value, key: str) -> int:
@@ -113,12 +114,6 @@ def _string(value, key: str) -> str:
     return value
 
 
-def _flag(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"solver.{key}: expected true or false, got {value!r}")
-    return value
-
-
 def _integers(value, key: str):
     """An integer, or a list of them (one per segment) as a tuple."""
     return tuple(_integer(v, key) for v in value) if isinstance(value, list) else _integer(value, key)
@@ -127,21 +122,45 @@ def _integers(value, key: str):
 def _numbers(value, key: str) -> tuple:
     """A list of finite numbers, or their comma-separated text, as a tuple."""
     if isinstance(value, str):
-        return _parse_number_list(value, f"solver.{key}")
+        value = _as_numbers(value)
     if not isinstance(value, list):
         raise ValueError(f"solver.{key}: expected a list of numbers, got {value!r}")
     return tuple(_number(v, key) for v in value)
 
 
-# the "solver" keys of a config file, each with the check that converts its value
-_SOLVER_KEYS = {"N": _integers, "m": _integers, "basis": _string, "tol": _number,
-                "max_iter": _integer, "init": _numbers, "eval_points": _integer,
-                "format": _string, "output": _string, "emit_plot_data": _flag}
+# every run option, as (converter, flag metavar, flag help): a "solver" key of
+# the config file and the flag "--" + key with "_" written "-".  A converter
+# takes (value, key) and returns the RunConfig field or raises naming solver.<key>.
+_OPTIONS = {
+    "N": (_integers, "N[,N2,...]", "collocation points per segment"),
+    "m": (_integers, "M[,M2,...]", "basis functions per segment"),
+    "basis": (_string, "{" + ",".join(FAMILIES) + "}", "basis family"),
+    "tol": (_number, "TOL", "residual 2-norm convergence threshold"),
+    "max_iter": (_integer, "MAX_ITER", "iteration cap for nonlinear solves"),
+    "init": (_numbers, "v1,d1[,v2,d2,...]",
+             "junction (value, slope) seeds for nonlinear solves "
+             "(default: the straight line between the boundary values)"),
+    "eval_points": (_integer, "EVAL_POINTS", "evaluation grid density per segment (default: 1000)"),
+    "format": (_string, "{" + ",".join(FORMATS) + "}", "table format (default: csv)"),
+    "output": (_string, "DIR", "output directory (default: .)"),
+}
 
 
-def _scalar_or_tuple(values: tuple, key: str):
-    ints = tuple(_integer(v, key) for v in values)
-    return ints[0] if len(ints) == 1 else ints
+def _settings(values: dict) -> dict:
+    """Solver options (key -> raw value) converted to RunConfig fields."""
+    unknown = set(values) - set(_OPTIONS)
+    if unknown:
+        raise ValueError(f"solver.{sorted(unknown)[0]}: unknown option")
+    return {key: _OPTIONS[key][0](value, key) for key, value in values.items()}
+
+
+def _flag_value(text: str, key: str):
+    """A flag's text as the value its config key would carry: a number or a
+    list of numbers for a numeric option whose text reads as such, else the text."""
+    if _OPTIONS[key][0] in (_string, _numbers):
+        return text
+    values = _as_numbers(text)  # text that is not numbers fails the converter as in a config
+    return values[0] if isinstance(values, list) and len(values) == 1 else values
 
 
 def parse_config(path) -> tuple[HybridProblem, RunConfig]:
@@ -149,8 +168,7 @@ def parse_config(path) -> tuple[HybridProblem, RunConfig]:
 
     The file carries the piecewise linear problem (break_points,
     segments, y0, yf; see problems.generic_linear) plus an optional
-    "solver" mapping with any of: N, m, basis, tol, max_iter, init,
-    eval_points, format, output, emit_plot_data.
+    "solver" mapping with any of the keys of _OPTIONS.
     """
     p = Path(path)
     if not p.is_file():
@@ -165,11 +183,7 @@ def parse_config(path) -> tuple[HybridProblem, RunConfig]:
     solver_cfg = raw.get("solver", {})
     if not isinstance(solver_cfg, dict):
         raise ValueError("solver: expected a mapping of solver options")
-    unknown = set(solver_cfg) - set(_SOLVER_KEYS)
-    if unknown:
-        raise ValueError(f"solver.{sorted(unknown)[0]}: unknown option")
-    return problem, RunConfig(**{key: _SOLVER_KEYS[key](value, key)
-                                 for key, value in solver_cfg.items()})
+    return problem, RunConfig(**_settings(solver_cfg))
 
 
 def _solution_table(problem: HybridProblem, result: SolveResult, eval_points: int):
@@ -247,15 +261,8 @@ def run(problem: HybridProblem, cfg: RunConfig) -> int:
     (outdir / "summary.json").write_text(_to_json(summary) + "\n")
 
     if result is not None:
-        ext = "csv" if cfg.format == "csv" else "json"
         columns, table = _solution_table(problem, result, cfg.eval_points)
-        _write_table(outdir / f"solution.{ext}", columns, table, cfg.format)
-        if cfg.emit_plot_data:
-            _write_table(outdir / f"plot_solution.{ext}", columns[1:5], table[:, 1:5], cfg.format)
-            if problem.solution is not None:
-                picked = [1, 6, 8]  # x, abs_err, abs_err_dy
-                _write_table(outdir / f"plot_error.{ext}", [columns[i] for i in picked],
-                             table[:, picked], cfg.format)
+        _write_table(outdir / f"solution.{cfg.format}", columns, table, cfg.format)
     return 0 if converged else 1
 
 
@@ -268,20 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = parser.add_mutually_exclusive_group(required=True)
     src.add_argument("--problem", choices=BUILTIN_NAMES, help="built-in problem name")
     src.add_argument("--config", metavar="PATH", help="JSON problem/config file")
-    parser.add_argument("--N", metavar="N[,N2,...]", help="collocation points per segment")
-    parser.add_argument("--m", metavar="M[,M2,...]", help="basis functions per segment")
-    parser.add_argument("--basis", choices=("chebyshev", "legendre"), help="basis family")
-    parser.add_argument("--tol", type=float, help="residual 2-norm convergence threshold")
-    parser.add_argument("--max-iter", type=int, help="iteration cap for nonlinear solves")
-    parser.add_argument("--init", metavar="v1,d1[,v2,d2,...]",
-                        help="junction (value, slope) seeds for nonlinear solves "
-                             "(default: the straight line between the boundary values)")
-    parser.add_argument("--output", metavar="DIR", help="output directory (default: .)")
-    parser.add_argument("--format", choices=("csv", "json"), help="table format (default: csv)")
-    parser.add_argument("--emit-plot-data", action="store_true", default=None,
-                        help="also write plot-ready data files")
-    parser.add_argument("--eval-points", type=int,
-                        help="evaluation grid density per segment (default: 1000)")
+    for key, (_, metavar, text) in _OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), metavar=metavar, help=text)
     return parser
 
 
@@ -294,28 +289,9 @@ def main(argv=None) -> int:
         else:
             problem = builtin(args.problem)
             cfg = RunConfig()
-        overrides = {}
-        if args.N is not None:
-            overrides["N"] = _scalar_or_tuple(_parse_number_list(args.N, "--N"), "N")
-        if args.m is not None:
-            overrides["m"] = _scalar_or_tuple(_parse_number_list(args.m, "--m"), "m")
-        if args.basis is not None:
-            overrides["basis"] = args.basis
-        if args.tol is not None:
-            overrides["tol"] = _number(args.tol, "tol")
-        if args.max_iter is not None:
-            overrides["max_iter"] = args.max_iter
-        if args.init is not None:
-            overrides["init"] = _parse_number_list(args.init, "--init")
-        if args.output is not None:
-            overrides["output"] = args.output
-        if args.format is not None:
-            overrides["format"] = args.format
-        if args.emit_plot_data is not None:
-            overrides["emit_plot_data"] = True
-        if args.eval_points is not None:
-            overrides["eval_points"] = args.eval_points
-        cfg = replace(cfg, **overrides)
+        flags = {key: _flag_value(text, key) for key, text in vars(args).items()
+                 if key in _OPTIONS and text is not None}
+        cfg = replace(cfg, **_settings(flags))
         return run(problem, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -202,10 +202,16 @@ def reference_block(family: str, m: int, N: int, first: bool, last: bool) -> tup
     layout = UnknownLayout((m,) * (k if last else k + 1))
     window, unit = layout.window(k), Interval(0.0, 1.0)
     x = collocation_grid(unit, N).points
-    one, other = (segment_block(BasisSpec(family, m, 2.0), unit, k, layout, y0, yf, x)
-                  for y0, yf in ((1.0, 0.0), (0.0, 1.0)))
+    # one pass per boundary value the role pins (one with none pinned for a
+    # middle segment); the offset column of a value it does not pin stays 0
+    pinned = [col for col, pins in enumerate((first, last)) if pins]
+    blocks = [segment_block(BasisSpec(family, m, 2.0), unit, k, layout,
+                            float(col == 0), float(col == 1), x) for col in pinned or [None]]
+    E = [np.zeros((N, 2)) for _ in range(3)]
+    for col, block in zip(pinned, blocks):
+        for d in (0, 1, 2):
+            E[d][:, col] = block[d][1]
     powers = np.zeros(window.stop - window.start, dtype=int)
     powers[[c.column - window.start for c in segment_constraints(k, layout, 0.0, 0.0) if c.order]] = 1
-    return (_read_only(*(one[d][0] for d in (0, 1, 2))),
-            _read_only(*(np.column_stack([one[d][1], other[d][1]]) for d in (0, 1, 2))),
+    return (_read_only(*(blocks[0][d][0] for d in (0, 1, 2))), _read_only(*E),
             _read_only(powers)[0])

@@ -17,6 +17,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .basis import Interval
+
 Array = np.ndarray
 StateFn = Callable[[Array, Array, Array, Array], Array]
 
@@ -65,6 +67,22 @@ def nonlinear_dynamics(residual: StateFn, d_y: StateFn, d_dy: StateFn, d_d2y: St
     return SegmentDynamics(residual=residual, d_y=d_y, d_dy=d_dy, d_d2y=d_d2y, is_linear=False)
 
 
+def _break_points(values) -> tuple[float, ...]:
+    """values as floats; raises naming break_points unless finite and strictly increasing."""
+    try:
+        bp = tuple(float(b) for b in values)
+    except (TypeError, ValueError):
+        raise ValueError(f"break_points: expected numbers, got {values!r}") from None
+    if len(bp) < 2:
+        raise ValueError("break_points: need at least two values")
+    for i, b in enumerate(bp):
+        if not math.isfinite(b):
+            raise ValueError(f"break_points[{i}] = {b!r} is not finite")
+    if any(a >= b for a, b in zip(bp, bp[1:])):
+        raise ValueError("break_points not strictly increasing")
+    return bp
+
+
 @dataclass(frozen=True)
 class HybridProblem:
     """Piecewise second-order two-point BVP with C1 junctions."""
@@ -79,10 +97,8 @@ class HybridProblem:
     default_m: Optional[int] = None
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.break_points)
+        bp = _break_points(self.break_points)
         object.__setattr__(self, "break_points", bp)
-        if len(bp) < 2 or any(a >= b for a, b in zip(bp, bp[1:])):
-            raise ValueError("break points must be strictly increasing")
         if len(self.segments) != len(bp) - 1:
             raise ValueError("segment count must match break-point intervals")
         if not (math.isfinite(self.y0) and math.isfinite(self.yf)):
@@ -109,8 +125,7 @@ def analytic_value(problem: HybridProblem, x, d: int = 0):
     if d not in (0, 1, 2):
         raise ValueError("derivative order must be 0..2")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < problem.break_points[0]) or np.any(xs > problem.break_points[-1]):
-        raise ValueError("x outside problem domain")
+    Interval(problem.break_points[0], problem.break_points[-1]).check(xs, "x")
     seg = problem.segment_of(xs)
     out = np.empty_like(xs)
     for k in range(problem.n_segments):
@@ -282,13 +297,9 @@ def generic_linear(config: dict) -> HybridProblem:
     also be a {"poly": ..., "terms": ...} mapping).
     """
     bp = config.get("break_points")
-    if not isinstance(bp, (list, tuple)) or len(bp) < 2:
+    if not isinstance(bp, (list, tuple)):
         raise ValueError("break_points: need at least two values")
-    bp = [float(b) for b in bp]
-    if not all(math.isfinite(b) for b in bp):
-        raise ValueError("break_points: non-finite value")
-    if any(a >= b for a, b in zip(bp, bp[1:])):
-        raise ValueError("break_points not strictly increasing")
+    bp = _break_points(bp)
     seg_cfgs = config.get("segments")
     if not isinstance(seg_cfgs, (list, tuple)):
         raise ValueError("segments: expected a list of segment mappings")
@@ -319,7 +330,7 @@ def generic_linear(config: dict) -> HybridProblem:
         f = _forcing_fn(seg.get("f", [0.0]), f"{path}.f")
         segments.append(linear_dynamics(a2=a2, a1=a1, a0=a0, f=f))
     return HybridProblem(
-        break_points=tuple(bp),
+        break_points=bp,
         segments=tuple(segments),
         y0=y0,
         yf=yf,

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hybvp.cli import RunConfig, build_parser, main, parse_config, run
+from hybvp.cli import (_OPTIONS, RunConfig, _flag_value, _settings, build_parser, main,
+                       parse_config, run)
 from hybvp.expressions import segment_block
 from hybvp.problems import HybridProblem, builtin, nonlinear_dynamics
 from hybvp.solver import SolveOptions, solve
@@ -67,7 +69,7 @@ def test_parse_config_error_paths(tmp_path):
     ("tol", math.inf), pytest.param("tol", 10 ** 400, id="tol-int-beyond-float"),
     ("init", [None, 1]), ("init", [True, 1]), ("init", [math.nan, 1]), ("init", "1,inf"),
     ("init", 1.0), ("basis", 1), ("format", ["csv"]), ("output", [1]),
-    ("init_policy", "line"), ("basis", "foo")])
+    ("init_policy", "line"), ("basis", "foo"), ("emit_plot_data", True)])
 def test_main_rejects_bad_solver_values(tmp_path, capsys, key, value):
     payload = dict(_LL_JSON, solver=dict(_LL_JSON["solver"], **{key: value}))
     out = tmp_path / "out"
@@ -80,13 +82,34 @@ def test_main_rejects_bad_solver_values(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("flag,value,key", [("--eval-points", "0", "eval_points"),
                                             ("--eval-points", "1", "eval_points"),
                                             ("--N", "40.9", "N"), ("--m", "8,8.5", "m"),
-                                            ("--tol", "inf", "tol"), ("--tol", "nan", "tol")])
+                                            ("--tol", "inf", "tol"), ("--tol", "nan", "tol"),
+                                            ("--basis", "foo", "basis"),
+                                            ("--format", "xml", "format"),
+                                            ("--max-iter", "2.5", "max_iter"),
+                                            ("--eval-points", "1.5", "eval_points"),
+                                            ("--tol", "abc", "tol")])
 def test_bad_flag_values_are_rejected(tmp_path, capsys, flag, value, key):
     out = tmp_path / "out"
     status = main(["--problem", "linear_linear", "--output", str(out), flag, value])
     assert status == 2
     assert f"solver.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,flag", [
+    ("basis", "foo", "foo"), ("format", "xml", "xml"), ("max_iter", 2.5, "2.5"),
+    ("eval_points", 1.5, "1.5"), ("tol", "abc", "abc"), ("tol", 0, "0"), ("N", 40.9, "40.9"),
+    ("m", [8, 8.5], "8,8.5"), ("init", [1, math.inf], "1,inf")])
+def test_a_bad_value_gets_the_same_message_from_its_flag_and_its_key(tmp_path, capsys, key,
+                                                                    value, flag):
+    messages = []
+    path = tmp_path / "problem.json"
+    for solver, flags in (({key: value}, []), ({}, ["--" + key.replace("_", "-"), flag])):
+        path.write_text(json.dumps(dict(_LL_JSON, solver=solver)))
+        assert main(["--config", str(path), "--output", str(tmp_path / "out")] + flags) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"error: solver.{key}: ")
 
 
 @pytest.mark.parametrize("argv,key", [
@@ -136,7 +159,7 @@ def test_summary_stays_strict_json_when_the_residual_turns_non_finite(tmp_path):
 
 def test_integral_floats_are_accepted(tmp_path):
     payload = dict(_LL_JSON, solver={"N": 80.0, "m": [8.0, 9], "max_iter": 3.0,
-                                     "eval_points": 20.0, "emit_plot_data": False})
+                                     "eval_points": 20.0})
     _, cfg = parse_config(_write_config(tmp_path, payload))
     assert (cfg.N, cfg.m, cfg.max_iter, cfg.eval_points) == (80, (8, 9), 3, 20)
     assert all(type(v) is int for v in (cfg.N, *cfg.m, cfg.max_iter, cfg.eval_points))
@@ -160,7 +183,7 @@ def test_non_finite_forcing_fails_the_run(tmp_path):
 
 def test_run_writes_tables_and_summary(tmp_path):
     problem = builtin("linear_linear")
-    cfg = RunConfig(N=100, m=8, output=str(tmp_path), eval_points=200, emit_plot_data=True)
+    cfg = RunConfig(N=100, m=8, output=str(tmp_path), eval_points=200)
     status = run(problem, cfg)
     assert status == 0
 
@@ -182,8 +205,7 @@ def test_run_writes_tables_and_summary(tmp_path):
     assert summary["iterations"] == len(summary["residual_trace"]) == 1
     assert abs(summary["junctions"][0]["y"] - 77.0 / 192.0) < 1e-12
 
-    assert (tmp_path / "plot_solution.csv").is_file()
-    assert (tmp_path / "plot_error.csv").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["solution.csv", "summary.json"]
 
 
 def test_solution_table_equals_the_per_order_evaluation(tmp_path):
@@ -223,9 +245,8 @@ def test_run_outputs_are_deterministic(tmp_path):
     problem = builtin("linear_linear")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        run(problem, RunConfig(N=60, m=8, output=str(out), eval_points=50, emit_plot_data=True))
-    for name in ("solution.csv", "plot_solution.csv", "plot_error.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        run(problem, RunConfig(N=60, m=8, output=str(out), eval_points=50))
+    assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
 
 def test_serialized_numbers_round_trip_exactly(tmp_path):
@@ -284,6 +305,43 @@ def test_main_flag_overrides_config(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["m"] == 10
     assert summary["N"] == 80  # from the config file
+
+
+def _without_wall_time(path):
+    return [line for line in path.read_text().splitlines() if "wall_time_ms" not in line]
+
+
+# one (config value, flag text) pair per run option
+_SAME_SETTING = [
+    ("N", [60, 70], "60,70"), ("m", 9, "9"), ("basis", "legendre", "legendre"),
+    ("tol", 1e-12, "1e-12"), ("max_iter", 4, "4"), ("init", [0.4, 0.9], "0.4,0.9"),
+    ("eval_points", 25, "25"), ("format", "json", "json"), ("output", "run", "run")]
+
+
+def test_every_option_is_a_run_config_field_with_a_flag_case():
+    assert set(_OPTIONS) == {f.name for f in fields(RunConfig)} == {c[0] for c in _SAME_SETTING}
+
+
+@pytest.mark.parametrize("key,value,flag", _SAME_SETTING)
+def test_flag_and_config_key_give_the_same_run(tmp_path, monkeypatch, key, value, flag):
+    """Each option reads the same from its config key as from its flag, and writes the same files."""
+    assert _settings({key: value}) == _settings({key: _flag_value(flag, key)})
+    outs = []
+    for side in ("file", "flag"):
+        out = tmp_path / side
+        out.mkdir()
+        monkeypatch.chdir(out)  # the default output directory, "." (and "run" below it)
+        solver = {"eval_points": 30, **({key: value} if side == "file" else {})}
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps(dict(_LL_JSON, solver=solver)))
+        flags = ["--" + key.replace("_", "-"), flag] if side == "flag" else []
+        assert main(["--config", str(path)] + flags) == 0
+        outs.append(out / value if key == "output" else out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) == \
+        sorted(["summary.json", "solution." + (value if key == "format" else "csv")])
+    for name in names:
+        assert _without_wall_time(outs[0] / name) == _without_wall_time(outs[1] / name)
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as ncheb
 
-from hybvp import basis
+from hybvp import basis, expressions
 from hybvp.assembly import assemble_all, segment_grids
 from hybvp.basis import FAMILIES, BasisSpec, Interval, eval_basis, map_point
 from hybvp.expressions import UnknownLayout, reference_block, segment_block, segment_constraints
@@ -360,6 +360,25 @@ def test_a_uniform_chain_shares_one_reference_block_per_role():
     # first, middle and last: 64 segments of one size make three blocks
     assert reference_block.cache_info().currsize <= 3
     assert all(system.segments[k][0] is system.segments[1][0] for k in range(1, 63))
+
+
+@pytest.mark.parametrize("first,last,passes", [(True, False, 1), (False, False, 1),
+                                               (False, True, 1), (True, True, 2)])
+def test_a_reference_block_miss_makes_one_kernel_pass_per_pinned_boundary(
+        monkeypatch, first, last, passes):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return segment_block(*args)
+
+    monkeypatch.setattr(expressions, "segment_block", counted)
+    R, E, p = reference_block.__wrapped__("chebyshev", 6, 15, first, last)  # a cache miss
+    assert len(calls) == passes
+    # a column the role does not pin is zero at every order; a pinned one is not
+    assert [bool(np.any(E[0][:, col])) for col in (0, 1)] == [first, last]
+    assert not any(np.any(E[d][:, col]) for d in (1, 2) for col, pins in enumerate((first, last))
+                   if not pins)
 
 
 def test_grid_of_another_segment_is_rejected():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hybvp.problems import (
+    HybridProblem,
     analytic_value,
     builtin,
     generic_linear,
@@ -76,6 +77,33 @@ def test_analytic_value_guards():
     q = generic_linear({"break_points": [0, 1], "y0": 0, "yf": 1, "segments": [{"a2": [1]}]})
     with pytest.raises(ValueError):
         analytic_value(q, 0.5, 0)
+
+
+def test_analytic_value_names_the_first_point_outside_the_domain():
+    p = builtin("linear_linear")
+    with pytest.raises(ValueError, match=r"x\[1\] = nan outside interval \[0.0, 1.0\]"):
+        analytic_value(p, [0.2, math.nan], 0)
+    with pytest.raises(ValueError, match=r"x\[0\] = -0.5 outside"):
+        analytic_value(p, -0.5, 1)
+
+
+@pytest.mark.parametrize("bp,bad", [((0.0, math.nan, 1.0), r"break_points\[1\] = nan"),
+                                    ((0.0, math.inf), r"break_points\[1\] = inf"),
+                                    ((-math.inf, 0.0), r"break_points\[0\] = -inf")])
+def test_problem_rejects_non_finite_break_points(bp, bad):
+    segments = (linear_dynamics(a2=1.0),) * (len(bp) - 1)
+    with pytest.raises(ValueError, match=bad + " is not finite"):
+        HybridProblem(break_points=bp, segments=segments, y0=0.0, yf=1.0)
+    with pytest.raises(ValueError, match=bad):
+        generic_linear({"break_points": list(bp), "y0": 0, "yf": 1,
+                        "segments": [{"a2": [1]}] * (len(bp) - 1)})
+
+
+
+@pytest.mark.parametrize("bp", [[0, None, 1], [0, "a", 1]])
+def test_config_break_points_that_are_not_numbers_are_named(bp):
+    with pytest.raises(ValueError, match="break_points: expected numbers"):
+        generic_linear({"break_points": bp, "y0": 0, "yf": 1, "segments": [{"a2": [1]}] * 2})
 
 
 @pytest.mark.parametrize("name", ["linear_linear", "linear_nonlinear", "nonlinear_nonlinear"])

@@ -431,3 +431,13 @@ def test_runtime_of_reference_solves_is_modest():
     t0 = time.perf_counter()
     solve(builtin("linear_linear"), SolveOptions(N=100, m=8))
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_public_api_holds_only_what_users_call():
+    import hybvp
+
+    assert sorted(hybvp.__all__) == [
+        "BUILTIN_NAMES", "DivergenceError", "HybridProblem", "SegmentDynamics", "SolveOptions",
+        "SolveResult", "analytic_value", "builtin", "generic_linear", "linear_dynamics",
+        "nonlinear_dynamics", "solve"]
+    assert all(hasattr(hybvp, name) for name in hybvp.__all__)
