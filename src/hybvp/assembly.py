@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisSpec, Grid, Interval, collocation_grid
-from .expressions import UnknownLayout, reference_block
+from .expressions import UnknownLayout, reference_block, reference_bounds
 
 
 def per_segment(value, n: int, name: str) -> tuple[int, ...]:
@@ -94,11 +94,13 @@ class SystemMatrices:
 
     segments[k-1] is (R, s, B): A_k^(d) = R[d] * s[d], where R[d] is
     shared by the segments of k's role and s[d] holds one scale per
-    column of layout.window(k), and B_k^(d) = B[d].
+    column of layout.window(k), and B_k^(d) = B[d].  boundary is
+    (y0, yf).
     """
 
     segments: tuple[tuple, ...]
     grids: SegmentGrids
+    boundary: tuple[float, float]
 
     @property
     def layout(self) -> UnknownLayout:
@@ -115,6 +117,24 @@ class SystemMatrices:
         local = np.asarray(xi, dtype=float)[self.layout.window(k)]
         return tuple(R[d] @ (local * s[d]) + B[d] for d in (0, 1, 2))
 
+    def segment_magnitudes(self, xi: np.ndarray, k: int) -> np.ndarray:
+        """|A_k^(d)| |Xi[window(k)]| + |E_d| |(y0, yf)| / dx**d as row d of a (3, N_k) array.
+
+        E_d are the offset columns of the role's reference block, so the
+        last term is |B_k^(d)| on every segment that pins at most one
+        boundary value, and bounds it on a single segment, which pins both.
+        """
+        grid, spec = self.grids.grids[k - 1], self.grids.specs[k - 1]
+        bounds = reference_bounds(spec.family, spec.m, grid.n, k == 1, k == self.grids.n_segments)
+        local = np.abs(np.asarray(xi, dtype=float)[self.layout.window(k)])
+        # s[0] is dx**p: row block d of bounds then gives dx**d times the sum
+        rows = bounds @ np.concatenate([local * self.segments[k - 1][1][0], np.abs(self.boundary)])
+        rows = rows.reshape(3, grid.n)
+        dx = grid.interval.width
+        rows[1] /= dx
+        rows[2] /= dx * dx
+        return rows
+
 
 def assemble_all(grids: SegmentGrids, y0: float, yf: float) -> SystemMatrices:
     """Per-segment (A_k^(d), B_k^(d)) for d = 0, 1, 2, from each segment role's reference block."""
@@ -125,4 +145,4 @@ def assemble_all(grids: SegmentGrids, y0: float, yf: float) -> SystemMatrices:
         dx = grid.interval.width
         segments.append((R, tuple(dx ** (p - d) for d in (0, 1, 2)),
                          tuple(E[d] @ boundary / dx ** d for d in (0, 1, 2))))
-    return SystemMatrices(tuple(segments), grids)
+    return SystemMatrices(tuple(segments), grids, (float(y0), float(yf)))

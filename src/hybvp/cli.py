@@ -233,10 +233,12 @@ def run(problem: HybridProblem, cfg: RunConfig) -> int:
     result = None
     trace = []
     converged = False
+    tolerance = None  # a solve that raised tested no threshold it could report
     try:
         result = solve(problem, opts)
         trace = list(result.residual_trace)
         converged = result.converged
+        tolerance = result.tolerance
     except DivergenceError as exc:
         trace = list(exc.trace)
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -253,6 +255,7 @@ def run(problem: HybridProblem, cfg: RunConfig) -> int:
         "m": ms[0] if len(set(ms)) == 1 else ms,
         "iterations": len(trace),
         "converged": converged,
+        "tolerance": tolerance,
         "residual_trace": trace,
         "junctions": junctions,
         "max_abs_err": max_abs_err,

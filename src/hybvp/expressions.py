@@ -215,3 +215,16 @@ def reference_block(family: str, m: int, N: int, first: bool, last: bool) -> tup
     powers[[c.column - window.start for c in segment_constraints(k, layout, 0.0, 0.0) if c.order]] = 1
     return (_read_only(*(blocks[0][d][0] for d in (0, 1, 2))), _read_only(*E),
             _read_only(powers)[0])
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def reference_bounds(family: str, m: int, N: int, first: bool, last: bool) -> np.ndarray:
+    """|[R[d] E[d]]| of reference_block(family, m, N, first, last), stacked over d = 0, 1, 2.
+
+    Row block d times (|Xi_window| * dx ** p, |y0|, |yf|) is dx ** d
+    (|A^(d)| |Xi_window| + |E[d]| |(y0, yf)| / dx ** d): the magnitudes
+    whose rounding bounds that of evaluating y^(d).  Shape (3 N, window
+    width + 2), read-only.
+    """
+    R, E, _ = reference_block(family, m, N, first, last)
+    return _read_only(np.abs(np.vstack([np.hstack([R[d], E[d]]) for d in (0, 1, 2)])))[0]

@@ -11,6 +11,7 @@ in, plus a constructor for user-posed piecewise linear ODEs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -67,12 +68,26 @@ def nonlinear_dynamics(residual: StateFn, d_y: StateFn, d_dy: StateFn, d_d2y: St
     return SegmentDynamics(residual=residual, d_y=d_y, d_dy=d_dy, d_d2y=d_d2y, is_linear=False)
 
 
+def _is_number(value) -> bool:
+    """A real number that a float can hold, and not a bool (JSON true and false read as 1 and 0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)  # an integer beyond the float range overflows
+    except OverflowError:
+        return False
+    return True
+
+
 def _break_points(values) -> tuple[float, ...]:
     """values as floats; raises naming break_points unless finite and strictly increasing."""
     try:
-        bp = tuple(float(b) for b in values)
-    except (TypeError, ValueError):
-        raise ValueError(f"break_points: expected numbers, got {values!r}") from None
+        items = tuple(values)
+    except TypeError:
+        items = (None,)
+    if not all(_is_number(b) for b in items):
+        raise ValueError(f"break_points: expected numbers, got {values!r}")
+    bp = tuple(float(b) for b in items)
     if len(bp) < 2:
         raise ValueError("break_points: need at least two values")
     for i, b in enumerate(bp):
@@ -246,9 +261,12 @@ _FORCING_FNS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
 
 
 def _poly_fn(coeffs: Sequence[float], path: str) -> Callable[[Array], Array]:
-    arr = np.asarray(coeffs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    if not isinstance(coeffs, (list, tuple, np.ndarray)) or len(coeffs) == 0:
         raise ValueError(f"{path}: expected a non-empty list of polynomial coefficients")
+    for i, c in enumerate(coeffs):
+        if not _is_number(c):
+            raise ValueError(f"{path}[{i}]: expected a number, got {c!r}")
+    arr = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: non-finite coefficient")
     return lambda x: npoly.polyval(np.asarray(x, dtype=float), arr)
@@ -271,11 +289,13 @@ def _forcing_fn(spec_entry, path: str) -> Callable[[Array], Array]:
             if fn_name not in _FORCING_FNS:
                 raise ValueError(f"{tpath}.fn: unknown forcing term {fn_name!r} "
                                  f"(supported: {sorted(_FORCING_FNS)})")
-            k = float(term.get("k", 1.0))
-            mul = float(term.get("mul", 1.0))
+            k, mul = (term.get(key, 1.0) for key in ("k", "mul"))
+            for key, value in (("k", k), ("mul", mul)):
+                if not _is_number(value):
+                    raise ValueError(f"{tpath}.{key}: expected a number, got {value!r}")
             if not (math.isfinite(k) and math.isfinite(mul)):
                 raise ValueError(f"{tpath}: non-finite term parameter")
-            terms.append((_FORCING_FNS[fn_name], k, mul))
+            terms.append((_FORCING_FNS[fn_name], float(k), float(mul)))
 
         def f(x):
             x = np.asarray(x, dtype=float)
@@ -306,11 +326,12 @@ def generic_linear(config: dict) -> HybridProblem:
     if len(seg_cfgs) != len(bp) - 1:
         raise ValueError(f"segments: count mismatch, {len(bp) - 1} intervals "
                          f"but {len(seg_cfgs)} segments")
-    try:
-        y0 = float(config["y0"])
-        yf = float(config["yf"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("y0/yf: missing or non-numeric boundary value") from exc
+    for key in ("y0", "yf"):
+        if key not in config:
+            raise ValueError(f"{key}: missing boundary value")
+        if not _is_number(config[key]):
+            raise ValueError(f"{key}: expected a number, got {config[key]!r}")
+    y0, yf = float(config["y0"]), float(config["yf"])
     if not (math.isfinite(y0) and math.isfinite(yf)):
         raise ValueError("y0/yf: non-finite boundary value")
 

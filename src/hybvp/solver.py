@@ -5,10 +5,24 @@ L and its Jacobian J, solves every problem.  When every segment is
 linear, L is affine in Xi, so one step from Xi = 0 is the least-squares
 solution: the loop takes that step and is converged when ||L|| <=
 max(tol, 1e-12 (1 + ||L(0)||)).  Otherwise it starts from the junction
-seeds, stops when ||L|| <= tol, returns unconverged after max_iter
-steps and raises DivergenceError after DIVERGENCE_WINDOW consecutive
-residual increases.  A non-finite residual, the starting one included,
-raises DivergenceError.
+seeds and stops as converged when ||L|| <= max(tol, F), where
+
+    F = eps ||sum_d |dL/dy^(d)| (|A_k^(d)| |Xi_window| + |B_k^(d)|)||,
+
+stacked over all rows, is the rounding floor of L at the iterate being
+tested (the stopping tests of Dennis & Schnabel, Numerical Methods for
+Unconstrained Optimization and Nonlinear Equations, 1983).  F scales
+with L, and it grows with the number of segments, where an absolute tol
+alone cannot be met.  The loop returns unconverged after max_iter steps
+and raises DivergenceError after DIVERGENCE_WINDOW consecutive residual
+increases.  A non-finite residual, the starting one included, raises
+DivergenceError.  SolveResult.tolerance is the threshold the last step
+was tested against.
+
+Each iterate takes one pass over the segments (_linearize): it
+evaluates the states once and from them L, the three partials of L and
+the rows of F.  The next Jacobian is built from those partials, which
+are dropped before the least-squares solve.
 
 Segment k's rows touch only the unknowns of its window: its own
 coefficients and the (value, slope) pairs of the junctions at its ends.
@@ -37,6 +51,7 @@ and the closed-form errors, on first use, so solve does no evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -65,11 +80,14 @@ class SolveOptions:
 
     N and m (a scalar or one value per segment; m defaults to the
     problem's default_m, else 16) size each segment's grid and basis.
-    The solve converges when the residual 2-norm drops to tol, raised to
-    1e-12 (1 + ||L(0)||) on an all-linear problem, which takes one step
-    from Xi = 0.  Otherwise it takes up to max_iter steps from
-    init_values, one (value, slope) pair per junction, or from the
-    straight line between the boundary values when they are None.
+    tol, a positive finite number, is the residual 2-norm at which the
+    solve converges.  It is raised to 1e-12 (1 + ||L(0)||) on an
+    all-linear problem, which takes one step from Xi = 0, and to the
+    rounding floor F of the residual at each iterate of a nonlinear one
+    (see the module docstring).  A nonlinear solve takes up to max_iter
+    steps, an integer >= 1, from init_values, one (value, slope) pair
+    per junction, or from the straight line between the boundary values
+    when they are None.
     """
 
     N: int | tuple = 100
@@ -80,10 +98,13 @@ class SolveOptions:
     init_values: Optional[tuple] = None
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        # the comparison also rejects nan
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) \
+                or not 0 < self.tol < math.inf:
+            raise ValueError(f"SolveOptions.tol: must be a positive finite number, got {self.tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) \
+                or self.max_iter < 1:
+            raise ValueError(f"SolveOptions.max_iter: must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +138,7 @@ class SolveResult:
     xi: np.ndarray
     residual_trace: list
     converged: bool
+    tolerance: float  # the threshold the last residual norm was tested against
     qr_diagnostic: QrDiagnostic
 
     @property
@@ -393,19 +415,45 @@ def _stacked_residual(problem, grids, system, xi):
     return out
 
 
-def _jacobian(problem, grids, system, xi):
-    """Chain-rule Jacobian dL/dXi as one block per segment over its window."""
-    blocks = []
+def _on_points(value, shape: tuple) -> np.ndarray:
+    """A partial's value as a float array of the points' shape (a constant is broadcast)."""
+    value = np.asarray(value, dtype=float)
+    return value if value.shape == shape else np.broadcast_to(value, shape)
+
+
+def _linearize(problem, grids, system, xi, floor: bool = True) -> tuple:
+    """L at Xi, its partials and its rounding floor F, from one pass per segment.
+
+    partials[k-1] holds dL/dy^(d), d = 0..2, at segment k's points.  F is
+    eps ||sum_d |dL/dy^(d)| (|A_k^(d)| |Xi_window| + |B_k^(d)|)||, stacked
+    over all rows (with |B_k^(d)| as SystemMatrices.segment_magnitudes
+    bounds it): the size of the rounding in evaluating L at Xi, so no
+    iterate can bring ||L|| much below it.  It is 0.0 when floor is False.
+    """
+    residual = np.empty(grids.total_points)
+    partials, squares = [], 0.0
     for k in range(1, grids.n_segments + 1):
-        x, dx = grids.grids[k - 1].points, grids.grids[k - 1].interval.width
+        x = grids.grids[k - 1].points
         dyn = problem.segments[k - 1]
         state = (x, *system.segment_states(xi, k))
-        (R0, R1, R2), scales, _ = system.segments[k - 1]
-        p0 = np.broadcast_to(np.asarray(dyn.d_y(*state), dtype=float), x.shape)
-        p1 = np.broadcast_to(np.asarray(dyn.d_dy(*state), dtype=float), x.shape) / dx
-        p2 = np.broadcast_to(np.asarray(dyn.d_d2y(*state), dtype=float), x.shape) / dx ** 2
+        residual[grids.row_slice(k)] = dyn.residual(*state)
+        p = tuple(_on_points(f(*state), x.shape) for f in (dyn.d_y, dyn.d_dy, dyn.d_d2y))
+        partials.append(p)
+        if floor:
+            rows = sum(np.abs(pd) * md for pd, md in zip(p, system.segment_magnitudes(xi, k)))
+            squares += float(rows @ rows)
+    return residual, partials, np.finfo(float).eps * math.sqrt(squares)
+
+
+def _jacobian(system, partials):
+    """Chain-rule Jacobian dL/dXi from _linearize's partials, one block per segment over its window."""
+    blocks = []
+    for ((R0, R1, R2), scales, _), (p0, p1, p2), grid in zip(system.segments, partials,
+                                                           system.grids.grids):
+        dx = grid.interval.width
         # A^(d) = R_d diag(dx**(p - d)), and scales[0] is dx**p
-        blocks.append((p0[:, None] * R0 + p1[:, None] * R1 + p2[:, None] * R2) * scales[0])
+        blocks.append((p0[:, None] * R0 + (p1 / dx)[:, None] * R1
+                       + (p2 / dx ** 2)[:, None] * R2) * scales[0])
     return blocks
 
 
@@ -418,21 +466,27 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
     """
     grids = _resolve_grids(problem, opts)
     system = assemble_all(grids, problem.y0, problem.yf)
-    if problem.is_linear:
-        xi, max_iter = np.zeros(grids.layout.total), 1
-    else:
-        xi, max_iter = initial_guess(problem, opts, grids), opts.max_iter
-    residual = _stacked_residual(problem, grids, system, xi)
+    linear = problem.is_linear
+    xi = np.zeros(grids.layout.total) if linear else initial_guess(problem, opts, grids)
+    # the floor of the iterate is only tested after a step
+    residual, partials, _ = _linearize(problem, grids, system, xi, floor=False)
     start = float(np.linalg.norm(residual))
     if not math.isfinite(start):
         raise DivergenceError("starting residual is non-finite", [])
-    tol = max(opts.tol, 1e-12 * (1.0 + start)) if problem.is_linear else opts.tol
     trace: list[float] = []
-    for _ in range(max_iter):
-        J = _jacobian(problem, grids, system, xi)
+    for _ in range(1 if linear else opts.max_iter):
+        J = _jacobian(system, partials)
+        del partials  # kept through the least-squares solve, they would raise its peak memory
         dxi, diag = _scaled_qr_lstsq(J, residual, grids.layout)
+        del J  # nor is J kept through the next pass
         xi = xi - dxi
-        residual = _stacked_residual(problem, grids, system, xi)
+        if linear:
+            residual = _stacked_residual(problem, grids, system, xi)
+            tol = max(opts.tol, 1e-12 * (1.0 + start))
+        else:
+            residual, partials, floor = _linearize(problem, grids, system, xi)
+            # a non-finite floor comes from non-finite partials: the next step fails
+            tol = max(opts.tol, floor) if math.isfinite(floor) else opts.tol
         norm = float(np.linalg.norm(residual))
         if not math.isfinite(norm):
             raise DivergenceError("residual became non-finite", trace + [norm])
@@ -444,4 +498,4 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
             raise DivergenceError(
                 f"residual increased for {DIVERGENCE_WINDOW} consecutive iterations", trace)
     return SolveResult(problem=problem, grids=grids, system=system, xi=xi, residual_trace=trace,
-                       converged=norm <= tol, qr_diagnostic=diag)
+                       converged=norm <= tol, tolerance=tol, qr_diagnostic=diag)

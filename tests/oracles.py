@@ -8,6 +8,8 @@
   least-squares system from its ODE coefficients, the check on the
   Gauss-Newton step that replaced it.  evaluate and all_points read a
   system's values and grid points at every stacked collocation point.
+  rounding_floor: the stopping floor F written out from the formula,
+  on full-width rows of A^(d) and B^(d).
 * AffineRow / segment_row: one evaluation of the segment kernel as a
   callable row, for point-wise constraint checks.
 * FAMILY_CONSTRAINTS and alpha/beta/gamma: the paper's named switching
@@ -184,6 +186,25 @@ def linear_system(problem, grids, system):
         blocks.append(a2[:, None] * A2 + a1[:, None] * A1 + a0[:, None] * A0)
         rhs[grids.row_slice(k)] = f - (a2 * B2 + a1 * B1 + a0 * B0)
     return blocks, rhs
+
+
+def rounding_floor(problem, grids, system, xi: np.ndarray) -> float:
+    """eps ||sum_d |dL/dy^(d)| (|A^(d)| |Xi| + |B^(d)|)|| over every stacked row.
+
+    A^(d) and B^(d) are the full-width matrices of system, and the
+    partials are evaluated at the states A^(d) Xi + B^(d).
+    """
+    x = all_points(grids)
+    states = [evaluate(system, xi, d) for d in (0, 1, 2)]
+    sizes = [np.abs(dense_matrix(system, d)) @ np.abs(xi) + np.abs(dense_offsets(system, d))
+             for d in (0, 1, 2)]
+    rows = np.zeros(grids.total_points)
+    for k in range(1, grids.n_segments + 1):
+        dyn, at = problem.segments[k - 1], grids.row_slice(k)
+        state = (x[at], *(y[at] for y in states))
+        for d, partial in enumerate((dyn.d_y, dyn.d_dy, dyn.d_d2y)):
+            rows[at] += np.abs(partial(*state)) * sizes[d][at]
+    return float(np.finfo(float).eps * np.linalg.norm(rows))
 
 
 def dense_scaled_qr_lstsq(M: np.ndarray, b: np.ndarray, rank_rtol: float = 1e-12):

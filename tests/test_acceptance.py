@@ -15,6 +15,7 @@ from hybvp.problems import HybridProblem, builtin, generic_linear, nonlinear_dyn
 from hybvp.solver import (
     SolveOptions,
     _jacobian,
+    _linearize,
     _resolve_grids,
     _stacked_residual,
     initial_guess,
@@ -245,7 +246,7 @@ def test_criterion_09_block_structure():
         problem = _nonlinear_chain(cuts)
         opts = SolveOptions(N=12, m=5)
         xi = initial_guess(problem, opts, grids)
-        J = dense_from_blocks(_jacobian(problem, grids, system, xi), layout)
+        J = dense_from_blocks(_jacobian(system, _linearize(problem, grids, system, xi)[1]), layout)
         mats = [dense_matrix(system, d) for d in (0, 1, 2)] + [J]
         for mat in mats:
             for k in range(1, n + 1):

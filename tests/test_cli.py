@@ -155,6 +155,7 @@ def test_summary_stays_strict_json_when_the_residual_turns_non_finite(tmp_path):
                          parse_constant=_reject_constant)
     assert summary["converged"] is False
     assert summary["residual_trace"] == [None]
+    assert summary["tolerance"] is None
 
 
 def test_integral_floats_are_accepted(tmp_path):
@@ -197,12 +198,16 @@ def test_run_writes_tables_and_summary(tmp_path):
 
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert set(summary) == {"problem", "n_segments", "N", "m", "iterations", "converged",
-                            "residual_trace", "junctions", "max_abs_err", "wall_time_ms"}
+                            "tolerance", "residual_trace", "junctions", "max_abs_err",
+                            "wall_time_ms"}
     assert summary["problem"] == "linear_linear"
     assert summary["n_segments"] == 2
     assert summary["N"] == 100 and summary["m"] == 8
     assert summary["converged"] is True
     assert summary["iterations"] == len(summary["residual_trace"]) == 1
+    # the all-linear threshold, max(tol, 1e-12 (1 + ||L(0)||)), and the residual under it
+    assert summary["tolerance"] > 1e-13
+    assert summary["residual_trace"][-1] <= summary["tolerance"]
     assert abs(summary["junctions"][0]["y"] - 77.0 / 192.0) < 1e-12
 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["solution.csv", "summary.json"]

@@ -5,7 +5,8 @@ from numpy.polynomial import chebyshev as ncheb
 from hybvp import basis, expressions
 from hybvp.assembly import assemble_all, segment_grids
 from hybvp.basis import FAMILIES, BasisSpec, Interval, eval_basis, map_point
-from hybvp.expressions import UnknownLayout, reference_block, segment_block, segment_constraints
+from hybvp.expressions import (UnknownLayout, reference_block, reference_bounds, segment_block,
+                               segment_constraints)
 from oracles import CASCADE_SKIP, cascade_eval, cascade_junction_value, segment_row
 
 
@@ -379,6 +380,18 @@ def test_a_reference_block_miss_makes_one_kernel_pass_per_pinned_boundary(
     assert [bool(np.any(E[0][:, col])) for col in (0, 1)] == [first, last]
     assert not any(np.any(E[d][:, col]) for d in (1, 2) for col, pins in enumerate((first, last))
                    if not pins)
+
+
+@pytest.mark.parametrize("first,last", [(True, False), (False, False), (False, True), (True, True)])
+def test_reference_bounds_are_the_cached_magnitudes_of_the_reference_block(first, last):
+    R, E, _ = reference_block("legendre", 7, 13, first, last)
+    bounds = reference_bounds("legendre", 7, 13, first, last)
+    for d in (0, 1, 2):
+        rows = bounds[13 * d:13 * (d + 1)]
+        assert np.array_equal(rows, np.abs(np.hstack([R[d], E[d]])))
+    # one array per role, shared by every solve and never written
+    assert reference_bounds("legendre", 7, 13, first, last) is bounds
+    assert not bounds.flags.writeable
 
 
 def test_grid_of_another_segment_is_rejected():

@@ -106,6 +106,28 @@ def test_config_break_points_that_are_not_numbers_are_named(bp):
         generic_linear({"break_points": bp, "y0": 0, "yf": 1, "segments": [{"a2": [1]}] * 2})
 
 
+@pytest.mark.parametrize("change,path", [
+    ({"break_points": [False, True]}, r"break_points: expected numbers, got \[False, True\]"),
+    ({"y0": True}, r"y0: expected a number, got True"),
+    ({"yf": False}, r"yf: expected a number, got False"),
+    ({"segments": [{"a2": [True]}]}, r"segments\[0\]\.a2\[0\]: expected a number, got True"),
+    ({"segments": [{"a2": [1], "a0": [0, False]}]}, r"segments\[0\]\.a0\[1\]: expected a number"),
+    ({"segments": [{"a2": [1], "f": [True]}]}, r"segments\[0\]\.f\[0\]: expected a number"),
+    ({"segments": [{"a2": [1], "f": {"poly": [1, True]}}]}, r"segments\[0\]\.f\.poly\[1\]"),
+    ({"segments": [{"a2": [1], "f": {"terms": [{"fn": "sin", "mul": True}]}}]},
+     r"segments\[0\]\.f\.terms\[0\]\.mul: expected a number, got True"),
+    # an integer beyond the float range used to end in an uncaught OverflowError
+    ({"yf": 10 ** 400}, r"yf: expected a number, got 1000"),
+    ({"break_points": [0, 10 ** 400]}, r"break_points: expected numbers"),
+    ({"segments": [{"a2": [1], "a1": [10 ** 400]}]}, r"segments\[0\]\.a1\[0\]: expected a number"),
+])
+def test_config_booleans_and_out_of_range_integers_are_not_numbers(change, path):
+    # {"break_points": [false, true], "y0": true} used to build a problem on [0, 1] with y0 = 1
+    config = {"break_points": [0, 1], "y0": 0, "yf": 1, "segments": [{"a2": [1]}], **change}
+    with pytest.raises(ValueError, match=path):
+        generic_linear(config)
+
+
 @pytest.mark.parametrize("name", ["linear_linear", "linear_nonlinear", "nonlinear_nonlinear"])
 def test_analytic_solutions_satisfy_their_residuals(name):
     p = builtin(name)

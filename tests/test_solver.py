@@ -19,6 +19,7 @@ from hybvp.solver import (
     DivergenceError,
     SolveOptions,
     _jacobian,
+    _linearize,
     _resolve_grids,
     _scaled_qr_lstsq,
     _stacked_residual,
@@ -226,7 +227,7 @@ def test_linear_solve_is_one_gauss_newton_step_on_the_direct_system(p, bitwise):
     # rounding: it scales the summed reference rows by powers of the
     # width, the oracle scales each block before summing
     xi = np.random.default_rng(7).standard_normal(grids.layout.total)
-    for J, M in zip(_jacobian(p, grids, system, xi), blocks):
+    for J, M in zip(_jacobian(system, _linearize(p, grids, system, xi)[1]), blocks):
         if bitwise:
             assert np.array_equal(J, M)
         else:
@@ -276,7 +277,7 @@ def test_jacobian_matches_finite_differences_at_start_and_solution(name):
     system = assemble_all(grids, p.y0, p.yf)
     states = [initial_guess(p, opts, grids), solve(p, opts).xi]
     for xi in states:
-        J = dense_from_blocks(_jacobian(p, grids, system, xi), grids.layout)
+        J = dense_from_blocks(_jacobian(system, _linearize(p, grids, system, xi)[1]), grids.layout)
         fd = _fd_jacobian(p, grids, system, xi)
         for col in range(J.shape[1]):
             scale = 1.0 + np.max(np.abs(J[:, col]))
@@ -290,7 +291,7 @@ def test_jacobian_zero_blocks_bit_exact():
     system = assemble_all(grids, p.y0, p.yf)
     xi = initial_guess(p, opts, grids)
     layout = grids.layout
-    J = dense_from_blocks(_jacobian(p, grids, system, xi), layout)
+    J = dense_from_blocks(_jacobian(system, _linearize(p, grids, system, xi)[1]), layout)
     assert np.all(J[grids.row_slice(1), layout.xi_slice(2)] == 0.0)
     assert np.all(J[grids.row_slice(2), layout.xi_slice(1)] == 0.0)
 
@@ -320,8 +321,8 @@ def test_boundary_values_embedded_at_every_iterate():
     system = assemble_all(grids, p.y0, p.yf)
     xi = initial_guess(p, opts, grids)
     for _ in range(4):
-        J = _jacobian(p, grids, system, xi)
-        r = _stacked_residual(p, grids, system, xi)
+        r, partials, _ = _linearize(p, grids, system, xi)
+        J = _jacobian(system, partials)
         xi = xi - _scaled_qr_lstsq(J, r, grids.layout)[0]
         y = evaluate(system, xi, 0)
         assert abs(y[0] - p.y0) <= 1e-14 * max(1.0, abs(p.y0))
@@ -377,6 +378,22 @@ def test_options_validation():
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
         solve(builtin("linear_linear"), SolveOptions(N=10, m=8))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, True, "1e-13", None])
+def test_options_reject_a_tol_that_is_not_a_positive_finite_number(value):
+    # an infinite tol used to accept the first step of nonlinear_nonlinear,
+    # 0.65 away from the solution, as converged
+    with pytest.raises(ValueError, match=r"SolveOptions\.tol: must be a positive finite number"):
+        SolveOptions(tol=value)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "5", 0])
+def test_options_reject_a_max_iter_that_is_not_a_positive_integer(value):
+    # a float used to fail late, inside solve, with a bare TypeError from range
+    with pytest.raises(ValueError, match=r"SolveOptions\.max_iter: must be an integer >= 1"):
+        SolveOptions(max_iter=value)
+    assert SolveOptions(max_iter=np.int64(3)).max_iter == 3
 
 
 def _three_segment_log_problem():
