@@ -25,7 +25,7 @@ config = {
 problem = generic_linear(config)
 result = solve(problem, SolveOptions(N=40, m=8))
 
-print("segments:", problem.n_segments, " unknowns:", result.grids.layout.total)
+print("segments:", problem.n_segments, " unknowns:", result.system.layout.total)
 print("converged:", result.converged, f" residual 2-norm: {result.residual_norm:.3e}")
 
 print("\njunction states (value and slope are shared unknowns):")

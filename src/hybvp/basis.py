@@ -88,28 +88,6 @@ class BasisSpec:
         return cls(family=family, m=m, c=2.0 / iv.width)
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Strictly increasing collocation points spanning an interval."""
-
-    interval: Interval
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("grid needs at least two points")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        if pts[0] != self.interval.x0 or pts[-1] != self.interval.xf:
-            raise ValueError("grid must start at x0 and end at xf")
-
-    @property
-    def n(self) -> int:
-        return self.points.size
-
-
 def map_point(iv: Interval, x, where: str = "x"):
     """Map x in [x0, xf] onto z in [-1, 1].
 
@@ -145,8 +123,8 @@ def lobatto_nodes(N: int) -> np.ndarray:
     return _read_only(z)[0]
 
 
-def collocation_grid(iv: Interval, N: int) -> Grid:
-    """Gauss-Lobatto cosine-spaced grid of N points over iv.
+def collocation_grid(iv: Interval, N: int) -> np.ndarray:
+    """The N Gauss-Lobatto cosine-spaced points over iv.
 
     lobatto_nodes(N) mapped onto the interval, so the points are exactly
     antisymmetric about the interval midpoint and contain both endpoints
@@ -156,7 +134,7 @@ def collocation_grid(iv: Interval, N: int) -> Grid:
     x = 0.5 * (iv.x0 + iv.xf) + 0.5 * iv.width * z
     x[0] = iv.x0
     x[-1] = iv.xf
-    return Grid(interval=iv, points=x)
+    return x
 
 
 def _table(family: str, z: np.ndarray, m: int, d: int) -> list:

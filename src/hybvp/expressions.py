@@ -201,7 +201,7 @@ def reference_block(family: str, m: int, N: int, first: bool, last: bool) -> tup
     k = 1 if first else 2
     layout = UnknownLayout((m,) * (k if last else k + 1))
     window, unit = layout.window(k), Interval(0.0, 1.0)
-    x = collocation_grid(unit, N).points
+    x = collocation_grid(unit, N)
     # one pass per boundary value the role pins (one with none pinned for a
     # middle segment); the offset column of a value it does not pin stays 0
     pinned = [col for col, pins in enumerate((first, last)) if pins]

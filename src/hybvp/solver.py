@@ -19,6 +19,9 @@ increases.  A non-finite residual, the starting one included, raises
 DivergenceError.  SolveResult.tolerance is the threshold the last step
 was tested against.
 
+A solve discretizes its geometry once (assembly.assemble_all): one
+SystemMatrices holds every segment's points, interval and blocks, with
+each segment's role, and so the magnitudes F needs, resolved there.
 Each iterate takes one pass over the segments (_linearize): it
 evaluates the states once and from them L, the three partials of L and
 the rows of F.  The next Jacobian is built from those partials, which
@@ -59,8 +62,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .assembly import SegmentGrids, SystemMatrices, assemble_all, per_segment, segment_grids
-from .basis import MAX_DERIVATIVE, SERIES, map_point
+from .assembly import SystemMatrices, assemble_all, per_segment
+from .basis import MAX_DERIVATIVE, SERIES, Interval, map_point
 from .expressions import UnknownLayout, segment_constraints
 from .problems import HybridProblem, analytic_value
 from .switching import switching_functions
@@ -78,8 +81,9 @@ class DivergenceError(RuntimeError):
 class SolveOptions:
     """Grid size, basis, convergence and starting point of a solve.
 
-    N and m (a scalar or one value per segment; m defaults to the
-    problem's default_m, else 16) size each segment's grid and basis.
+    N and m (an integer or one per segment, where 8.0 counts as 8 and a
+    bool or a fraction is rejected; m defaults to the problem's
+    default_m, else 16) size each segment's grid and basis.
     tol, a positive finite number, is the residual 2-norm at which the
     solve converges.  It is raised to 1e-12 (1 + ||L(0)||) on an
     all-linear problem, which takes one step from Xi = 0, and to the
@@ -130,10 +134,13 @@ class QrDiagnostic:
 
 @dataclass
 class SolveResult:
-    """Converged (or final) state of a solve, with evaluation support."""
+    """Converged (or final) state of a solve, with evaluation support.
+
+    system is the solve's one discretization: the evaluators read the
+    layout of xi, each segment's interval and the basis family from it.
+    """
 
     problem: HybridProblem
-    grids: SegmentGrids
     system: SystemMatrices
     xi: np.ndarray
     residual_trace: list
@@ -152,7 +159,7 @@ class SolveResult:
     @property
     def junctions(self) -> list:
         """(x_k, y_k, y'_k) for every junction, straight from Xi."""
-        layout = self.grids.layout
+        layout = self.system.layout
         out = []
         for j in range(1, layout.n_segments):
             out.append((self.problem.break_points[j],
@@ -162,7 +169,7 @@ class SolveResult:
 
     def segment_coefficients(self, k: int) -> np.ndarray:
         """Basis coefficients of segment k, 1-based."""
-        return self.xi[self.grids.layout.xi_slice(k)]
+        return self.xi[self.system.layout.xi_slice(k)]
 
     @cached_property
     def _series(self) -> tuple:
@@ -171,12 +178,12 @@ class SolveResult:
         g is [0] * skip + xi_k; phi is g on each pinned functional, at z = +-1.
         """
         out = []
-        for k, spec in enumerate(self.grids.specs, 1):
-            constraints = segment_constraints(k, self.grids.layout, self.problem.y0, self.problem.yf)
-            val, der = SERIES[spec.family]
+        val, der = SERIES[self.system.family]
+        for k, iv in enumerate(self.system.intervals, 1):
+            constraints = segment_constraints(k, self.system.layout, self.problem.y0, self.problem.yf)
             series = [np.concatenate([np.zeros(len(constraints)), self.segment_coefficients(k)])]
             while len(series) <= MAX_DERIVATIVE:
-                series.append(der(series[-1], 1, scl=spec.c))
+                series.append(der(series[-1], 1, scl=2.0 / iv.width))  # dz/dx
             ends = [val([-1.0, 1.0], g) for g in series[:2]]  # g and g' at z = -1, +1
             out.append(([(con.order, con.end) for con in constraints], series,
                         np.array([ends[con.order][con.end] for con in constraints]),
@@ -192,24 +199,29 @@ class SolveResult:
         delta, so the bracket is 0 and kappa comes back bit for bit.  At a
         junction this is the limit from inside segment k.
         """
-        if not 1 <= k <= self.grids.n_segments:
-            raise ValueError(f"segment index {k} out of range 1..{self.grids.n_segments}")
+        if not 1 <= k <= self.system.n_segments:
+            raise ValueError(f"segment index {k} out of range 1..{self.system.n_segments}")
         if d not in range(MAX_DERIVATIVE + 1):
             raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE}, got {d!r}")
         functionals, series, phi, kappa = self._series[k - 1]
-        iv = self.grids.grids[k - 1].interval
+        iv = self.system.intervals[k - 1]
         x = np.atleast_1d(np.asarray(x, dtype=float))
         z = map_point(iv, x, f"segment {k} x")
         S = switching_functions(functionals, iv, x, (d,))[d]
-        return (SERIES[self.grids.specs[k - 1].family][0](z, series[d]) - S @ phi) + S @ kappa
+        return (SERIES[self.system.family][0](z, series[d]) - S @ phi) + S @ kappa
 
     def evaluate(self, x, d: int = 0):
-        """y^(d)(x) anywhere in the domain (junctions use the left segment)."""
+        """y^(d)(x) anywhere in the domain (junctions use the left segment).
+
+        A point outside the domain raises ValueError naming its index in x, flattened.
+        """
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
+        bp = self.problem.break_points
+        Interval(bp[0], bp[-1]).check(flat, "x")
         seg = self.problem.segment_of(flat)
         order = np.argsort(seg, kind="stable")
-        cuts = np.searchsorted(seg[order], range(1, self.grids.n_segments))
+        cuts = np.searchsorted(seg[order], range(1, self.system.n_segments))
         out = np.empty_like(flat)
         for k, at in enumerate(np.split(order, cuts), 1):
             if at.size:
@@ -225,8 +237,8 @@ class SolveResult:
         if self.problem.solution is None:
             return None
         errors = dict.fromkeys(range(MAX_DERIVATIVE + 1), 0.0)
-        for grid in self.grids.grids:
-            xs = np.linspace(grid.interval.x0, grid.interval.xf, 1000)
+        for iv in self.system.intervals:
+            xs = np.linspace(iv.x0, iv.xf, 1000)
             for d in errors:
                 err = np.max(np.abs(self.evaluate(xs, d) - analytic_value(self.problem, xs, d)))
                 errors[d] = max(errors[d], float(err))
@@ -361,14 +373,13 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout, rank_rtol: 
 
 # --- initialization ---------------------------------------------------------
 
-def initial_guess(problem: HybridProblem, opts: SolveOptions, grids: SegmentGrids) -> np.ndarray:
+def initial_guess(problem: HybridProblem, opts: SolveOptions, layout: UnknownLayout) -> np.ndarray:
     """Starting Xi: zero basis coefficients plus junction seeds.
 
     Without opts.init_values every junction is seeded with the value and
     slope of the straight line joining the two boundary points; with
     them, each junction gets its given (value, slope) pair.
     """
-    layout = grids.layout
     xi = np.zeros(layout.total)
     n = layout.n_segments
     values = opts.init_values
@@ -403,15 +414,11 @@ def resolve_sizes(problem: HybridProblem, opts: SolveOptions) -> tuple:
     return Ns, ms
 
 
-def _resolve_grids(problem: HybridProblem, opts: SolveOptions) -> SegmentGrids:
-    return segment_grids(problem.break_points, *resolve_sizes(problem, opts), opts.family)
-
-
-def _stacked_residual(problem, grids, system, xi):
-    out = np.empty(grids.total_points)
-    for k in range(1, grids.n_segments + 1):
-        out[grids.row_slice(k)] = problem.segments[k - 1].residual(
-            grids.grids[k - 1].points, *system.segment_states(xi, k))
+def _stacked_residual(problem, system, xi):
+    out = np.empty(system.total_points)
+    for k in range(1, system.n_segments + 1):
+        out[system.row_slice(k)] = problem.segments[k - 1].residual(
+            system.points[k - 1], *system.segment_states(xi, k))
     return out
 
 
@@ -421,7 +428,7 @@ def _on_points(value, shape: tuple) -> np.ndarray:
     return value if value.shape == shape else np.broadcast_to(value, shape)
 
 
-def _linearize(problem, grids, system, xi, floor: bool = True) -> tuple:
+def _linearize(problem, system, xi, floor: bool = True) -> tuple:
     """L at Xi, its partials and its rounding floor F, from one pass per segment.
 
     partials[k-1] holds dL/dy^(d), d = 0..2, at segment k's points.  F is
@@ -430,13 +437,13 @@ def _linearize(problem, grids, system, xi, floor: bool = True) -> tuple:
     bounds it): the size of the rounding in evaluating L at Xi, so no
     iterate can bring ||L|| much below it.  It is 0.0 when floor is False.
     """
-    residual = np.empty(grids.total_points)
+    residual = np.empty(system.total_points)
     partials, squares = [], 0.0
-    for k in range(1, grids.n_segments + 1):
-        x = grids.grids[k - 1].points
+    for k in range(1, system.n_segments + 1):
+        x = system.points[k - 1]
         dyn = problem.segments[k - 1]
         state = (x, *system.segment_states(xi, k))
-        residual[grids.row_slice(k)] = dyn.residual(*state)
+        residual[system.row_slice(k)] = dyn.residual(*state)
         p = tuple(_on_points(f(*state), x.shape) for f in (dyn.d_y, dyn.d_dy, dyn.d_d2y))
         partials.append(p)
         if floor:
@@ -448,9 +455,9 @@ def _linearize(problem, grids, system, xi, floor: bool = True) -> tuple:
 def _jacobian(system, partials):
     """Chain-rule Jacobian dL/dXi from _linearize's partials, one block per segment over its window."""
     blocks = []
-    for ((R0, R1, R2), scales, _), (p0, p1, p2), grid in zip(system.segments, partials,
-                                                           system.grids.grids):
-        dx = grid.interval.width
+    for ((R0, R1, R2), scales, _, _), (p0, p1, p2), iv in zip(system.segments, partials,
+                                                              system.intervals):
+        dx = iv.width
         # A^(d) = R_d diag(dx**(p - d)), and scales[0] is dx**p
         blocks.append((p0[:, None] * R0 + (p1 / dx)[:, None] * R1
                        + (p2 / dx ** 2)[:, None] * R2) * scales[0])
@@ -464,12 +471,12 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
     opts.max_iter steps from initial_guess; the stopping rules are in
     the module docstring.
     """
-    grids = _resolve_grids(problem, opts)
-    system = assemble_all(grids, problem.y0, problem.yf)
+    system = assemble_all(problem.break_points, *resolve_sizes(problem, opts), opts.family,
+                          problem.y0, problem.yf)
     linear = problem.is_linear
-    xi = np.zeros(grids.layout.total) if linear else initial_guess(problem, opts, grids)
+    xi = np.zeros(system.layout.total) if linear else initial_guess(problem, opts, system.layout)
     # the floor of the iterate is only tested after a step
-    residual, partials, _ = _linearize(problem, grids, system, xi, floor=False)
+    residual, partials, _ = _linearize(problem, system, xi, floor=False)
     start = float(np.linalg.norm(residual))
     if not math.isfinite(start):
         raise DivergenceError("starting residual is non-finite", [])
@@ -477,14 +484,14 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
     for _ in range(1 if linear else opts.max_iter):
         J = _jacobian(system, partials)
         del partials  # kept through the least-squares solve, they would raise its peak memory
-        dxi, diag = _scaled_qr_lstsq(J, residual, grids.layout)
+        dxi, diag = _scaled_qr_lstsq(J, residual, system.layout)
         del J  # nor is J kept through the next pass
         xi = xi - dxi
         if linear:
-            residual = _stacked_residual(problem, grids, system, xi)
+            residual = _stacked_residual(problem, system, xi)
             tol = max(opts.tol, 1e-12 * (1.0 + start))
         else:
-            residual, partials, floor = _linearize(problem, grids, system, xi)
+            residual, partials, floor = _linearize(problem, system, xi)
             # a non-finite floor comes from non-finite partials: the next step fails
             tol = max(opts.tol, floor) if math.isfinite(floor) else opts.tol
         norm = float(np.linalg.norm(residual))
@@ -497,5 +504,5 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
         if len(rising) > DIVERGENCE_WINDOW and all(a < b for a, b in zip(rising, rising[1:])):
             raise DivergenceError(
                 f"residual increased for {DIVERGENCE_WINDOW} consecutive iterations", trace)
-    return SolveResult(problem=problem, grids=grids, system=system, xi=xi, residual_trace=trace,
+    return SolveResult(problem=problem, system=system, xi=xi, residual_trace=trace,
                        converged=norm <= tol, tolerance=tol, qr_diagnostic=diag)

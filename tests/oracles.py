@@ -8,6 +8,8 @@
   least-squares system from its ODE coefficients, the check on the
   Gauss-Newton step that replaced it.  evaluate and all_points read a
   system's values and grid points at every stacked collocation point.
+  discretize is the system a solve assembles, and spec_of a segment's
+  basis as segment_block takes it.
   rounding_floor: the stopping floor F written out from the formula,
   on full-width rows of A^(d) and B^(d).
 * AffineRow / segment_row: one evaluation of the segment kernel as a
@@ -33,10 +35,10 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from hybvp.assembly import segment_grids
+from hybvp.assembly import assemble_all
 from hybvp.basis import BasisSpec, Interval, eval_basis, map_point
 from hybvp.expressions import segment_block
-from hybvp.solver import QrDiagnostic
+from hybvp.solver import QrDiagnostic, resolve_sizes
 from hybvp.switching import switching_functions
 
 CASCADE_SKIP = 2   # the alpha support pins the value at both ends
@@ -161,12 +163,23 @@ def evaluate(system, xi: np.ndarray, d: int = 0) -> np.ndarray:
     return np.concatenate(out)
 
 
-def all_points(grids) -> np.ndarray:
+def all_points(system) -> np.ndarray:
     """Every segment's collocation points, stacked in segment order."""
-    return np.concatenate([g.points for g in grids.grids])
+    return np.concatenate(system.points)
 
 
-def linear_system(problem, grids, system):
+def discretize(problem, opts):
+    """The SystemMatrices that solve(problem, opts) assembles."""
+    return assemble_all(problem.break_points, *resolve_sizes(problem, opts), opts.family,
+                        problem.y0, problem.yf)
+
+
+def spec_of(system, k: int) -> BasisSpec:
+    """Segment k's basis (family, m and map slope), as segment_block takes it."""
+    return BasisSpec.for_interval(system.family, system.layout.ms[k - 1], system.intervals[k - 1])
+
+
+def linear_system(problem, system):
     """(blocks, rhs) of an all-linear problem's collocation system M Xi = rhs.
 
     Segment k's ODE a2 y'' + a1 y' + a0 y = f gives the window block
@@ -174,9 +187,9 @@ def linear_system(problem, grids, system):
     The coefficients are read back from the segment: a0, a1 and a2 are
     its state partials, and f is minus its residual at y = y' = y'' = 0.
     """
-    blocks, rhs = [], np.empty(grids.total_points)
-    for k in range(1, grids.n_segments + 1):
-        x = grids.grids[k - 1].points
+    blocks, rhs = [], np.empty(system.total_points)
+    for k in range(1, system.n_segments + 1):
+        x = system.points[k - 1]
         dyn = problem.segments[k - 1]
         state = (x, *(np.zeros_like(x),) * 3)
         a0, a1, a2 = (np.broadcast_to(np.asarray(p(*state), dtype=float), x.shape)
@@ -184,23 +197,23 @@ def linear_system(problem, grids, system):
         f = -dyn.residual(*state)
         (A0, B0), (A1, B1), (A2, B2) = (system.block(k, d) for d in (0, 1, 2))
         blocks.append(a2[:, None] * A2 + a1[:, None] * A1 + a0[:, None] * A0)
-        rhs[grids.row_slice(k)] = f - (a2 * B2 + a1 * B1 + a0 * B0)
+        rhs[system.row_slice(k)] = f - (a2 * B2 + a1 * B1 + a0 * B0)
     return blocks, rhs
 
 
-def rounding_floor(problem, grids, system, xi: np.ndarray) -> float:
+def rounding_floor(problem, system, xi: np.ndarray) -> float:
     """eps ||sum_d |dL/dy^(d)| (|A^(d)| |Xi| + |B^(d)|)|| over every stacked row.
 
     A^(d) and B^(d) are the full-width matrices of system, and the
     partials are evaluated at the states A^(d) Xi + B^(d).
     """
-    x = all_points(grids)
+    x = all_points(system)
     states = [evaluate(system, xi, d) for d in (0, 1, 2)]
     sizes = [np.abs(dense_matrix(system, d)) @ np.abs(xi) + np.abs(dense_offsets(system, d))
              for d in (0, 1, 2)]
-    rows = np.zeros(grids.total_points)
-    for k in range(1, grids.n_segments + 1):
-        dyn, at = problem.segments[k - 1], grids.row_slice(k)
+    rows = np.zeros(system.total_points)
+    for k in range(1, system.n_segments + 1):
+        dyn, at = problem.segments[k - 1], system.row_slice(k)
         state = (x[at], *(y[at] for y in states))
         for d, partial in enumerate((dyn.d_y, dyn.d_dy, dyn.d_d2y)):
             rows[at] += np.abs(partial(*state)) * sizes[d][at]
@@ -421,16 +434,16 @@ def _handcoded_boundary_row(spec, iv, layout, x, d, role):
     return row
 
 
-def reference_jacobian_row(problem, grids, k: int, x: float, y: float, dy: float) -> np.ndarray:
+def reference_jacobian_row(problem, system, k: int, x: float, y: float, dy: float) -> np.ndarray:
     """Hand-coded loss-partial row for the two reference nonlinear problems.
 
     Implements the closed-form partial expressions for the
     linear-nonlinear and nonlinear-nonlinear sequences at one point in
     segment k (1-based), given the current solution state there.
     """
-    layout = grids.layout
-    spec = grids.specs[k - 1]
-    iv = grids.grids[k - 1].interval
+    layout = system.layout
+    spec = spec_of(system, k)
+    iv = system.intervals[k - 1]
     role = "first" if k == 1 else "last"
     rows = {d: _handcoded_boundary_row(spec, iv, layout, x, d, role) for d in (0, 1, 2)}
     if problem.name == "linear_nonlinear":
@@ -456,15 +469,15 @@ def residual_partial_check(problem, k: int, x: float, *, N: int = 20,
     if not 1 <= k <= problem.n_segments:
         raise ValueError(f"segment index {k} out of range")
     m_eff = m if m is not None else (problem.default_m or 10)
-    grids = segment_grids(problem.break_points, N, m_eff)
-    iv = grids.grids[k - 1].interval
+    system = assemble_all(problem.break_points, N, m_eff, "chebyshev", problem.y0, problem.yf)
+    iv = system.intervals[k - 1]
     if not iv.contains(x):
         raise ValueError(f"x={x} not inside segment {k}")
-    layout = grids.layout
+    layout = system.layout
     if xi is None:
         xi = np.random.default_rng(seed).standard_normal(layout.total)
     xi = np.asarray(xi, dtype=float)
-    blocks = segment_block(grids.specs[k - 1], iv, k, layout, problem.y0, problem.yf, x)
+    blocks = segment_block(spec_of(system, k), iv, k, layout, problem.y0, problem.yf, x)
     rows = {d: (full_width(coeffs[0], layout, k), offsets[0]) for d, (coeffs, offsets) in blocks.items()}
 
     def state(vec):
@@ -494,6 +507,6 @@ def residual_partial_check(problem, k: int, x: float, *, N: int = 20,
               "vs_reference": None,
               "state": (yv, dyv, d2yv)}
     if problem.name in ("linear_nonlinear", "nonlinear_nonlinear"):
-        ref = reference_jacobian_row(problem, grids, k, x, yv, dyv)
+        ref = reference_jacobian_row(problem, system, k, x, yv, dyv)
         result["vs_reference"] = float(np.max(np.abs(ref - chain)) / scale)
     return result

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from hybvp.assembly import assemble_all, segment_grids
+from hybvp.assembly import assemble_all
 from hybvp.basis import BasisSpec, Interval
 from hybvp.expressions import UnknownLayout
 from hybvp.problems import HybridProblem, builtin, generic_linear, nonlinear_dynamics
@@ -16,7 +16,6 @@ from hybvp.solver import (
     SolveOptions,
     _jacobian,
     _linearize,
-    _resolve_grids,
     _stacked_residual,
     initial_guess,
     solve,
@@ -198,8 +197,7 @@ def test_criterion_08_cascade_cross_validation():
     m, N = 8, 100
     s1 = BasisSpec.for_interval("chebyshev", m, iv1)
     s2 = BasisSpec.for_interval("chebyshev", m, iv2)
-    grids = segment_grids(problem.break_points, N, m)
-    x_all = all_points(grids)
+    x_all = all_points(assemble_all(problem.break_points, N, m, "chebyshev", problem.y0, problem.yf))
     rows, offs = cascade_block(s1, s2, iv1, iv2, 0.0, 1.0, x_all, 2)
     forcing = np.where(x_all <= 0.5, x_all ** 2, x_all ** 2 + 1.0)
     xi, _ = dense_scaled_qr_lstsq(rows, forcing - offs)
@@ -240,13 +238,12 @@ def test_criterion_09_block_structure():
     ok = True
     details = []
     for n, cuts in ((2, [0.0, 0.5, 1.0]), (3, [0.0, 0.4, 0.9, 1.5]), (4, [0.0, 0.3, 0.8, 1.2, 2.0])):
-        grids = segment_grids(cuts, N=12, m=5)
-        layout = grids.layout
-        system = assemble_all(grids, 1.0, -1.0)
+        system = assemble_all(cuts, 12, 5, "chebyshev", 1.0, -1.0)
+        layout = system.layout
         problem = _nonlinear_chain(cuts)
         opts = SolveOptions(N=12, m=5)
-        xi = initial_guess(problem, opts, grids)
-        J = dense_from_blocks(_jacobian(system, _linearize(problem, grids, system, xi)[1]), layout)
+        xi = initial_guess(problem, opts, layout)
+        J = dense_from_blocks(_jacobian(system, _linearize(problem, system, xi)[1]), layout)
         mats = [dense_matrix(system, d) for d in (0, 1, 2)] + [J]
         for mat in mats:
             for k in range(1, n + 1):
@@ -255,7 +252,7 @@ def test_criterion_09_block_structure():
                     if 1 <= j <= n - 1:
                         allowed |= {layout.junction_value_index(j), layout.junction_slope_index(j)}
                 outside = sorted(set(range(layout.total)) - allowed)
-                block = mat[grids.row_slice(k)][:, outside]
+                block = mat[system.row_slice(k)][:, outside]
                 if not np.all(block == 0.0):
                     ok = False
                     details.append(f"n={n} segment {k} has nonzero padding")
@@ -274,8 +271,7 @@ def test_criterion_10_four_segment_generalization():
     problem = generic_linear(cfg)
     opts = SolveOptions(N=30, m=8)
     res = solve(problem, opts)
-    grids = res.grids
-    resid = _stacked_residual(problem, grids, res.system, res.xi)
+    resid = _stacked_residual(problem, res.system, res.xi)
     max_resid = float(np.max(np.abs(resid)))
     worst_junction = 0.0
     for j in range(1, 4):

@@ -3,7 +3,6 @@ import pytest
 
 from hybvp.basis import (
     BasisSpec,
-    Grid,
     Interval,
     collocation_grid,
     end_tables,
@@ -53,9 +52,9 @@ def test_map_point_is_affine_in_the_fraction():
 
 
 def test_collocation_grid_two_and_three_points():
-    assert np.array_equal(collocation_grid(Interval(-1, 1), 2).points, [-1.0, 1.0])
-    assert np.array_equal(collocation_grid(Interval(-1, 1), 3).points, [-1.0, 0.0, 1.0])
-    assert np.array_equal(collocation_grid(Interval(0, 1), 3).points, [0.0, 0.5, 1.0])
+    assert np.array_equal(collocation_grid(Interval(-1, 1), 2), [-1.0, 1.0])
+    assert np.array_equal(collocation_grid(Interval(-1, 1), 3), [-1.0, 0.0, 1.0])
+    assert np.array_equal(collocation_grid(Interval(0, 1), 3), [0.0, 0.5, 1.0])
 
 
 def test_collocation_grid_rejects_tiny_N():
@@ -65,19 +64,19 @@ def test_collocation_grid_rejects_tiny_N():
 
 def test_collocation_grid_spans_endpoints_and_increases():
     iv = Interval(0.3, 2.7)
-    g = collocation_grid(iv, 37)
-    assert g.points[0] == iv.x0 and g.points[-1] == iv.xf
-    assert np.all(np.diff(g.points) > 0)
-    assert g.n == 37
+    x = collocation_grid(iv, 37)
+    assert x[0] == iv.x0 and x[-1] == iv.xf
+    assert np.all(np.diff(x) > 0)
+    assert x.shape == (37,)
 
 
 def test_collocation_grid_maps_the_lobatto_nodes():
     iv = Interval(0.3, 2.7)
-    g = collocation_grid(iv, 11)
+    x = collocation_grid(iv, 11)
     nodes = lobatto_nodes(11)
     assert nodes[0] == -1.0 and nodes[-1] == 1.0
     mapped = 0.5 * (iv.x0 + iv.xf) + 0.5 * iv.width * nodes
-    assert np.array_equal(g.points[1:-1], mapped[1:-1])
+    assert np.array_equal(x[1:-1], mapped[1:-1])
 
 
 def test_cached_tables_are_the_recurrence_at_the_reference_points():
@@ -99,9 +98,9 @@ def test_cached_tables_are_read_only():
 
 
 def test_collocation_grid_antisymmetric_on_reference_interval():
-    z = collocation_grid(Interval(-1, 1), 24).points
+    z = collocation_grid(Interval(-1, 1), 24)
     assert np.array_equal(z, -z[::-1])
-    z = collocation_grid(Interval(-1, 1), 25).points
+    z = collocation_grid(Interval(-1, 1), 25)
     assert np.array_equal(z, -z[::-1])
     assert z[12] == 0.0
 
@@ -157,18 +156,18 @@ def test_chebyshev_values_bounded_by_one():
     assert np.max(np.abs(eval_basis(spec, z, 0))) <= 1.0 + 1e-14
 
 
-def _basis_matrix(spec, grid, d):
-    """N x m matrix of c**d * h^(d)(z(x_i)) over the grid points."""
-    return (spec.c ** d) * eval_basis(spec, map_point(grid.interval, grid.points), d)
+def _basis_matrix(spec, iv, x, d):
+    """N x m matrix of c**d * h^(d)(z(x_i)) over the points x of iv."""
+    return (spec.c ** d) * eval_basis(spec, map_point(iv, x), d)
 
 
 def test_basis_matrix_constant_column_and_linear_second_derivative():
     iv = Interval(0.0, 2.0)
-    grid = collocation_grid(iv, 9)
+    x = collocation_grid(iv, 9)
     spec1 = BasisSpec.for_interval("chebyshev", 1, iv)
-    assert np.array_equal(_basis_matrix(spec1, grid, 0), np.ones((9, 1)))
+    assert np.array_equal(_basis_matrix(spec1, iv, x, 0), np.ones((9, 1)))
     spec2 = BasisSpec.for_interval("chebyshev", 2, iv)
-    d2 = _basis_matrix(spec2, grid, 2)
+    d2 = _basis_matrix(spec2, iv, x, 2)
     assert np.array_equal(d2[:, 1], np.zeros(9))
 
 
@@ -178,9 +177,8 @@ def test_basis_matrix_rows_match_pointwise_evaluation():
     spec = BasisSpec.for_interval("legendre", 7, iv)
     pts = np.sort(rng.uniform(iv.x0, iv.xf, 5))
     pts[0], pts[-1] = iv.x0, iv.xf
-    grid = Grid(interval=iv, points=pts)
     for d in (0, 1, 2):
-        mat = _basis_matrix(spec, grid, d)
+        mat = _basis_matrix(spec, iv, pts, d)
         for i, x in enumerate(pts):
             row = (spec.c ** d) * eval_basis(spec, map_point(iv, x), d)
             assert np.array_equal(mat[i], row)
@@ -210,5 +208,3 @@ def test_spec_validation():
         BasisSpec("chebyshev", 0, 1.0)
     with pytest.raises(ValueError):
         BasisSpec("chebyshev", 4, -1.0)
-    with pytest.raises(ValueError):
-        Grid(interval=Interval(0, 1), points=np.array([0.0, 0.4, 0.3, 1.0]))

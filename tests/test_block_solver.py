@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hybvp import solver
-from hybvp.assembly import assemble_all, segment_grids
+from hybvp.assembly import assemble_all
 from hybvp.problems import (
     HybridProblem,
     analytic_value,
@@ -158,8 +158,8 @@ def test_finalize_errors_equal_the_per_order_evaluation_bitwise():
         result = solve(problem)
         for d in (0, 1, 2):
             worst = 0.0
-            for grid in result.grids.grids:
-                xs = np.linspace(grid.interval.x0, grid.interval.xf, 1000)
+            for iv in result.system.intervals:
+                xs = np.linspace(iv.x0, iv.xf, 1000)
                 approx = result.evaluate(xs, d)
                 worst = max(worst, float(np.max(np.abs(approx - analytic_value(problem, xs, d)))))
             assert result.errors_by_order[d] == worst
@@ -184,9 +184,8 @@ def _solve_peak_mib(n):
 
 
 def test_blocks_span_only_each_segment_window():
-    grids = segment_grids([0.0, 1.0, 2.0, 3.0, 4.0], N=(9, 10, 11, 12), m=(3, 4, 5, 6))
-    layout = grids.layout
-    system = assemble_all(grids, 0.0, 1.0)
+    system = assemble_all([0.0, 1.0, 2.0, 3.0, 4.0], (9, 10, 11, 12), (3, 4, 5, 6), "chebyshev", 0.0, 1.0)
+    layout = system.layout
     widths = [layout.window(k).stop - layout.window(k).start for k in range(1, 5)]
     assert widths == [3 + 2, 4 + 4, 5 + 4, 6 + 2]
     for k, N in enumerate((9, 10, 11, 12), 1):

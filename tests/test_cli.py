@@ -10,6 +10,7 @@ from hybvp.cli import (_OPTIONS, RunConfig, _flag_value, _settings, build_parser
 from hybvp.expressions import segment_block
 from hybvp.problems import HybridProblem, builtin, nonlinear_dynamics
 from hybvp.solver import SolveOptions, solve
+from oracles import spec_of
 
 _LL_JSON = {
     "name": "discontinuous_forcing",
@@ -219,14 +220,14 @@ def test_solution_table_equals_the_per_order_evaluation(tmp_path):
     run(problem, RunConfig(output=str(tmp_path), eval_points=200))
     result = solve(problem)
     rows = [line.split(",") for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
-    layout = result.grids.layout
+    layout = result.system.layout
     for k in (1, 2):
-        iv = result.grids.grids[k - 1].interval
+        iv = result.system.intervals[k - 1]
         xs = np.linspace(iv.x0, iv.xf, 200)
         for d in (0, 1, 2):
             column = [row[2 + d] for row in rows[(k - 1) * 200:k * 200]]
             assert column == [format(v, ".17g") for v in result.segment_values(k, xs, d)]
-            coeffs, offsets = segment_block(result.grids.specs[k - 1], iv, k, layout,
+            coeffs, offsets = segment_block(spec_of(result.system, k), iv, k, layout,
                                             problem.y0, problem.yf, xs, (d,))[d]
             kernel = coeffs @ result.xi[layout.window(k)] + offsets
             table = np.array([float(v) for v in column])

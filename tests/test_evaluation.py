@@ -16,6 +16,7 @@ from hybvp import basis, cli
 from hybvp.expressions import segment_block
 from hybvp.problems import builtin, generic_linear
 from hybvp.solver import SolveOptions, solve
+from oracles import spec_of
 
 HYPOTHESIS = settings(max_examples=25, deadline=None,
                       suppress_health_check=[HealthCheck.too_slow])
@@ -38,7 +39,7 @@ def _solved(ms, family, seed):
 
 def _with_random_unknowns(result, rng):
     """result with O(1) junction pairs and coefficients that halve per degree."""
-    layout = result.grids.layout
+    layout = result.system.layout
     xi = rng.normal(size=layout.total)
     for k in range(1, layout.n_segments + 1):
         own = layout.xi_slice(k)
@@ -50,7 +51,7 @@ def _with_random_unknowns(result, rng):
 @given(GEOMETRIES)
 def test_pinned_end_values_come_back_bitwise_from_both_sides(geometry):
     result = _with_random_unknowns(*_solved(*geometry))
-    problem, layout = result.problem, result.grids.layout
+    problem, layout = result.problem, result.system.layout
     bp, n = problem.break_points, problem.n_segments
     assert result.segment_values(1, bp[0], 0)[0] == problem.y0
     assert result.segment_values(n, bp[-1], 0)[0] == problem.yf
@@ -71,11 +72,10 @@ def test_segment_values_agree_with_the_kernel_point_path(geometry):
     """
     solved, rng = _solved(*geometry)
     for result, relative_to_terms in ((solved, False), (_with_random_unknowns(solved, rng), True)):
-        problem, layout = result.problem, result.grids.layout
-        for k, (grid, spec) in enumerate(zip(result.grids.grids, result.grids.specs), 1):
-            iv = grid.interval
+        problem, layout = result.problem, result.system.layout
+        for k, iv in enumerate(result.system.intervals, 1):
             xs = np.concatenate([[iv.x0, iv.xf], rng.uniform(iv.x0, iv.xf, 40)])
-            blocks = segment_block(spec, iv, k, layout, problem.y0, problem.yf, xs)
+            blocks = segment_block(spec_of(result.system, k), iv, k, layout, problem.y0, problem.yf, xs)
             local = result.xi[layout.window(k)]
             for d, (coeffs, offsets) in blocks.items():
                 kernel = coeffs @ local + offsets
@@ -114,6 +114,20 @@ def test_range_errors_name_the_segment_and_the_first_point_outside():
             result.segment_values(2, x)
 
 
+def test_evaluate_range_errors_name_the_callers_index():
+    result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
+    with pytest.raises(ValueError, match=r"^x\[2\] = 5\.0 outside interval \[0\.0, 1\.0\]$"):
+        result.evaluate([0.1, 0.2, 5.0])
+    # the index is into x flattened in C order, whatever segment it would land in
+    xs = np.full((3, 4), 0.75)
+    xs[1, 2] = -0.5
+    xs[2, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^x\[6\] = -0\.5 outside interval \[0\.0, 1\.0\]$"):
+        result.evaluate(xs, 1)
+    with pytest.raises(ValueError, match=r"^x\[0\] = nan outside"):
+        result.evaluate(np.nan)
+
+
 def test_segment_values_rejects_an_unknown_segment():
     result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
     for k in (0, 3):
@@ -141,5 +155,5 @@ def test_evaluation_and_the_cli_table_run_no_basis_recurrence(monkeypatch):
     assert result.max_abs_err <= 1e-12
     cli._solution_table(problem, result, 200)
     assert calls == []
-    basis.eval_basis(result.grids.specs[0], 0.0)  # the counter does see a recurrence
+    basis.eval_basis(spec_of(result.system, 1), 0.0)  # the counter does see a recurrence
     assert len(calls) == 1

@@ -3,11 +3,11 @@ import pytest
 from numpy.polynomial import chebyshev as ncheb
 
 from hybvp import basis, expressions
-from hybvp.assembly import assemble_all, segment_grids
+from hybvp.assembly import assemble_all
 from hybvp.basis import FAMILIES, BasisSpec, Interval, eval_basis, map_point
 from hybvp.expressions import (UnknownLayout, reference_block, reference_bounds, segment_block,
                                segment_constraints)
-from oracles import CASCADE_SKIP, cascade_eval, cascade_junction_value, segment_row
+from oracles import CASCADE_SKIP, cascade_eval, cascade_junction_value, segment_row, spec_of
 
 
 def _spec_for(iv, m=6, family="chebyshev"):
@@ -299,12 +299,12 @@ def test_grid_path_matches_the_point_path_on_random_geometries():
         family = FAMILIES[trial % 2]
         m = [int(v) for v in rng.integers(1, 61, n)]
         N = [mk + int(rng.integers(4, 20)) for mk in m]
-        grids = segment_grids(_random_geometry(rng, n), N, m, family)
+        bp = _random_geometry(rng, n)
         y0, yf = rng.standard_normal(2)
-        system = assemble_all(grids, y0, yf)
+        system = assemble_all(bp, N, m, family, y0, yf)
         for k in range(1, n + 1):
-            spec, grid = grids.specs[k - 1], grids.grids[k - 1]
-            at_points = segment_block(spec, grid.interval, k, grids.layout, y0, yf, grid.points)
+            at_points = segment_block(spec_of(system, k), system.intervals[k - 1], k, system.layout,
+                                      y0, yf, system.points[k - 1])
             for d in (0, 1, 2):
                 (A, B), (A_x, B_x) = system.block(k, d), at_points[d]
                 scale = np.max(np.abs(A))
@@ -317,9 +317,8 @@ def test_grid_path_matches_the_point_path_on_random_geometries():
 def test_grid_path_embeds_boundary_values_and_c1_exactly():
     rng = np.random.default_rng(17)
     for family in FAMILIES:
-        grids = segment_grids(_random_geometry(rng, 5), 23, (4, 9, 12, 7, 15), family)
-        sm = assemble_all(grids, -1.25, 2.5)
-        layout = grids.layout
+        sm = assemble_all(_random_geometry(rng, 5), 23, (4, 9, 12, 7, 15), family, -1.25, 2.5)
+        layout = sm.layout
         for _ in range(5):
             xi = rng.standard_normal(layout.total)
             states = [sm.segment_states(xi, k) for k in range(1, 6)]
@@ -334,8 +333,8 @@ def test_grid_path_embeds_boundary_values_and_c1_exactly():
 
 
 def test_reassembly_runs_no_basis_recurrence(monkeypatch):
-    grids = segment_grids([0.0, 0.3, 1.0, 1.8, 2.0], 30, (8, 8, 11, 8), "legendre")
-    first = assemble_all(grids, 0.5, -0.5)
+    geometry = ([0.0, 0.3, 1.0, 1.8, 2.0], 30, (8, 8, 11, 8), "legendre", 0.5, -0.5)
+    first = assemble_all(*geometry)
     calls = []
     recurrence = basis._table
 
@@ -344,23 +343,26 @@ def test_reassembly_runs_no_basis_recurrence(monkeypatch):
         return recurrence(*args)
 
     monkeypatch.setattr(basis, "_table", counted)
-    again = assemble_all(grids, 0.5, -0.5)
+    again = assemble_all(*geometry)
     assert calls == []
     for k in range(1, 5):
         for d in (0, 1, 2):
             assert np.array_equal(first.block(k, d)[0], again.block(k, d)[0])
     # points off the collocation grid still run the recurrence
-    segment_block(grids.specs[0], grids.grids[0].interval, 1, grids.layout, 0.5, -0.5,
+    segment_block(spec_of(first, 1), first.intervals[0], 1, first.layout, 0.5, -0.5,
                   np.array([0.1, 0.2]))
     assert calls == ["legendre"]
 
 
 def test_a_uniform_chain_shares_one_reference_block_per_role():
     reference_block.cache_clear()
-    system = assemble_all(segment_grids(np.linspace(0.0, 2.0, 65), 40, 12), 1.0, -1.0)
-    # first, middle and last: 64 segments of one size make three blocks
+    system = assemble_all(np.linspace(0.0, 2.0, 65), 40, 12, "chebyshev", 1.0, -1.0)
+    # first, middle and last: 64 segments of one size make three blocks,
+    # and the middle segments share their role's bounds as well
     assert reference_block.cache_info().currsize <= 3
     assert all(system.segments[k][0] is system.segments[1][0] for k in range(1, 63))
+    assert all(system.segments[k][3] is system.segments[1][3] for k in range(1, 63))
+    assert system.segments[0][3] is reference_bounds("chebyshev", 12, 40, True, False)
 
 
 @pytest.mark.parametrize("first,last,passes", [(True, False, 1), (False, False, 1),
@@ -395,7 +397,7 @@ def test_reference_bounds_are_the_cached_magnitudes_of_the_reference_block(first
 
 
 def test_grid_of_another_segment_is_rejected():
-    grids = segment_grids([0.0, 0.5, 1.0], 12, 5)
+    system = assemble_all([0.0, 0.5, 1.0], 12, 5, "chebyshev", 0.0, 1.0)
     with pytest.raises(ValueError, match="segment 1"):
-        segment_block(grids.specs[0], grids.grids[0].interval, 1, grids.layout, 0.0, 1.0,
-                      grids.grids[1].points)
+        segment_block(spec_of(system, 1), system.intervals[0], 1, system.layout, 0.0, 1.0,
+                      system.points[1])

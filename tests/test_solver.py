@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hybvp import solver
-from hybvp.assembly import assemble_all
 from hybvp.expressions import UnknownLayout
 from hybvp.problems import (
     HybridProblem,
@@ -20,7 +19,6 @@ from hybvp.solver import (
     SolveOptions,
     _jacobian,
     _linearize,
-    _resolve_grids,
     _scaled_qr_lstsq,
     _stacked_residual,
     initial_guess,
@@ -29,6 +27,7 @@ from hybvp.solver import (
 from oracles import (
     dense_from_blocks,
     dense_scaled_qr_lstsq,
+    discretize,
     evaluate,
     linear_system,
     residual_partial_check,
@@ -148,9 +147,8 @@ def test_adding_basis_functions_leaves_solution_unchanged():
 def test_initial_guess_line_policy_linear_linear():
     p = builtin("linear_linear")
     opts = SolveOptions(N=20, m=5)
-    grids = _resolve_grids(p, opts)
-    xi = initial_guess(p, opts, grids)
-    layout = grids.layout
+    layout = discretize(p, opts).layout
+    xi = initial_guess(p, opts, layout)
     assert xi[layout.junction_value_index(1)] == 0.5
     assert xi[layout.junction_slope_index(1)] == 1.0
     assert np.all(xi[layout.xi_slice(1)] == 0.0)
@@ -160,9 +158,8 @@ def test_initial_guess_line_policy_linear_linear():
 def test_initial_guess_explicit_policy_matches_reference_vectors():
     p = builtin("linear_nonlinear")
     opts = SolveOptions(N=20, m=5, init_values=(1.0, -1.0))
-    grids = _resolve_grids(p, opts)
-    xi = initial_guess(p, opts, grids)
-    layout = grids.layout
+    layout = discretize(p, opts).layout
+    xi = initial_guess(p, opts, layout)
     expect = np.zeros(layout.total)
     expect[layout.junction_value_index(1)] = 1.0
     expect[layout.junction_slope_index(1)] = -1.0
@@ -170,9 +167,8 @@ def test_initial_guess_explicit_policy_matches_reference_vectors():
 
     p = builtin("nonlinear_nonlinear")
     opts = SolveOptions(N=20, m=5, init_values=(1.30685, -0.5))
-    grids = _resolve_grids(p, opts)
-    xi = initial_guess(p, opts, grids)
-    layout = grids.layout
+    layout = discretize(p, opts).layout
+    xi = initial_guess(p, opts, layout)
     assert xi[layout.junction_value_index(1)] == 1.30685
     assert xi[layout.junction_slope_index(1)] == -0.5
 
@@ -180,9 +176,9 @@ def test_initial_guess_explicit_policy_matches_reference_vectors():
 def test_initial_guess_explicit_arity_checked():
     p = builtin("linear_nonlinear")
     opts = SolveOptions(N=20, m=5, init_values=(1.0,))
-    grids = _resolve_grids(p, opts)
+    layout = discretize(p, opts).layout
     with pytest.raises(ValueError):
-        initial_guess(p, opts, grids)
+        initial_guess(p, opts, layout)
 
 
 def test_solve_nonlinear_linear_nonlinear_from_reference_start():
@@ -220,25 +216,24 @@ LINEAR_PROBLEMS = [
 @pytest.mark.parametrize("p,bitwise", LINEAR_PROBLEMS)
 def test_linear_solve_is_one_gauss_newton_step_on_the_direct_system(p, bitwise):
     opts = SolveOptions(N=40, m=20)
-    grids = _resolve_grids(p, opts)
-    system = assemble_all(grids, p.y0, p.yf)
-    blocks, rhs = linear_system(p, grids, system)
+    system = discretize(p, opts)
+    blocks, rhs = linear_system(p, system)
     # the Jacobian is the direct matrix at any Xi, bitwise or up to
     # rounding: it scales the summed reference rows by powers of the
     # width, the oracle scales each block before summing
-    xi = np.random.default_rng(7).standard_normal(grids.layout.total)
-    for J, M in zip(_jacobian(system, _linearize(p, grids, system, xi)[1]), blocks):
+    xi = np.random.default_rng(7).standard_normal(system.layout.total)
+    for J, M in zip(_jacobian(system, _linearize(p, system, xi)[1]), blocks):
         if bitwise:
             assert np.array_equal(J, M)
         else:
             assert np.max(np.abs(J - M)) <= 1e-15 * np.max(np.abs(M))
-    assert np.array_equal(-_stacked_residual(p, grids, system, np.zeros(grids.layout.total)), rhs)
+    assert np.array_equal(-_stacked_residual(p, system, np.zeros(system.layout.total)), rhs)
 
     with mock.patch.object(solver, "_scaled_qr_lstsq", wraps=_scaled_qr_lstsq) as lstsq:
         res = solve(p, opts)
     assert lstsq.call_count == 1
     assert res.converged and res.iterations == 1
-    direct = _scaled_qr_lstsq(blocks, rhs, grids.layout)[0]
+    direct = _scaled_qr_lstsq(blocks, rhs, system.layout)[0]
     if bitwise:
         assert np.array_equal(res.xi, direct)
     else:
@@ -257,14 +252,14 @@ def test_non_finite_linear_solve_raises():
     assert excinfo.value.trace == []
 
 
-def _fd_jacobian(problem, grids, system, xi, h=1e-6):
-    n = grids.layout.total
-    out = np.zeros((grids.total_points, n))
+def _fd_jacobian(problem, system, xi, h=1e-6):
+    n = system.layout.total
+    out = np.zeros((system.total_points, n))
     for i in range(n):
         e = np.zeros(n)
         e[i] = h * max(1.0, abs(xi[i]))
-        rp = _stacked_residual(problem, grids, system, xi + e)
-        rm = _stacked_residual(problem, grids, system, xi - e)
+        rp = _stacked_residual(problem, system, xi + e)
+        rm = _stacked_residual(problem, system, xi - e)
         out[:, i] = (rp - rm) / (2 * e[i])
     return out
 
@@ -273,12 +268,11 @@ def _fd_jacobian(problem, grids, system, xi, h=1e-6):
 def test_jacobian_matches_finite_differences_at_start_and_solution(name):
     p = builtin(name)
     opts = SolveOptions(N=24, m=8)
-    grids = _resolve_grids(p, opts)
-    system = assemble_all(grids, p.y0, p.yf)
-    states = [initial_guess(p, opts, grids), solve(p, opts).xi]
+    system = discretize(p, opts)
+    states = [initial_guess(p, opts, system.layout), solve(p, opts).xi]
     for xi in states:
-        J = dense_from_blocks(_jacobian(system, _linearize(p, grids, system, xi)[1]), grids.layout)
-        fd = _fd_jacobian(p, grids, system, xi)
+        J = dense_from_blocks(_jacobian(system, _linearize(p, system, xi)[1]), system.layout)
+        fd = _fd_jacobian(p, system, xi)
         for col in range(J.shape[1]):
             scale = 1.0 + np.max(np.abs(J[:, col]))
             assert np.max(np.abs(fd[:, col] - J[:, col])) <= 1e-6 * scale
@@ -287,13 +281,12 @@ def test_jacobian_matches_finite_differences_at_start_and_solution(name):
 def test_jacobian_zero_blocks_bit_exact():
     p = builtin("nonlinear_nonlinear")
     opts = SolveOptions(N=15, m=6)
-    grids = _resolve_grids(p, opts)
-    system = assemble_all(grids, p.y0, p.yf)
-    xi = initial_guess(p, opts, grids)
-    layout = grids.layout
-    J = dense_from_blocks(_jacobian(system, _linearize(p, grids, system, xi)[1]), layout)
-    assert np.all(J[grids.row_slice(1), layout.xi_slice(2)] == 0.0)
-    assert np.all(J[grids.row_slice(2), layout.xi_slice(1)] == 0.0)
+    system = discretize(p, opts)
+    layout = system.layout
+    xi = initial_guess(p, opts, layout)
+    J = dense_from_blocks(_jacobian(system, _linearize(p, system, xi)[1]), layout)
+    assert np.all(J[system.row_slice(1), layout.xi_slice(2)] == 0.0)
+    assert np.all(J[system.row_slice(2), layout.xi_slice(1)] == 0.0)
 
 
 def test_converged_solutions_are_c1_at_junctions():
@@ -317,13 +310,12 @@ def test_converged_solutions_are_c1_at_junctions():
 def test_boundary_values_embedded_at_every_iterate():
     p = builtin("nonlinear_nonlinear")
     opts = SolveOptions(N=40, m=20)
-    grids = _resolve_grids(p, opts)
-    system = assemble_all(grids, p.y0, p.yf)
-    xi = initial_guess(p, opts, grids)
+    system = discretize(p, opts)
+    xi = initial_guess(p, opts, system.layout)
     for _ in range(4):
-        r, partials, _ = _linearize(p, grids, system, xi)
+        r, partials, _ = _linearize(p, system, xi)
         J = _jacobian(system, partials)
-        xi = xi - _scaled_qr_lstsq(J, r, grids.layout)[0]
+        xi = xi - _scaled_qr_lstsq(J, r, system.layout)[0]
         y = evaluate(system, xi, 0)
         assert abs(y[0] - p.y0) <= 1e-14 * max(1.0, abs(p.y0))
         assert abs(y[-1] - p.yf) <= 1e-14 * max(1.0, abs(p.yf))
@@ -378,6 +370,23 @@ def test_options_validation():
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
         solve(builtin("linear_linear"), SolveOptions(N=10, m=8))
+    # N and m are never truncated: a bool or a fraction fails, before any assembly
+    with mock.patch.object(solver, "assemble_all") as assemble:
+        for opts, message in ((SolveOptions(m=7.9, N=20.6), r"^N: expected an integer, got 20\.6$"),
+                              (SolveOptions(m=7.9, N=20), r"^m: expected an integer, got 7\.9$"),
+                              (SolveOptions(m=True, N=10), r"^m: expected an integer, got True$"),
+                              (SolveOptions(m=4, N=(12, np.float64(12.5))),
+                               r"^N: expected an integer, got .*12\.5"),
+                              (SolveOptions(m=(4, np.bool_(True)), N=12), r"^m: expected an integer"),
+                              (SolveOptions(m=4, N="12"), r"^N: expected an integer, got '12'$"),
+                              (SolveOptions(m=4, N=math.nan), r"^N: expected an integer, got nan$")):
+            with pytest.raises(ValueError, match=message):
+                solve(builtin("linear_linear"), opts)
+        assert assemble.call_count == 0
+    # an integral float is the integer it holds
+    res = solve(builtin("linear_linear"), SolveOptions(m=8.0, N=np.float64(20.0)))
+    assert res.system.layout.ms == (8, 8) and res.system.total_points == 40
+    assert np.array_equal(res.xi, solve(builtin("linear_linear"), SolveOptions(m=8, N=20)).xi)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, True, "1e-13", None])

@@ -3,19 +3,18 @@
 import numpy as np
 import pytest
 
-from hybvp.assembly import assemble_all
+from hybvp import assembly
 from hybvp.problems import HybridProblem, builtin, nonlinear_dynamics
 from hybvp.solver import (
     DivergenceError,
     SolveOptions,
     _jacobian,
     _linearize,
-    _resolve_grids,
     _scaled_qr_lstsq,
     initial_guess,
     solve,
 )
-from oracles import rounding_floor
+from oracles import discretize, rounding_floor
 
 
 def _scaled(problem: HybridProblem, s: float) -> HybridProblem:
@@ -68,16 +67,15 @@ def _manufactured_chain(n: int, seed: int):
 
 
 def _iterates(problem, opts, steps):
-    """grids, system and the Gauss-Newton iterates from the start, taken by hand."""
-    grids = _resolve_grids(problem, opts)
-    system = assemble_all(grids, problem.y0, problem.yf)
-    xi = initial_guess(problem, opts, grids)
+    """The system and the Gauss-Newton iterates from the start, taken by hand."""
+    system = discretize(problem, opts)
+    xi = initial_guess(problem, opts, system.layout)
     out = [xi]
     for _ in range(steps):
-        residual, partials, _ = _linearize(problem, grids, system, xi)
-        xi = xi - _scaled_qr_lstsq(_jacobian(system, partials), residual, grids.layout)[0]
+        residual, partials, _ = _linearize(problem, system, xi)
+        xi = xi - _scaled_qr_lstsq(_jacobian(system, partials), residual, system.layout)[0]
         out.append(xi)
-    return grids, system, out
+    return system, out
 
 
 @pytest.mark.parametrize("problem,opts", [
@@ -87,10 +85,10 @@ def _iterates(problem, opts, steps):
     (_manufactured_chain(6, 3)[0], SolveOptions(N=20, m=8)),
 ], ids=["linear_linear", "linear_nonlinear", "nonlinear_nonlinear", "chain_6"])
 def test_floor_matches_the_dense_formula(problem, opts):
-    grids, system, iterates = _iterates(problem, opts, 4)
+    system, iterates = _iterates(problem, opts, 4)
     for xi in iterates:
-        floor = _linearize(problem, grids, system, xi)[2]
-        dense = rounding_floor(problem, grids, system, xi)
+        floor = _linearize(problem, system, xi)[2]
+        dense = rounding_floor(problem, system, xi)
         assert floor > 0.0
         assert abs(floor - dense) <= 1e-12 * dense
 
@@ -100,10 +98,10 @@ def test_single_segment_floor_bounds_the_dense_formula():
     # |E_d| |(y0, yf)|, which is at least |B^(d)| = |E_d (y0, yf)|
     problem = HybridProblem((0.0, 2.0), builtin("nonlinear_nonlinear").segments[:1],
                             y0=1.5, yf=-0.5)
-    grids, system, iterates = _iterates(problem, SolveOptions(N=30, m=12), 3)
+    system, iterates = _iterates(problem, SolveOptions(N=30, m=12), 3)
     for xi in iterates:
-        floor = _linearize(problem, grids, system, xi)[2]
-        dense = rounding_floor(problem, grids, system, xi)
+        floor = _linearize(problem, system, xi)[2]
+        dense = rounding_floor(problem, system, xi)
         assert dense * (1.0 - 1e-12) <= floor <= 2.0 * dense
 
 
@@ -115,12 +113,11 @@ def test_built_ins_keep_their_step_counts_and_record_the_threshold(family):
         assert res.converged and res.iterations == steps, name
         assert res.residual_norm <= res.tolerance
         if problem.is_linear:
-            grids = res.grids
-            start = np.linalg.norm(_linearize(problem, grids, res.system,
-                                              np.zeros(grids.layout.total), floor=False)[0])
+            start = np.linalg.norm(_linearize(problem, res.system,
+                                              np.zeros(res.system.layout.total), floor=False)[0])
             assert res.tolerance == max(1e-13, 1e-12 * (1.0 + start))
         else:
-            floor = _linearize(problem, res.grids, res.system, res.xi)[2]
+            floor = _linearize(problem, res.system, res.xi)[2]
             assert res.tolerance == max(1e-13, floor)
 
 
@@ -156,3 +153,16 @@ def test_manufactured_nonlinear_chains_stop_at_their_floor(n, seed):
         for d in (0, 1, 2):
             err = np.max(np.abs(res.segment_values(k + 1, xs, d) - exact(k, xs, d)))
             assert err <= 1e-10, (k, d, err)
+
+
+def test_each_segment_role_is_looked_up_once_per_solve(monkeypatch):
+    # the floor's magnitudes come from the role's cached bounds, resolved at
+    # assembly: not once per segment per iterate
+    calls = []
+    bounds = assembly.reference_bounds
+    monkeypatch.setattr(assembly, "reference_bounds", lambda *role: calls.append(role) or bounds(*role))
+    problem = _manufactured_chain(16, 0)[0]
+    res = solve(problem, SolveOptions(N=30, m=12))
+    assert res.converged and res.iterations > 1
+    assert len(calls) == problem.n_segments
+    assert [role[3:] for role in calls] == [(k == 1, k == 16) for k in range(1, 17)]
