@@ -8,8 +8,9 @@
 
 import numpy as np
 
-from hybvp.basis import BasisSpec, Interval
-from hybvp.expressions import UnknownLayout, segment_block, segment_constraints
+from hybvp.assembly import assemble_all
+from hybvp.basis import Interval
+from hybvp.expressions import segment_constraints
 from hybvp.switching import switching_functions
 
 # 1 -- delta property of the cubic (interior segment) switching set, the
@@ -23,14 +24,13 @@ rows = [S[order][end] for order, end in gamma]
 for row in rows:
     print("  " + "  ".join(f"{v:+.3f}" for v in row))
 
-# 2 -- constraint embedding holds for arbitrary unknowns
+# 2 -- constraint embedding holds for arbitrary unknowns: the library's own
+# discretization of [0, 0.6] and [0.6, 1], whose Gauss-Lobatto points
+# include both ends of each segment
 rng = np.random.default_rng(0)
-x0, x1, xf = 0.0, 0.6, 1.0
-layout = UnknownLayout(ms=(6, 6))
-iv1, iv2 = Interval(x0, x1), Interval(x1, xf)
-s1 = BasisSpec.for_interval("chebyshev", 6, iv1)
-s2 = BasisSpec.for_interval("chebyshev", 6, iv2)
 y0, yf = -2.0, 3.0
+system = assemble_all([0.0, 0.6, 1.0], 10, 6, "chebyshev", y0, yf)
+layout = system.layout
 
 print("\nwhat each segment pins (order 0 = value, 1 = slope; column None = boundary value):")
 for k in (1, 2):
@@ -39,17 +39,10 @@ for k in (1, 2):
         print(f"    order {c.order} at {'x0' if c.end == 0 else 'xf'}: "
               + (f"boundary value {c.value:+.1f}" if c.column is None else f"unknown column {c.column}"))
 
-
-def at(spec, iv, k, x, d, xi):
-    coeffs, offsets = segment_block(spec, iv, k, layout, y0, yf, x, (d,))[d]
-    return float(coeffs[0] @ xi[layout.window(k)] + offsets[0])
-
-
 print("\nrandom coefficient vectors still satisfy every constraint:")
 for trial in range(3):
     xi = rng.standard_normal(layout.total)
-    left_val, right_val = at(s1, iv1, 1, x1, 0, xi), at(s2, iv2, 2, x1, 0, xi)
-    left_slope, right_slope = at(s1, iv1, 1, x1, 1, xi), at(s2, iv2, 2, x1, 1, xi)
-    b0, bf = at(s1, iv1, 1, x0, 0, xi), at(s2, iv2, 2, xf, 0, xi)
-    print(f"  trial {trial}: y(x0)-y0 = {b0 - y0:+.1e}, y(xf)-yf = {bf - yf:+.1e}, "
-          f"junction gaps = {left_val - right_val:+.1e}, {left_slope - right_slope:+.1e}")
+    # y, y' and y'' at each segment's points; rows 0 and -1 are its ends
+    (y1, dy1, _), (y2, dy2, _) = (system.segment_states(xi, k) for k in (1, 2))
+    print(f"  trial {trial}: y(x0)-y0 = {y1[0] - y0:+.1e}, y(xf)-yf = {y2[-1] - yf:+.1e}, "
+          f"junction gaps = {y1[-1] - y2[0]:+.1e}, {dy1[-1] - dy2[0]:+.1e}")

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import Interval, collocation_grid
+from .basis import FAMILIES, Interval, collocation_grid
 from .expressions import UnknownLayout, reference_block, reference_bounds
 
 
@@ -114,6 +114,8 @@ def assemble_all(break_points: Sequence[float], N, m, family: str, y0: float,
 
     N and m may be scalars (uniform) or one value per segment.
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown basis family {family!r}; choose from {FAMILIES}")
     bp = [float(b) for b in break_points]
     n = len(bp) - 1
     Ns, ms = per_segment(N, n, "N"), per_segment(m, n, "m")

@@ -18,18 +18,19 @@ that is a junction.  Each pinned functional takes its value either from
 a boundary condition (y0, yf), which lands in the offset, or from a
 junction unknown, which lands in that unknown's coefficient column.
 segment_constraints derives this list from k and n; it is the only
-place that knows a segment's role.  segment_block hands the list to
+place that knows a segment's role.  reference_block hands the list to
 switching.switching_functions, which derives the matching switching
-functions, and builds the rows of every segment the same way: it never
+functions, and builds the rows of every role the same way: it never
 names a switching family.
 
 Every term of a segment's expression is a polynomial in
 t = (x - x0)/dx times a power of dx, and a Gauss-Lobatto grid of N
 points has the same t-nodes on every segment.  So the collocation rows
 of all segments with the same role (first, last, both or neither), basis
-family, m and N are one reference block, built once on [0, 1] by
-segment_block and cached by reference_block: segment k's rows are its
-columns scaled by powers of its width.
+family, m and N are one reference block, built once on [0, 1] from the
+family's numpy.polynomial Vandermonde and derivative series and cached
+by reference_block: segment k's rows are its columns scaled by powers
+of its width.
 
 The free function of a segment with k embedded constraints skips the
 first k basis polynomials: the constraint support reproduces every
@@ -48,8 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import (TABLE_CACHE_SIZE, BasisSpec, Interval, _read_only, collocation_grid,
-                    end_tables, eval_basis, map_point)
+from .basis import SERIES, TABLE_CACHE_SIZE, Interval, _read_only, collocation_grid, map_point
 from .switching import switching_functions
 
 
@@ -151,41 +151,6 @@ def segment_constraints(k: int, layout: UnknownLayout, y0: float, yf: float):
     return tuple(out)
 
 
-def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
-                  y0: float, yf: float, x, orders=(0, 1, 2)) -> dict:
-    """Rows of segment k's constrained expression at points x in iv.
-
-    Returns {d: (coeffs, offsets)} for every d in orders, with coeffs of
-    shape (len(x), width of layout.window(k)) so that
-    y^(d)(x) = coeffs @ Xi[layout.window(k)] + offsets.  Segment k's
-    rows touch no unknown outside its window.
-    """
-    constraints = segment_constraints(k, layout, y0, yf)
-    skip = len(constraints)
-    wide = BasisSpec(spec.family, spec.m + skip, spec.c)
-    window = layout.window(k)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    tables = list(eval_basis(wide, map_point(iv, x, f"segment {k} x"), tuple(orders)))
-    # h and c*h' of the free expansion at z = -1, +1: each row is one
-    # pinned functional applied to the free basis
-    h, dh = end_tables(wide.family, wide.m)
-    support = np.array([(spec.c * dh if con.order else h)[con.end, skip:] for con in constraints])
-    S = switching_functions([(con.order, con.end) for con in constraints], iv, x, orders)
-    values = np.array([con.value for con in constraints])  # 0 for junction columns
-    out = {}
-    for d in orders:
-        coeffs = np.zeros((x.size, window.stop - window.start))
-        local = coeffs[:, layout.own_in_window(k)]
-        # a table from the recurrence is released once its order is built
-        np.multiply(spec.c ** d, tables.pop(0)[:, skip:], out=local)
-        local -= S[d] @ support
-        for i, con in enumerate(constraints):
-            if con.column is not None:
-                coeffs[:, con.column - window.start] = S[d][:, i]
-        out[d] = (coeffs, S[d] @ values)
-    return out
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def reference_block(family: str, m: int, N: int, first: bool, last: bool) -> tuple:
     """(R, E, p): a segment's rows on the N Gauss-Lobatto points of [0, 1].
@@ -201,20 +166,30 @@ def reference_block(family: str, m: int, N: int, first: bool, last: bool) -> tup
     k = 1 if first else 2
     layout = UnknownLayout((m,) * (k if last else k + 1))
     window, unit = layout.window(k), Interval(0.0, 1.0)
+    constraints = segment_constraints(k, layout, 0.0, 0.0)
+    skip, M = len(constraints), m + len(constraints)
+    _, der, vander = SERIES[family]
     x = collocation_grid(unit, N)
-    # one pass per boundary value the role pins (one with none pinned for a
-    # middle segment); the offset column of a value it does not pin stays 0
-    pinned = [col for col, pins in enumerate((first, last)) if pins]
-    blocks = [segment_block(BasisSpec(family, m, 2.0), unit, k, layout,
-                            float(col == 0), float(col == 1), x) for col in pinned or [None]]
-    E = [np.zeros((N, 2)) for _ in range(3)]
-    for col, block in zip(pinned, blocks):
-        for d in (0, 1, 2):
-            E[d][:, col] = block[d][1]
+    # x-derivatives of the M polynomials, dz/dx = 2 on [0, 1], at the z of
+    # the points the switching rows take; rows 0 and -1 are z = -1 and +1 exactly
+    tables = [2.0 ** d * (vander(map_point(unit, x), M - 1 - d) @ der(np.eye(M), d, axis=0))
+              for d in (0, 1, 2)]
+    # each row is one pinned functional applied to the free basis
+    support = np.array([tables[con.order][(0, -1)[con.end], skip:] for con in constraints])
+    S = switching_functions([(con.order, con.end) for con in constraints], unit, x)
+    R = [np.zeros((N, window.stop - window.start)) for _ in (0, 1, 2)]
+    E = [np.zeros((N, 2)) for _ in (0, 1, 2)]
+    for d in (0, 1, 2):
+        R[d][:, layout.own_in_window(k)] = tables[d][:, skip:] - S[d] @ support
+        # a boundary value's switching column is its offset, a junction's its coefficient
+        for i, con in enumerate(constraints):
+            if con.column is None:
+                E[d][:, con.end] = S[d][:, i]
+            else:
+                R[d][:, con.column - window.start] = S[d][:, i]
     powers = np.zeros(window.stop - window.start, dtype=int)
-    powers[[c.column - window.start for c in segment_constraints(k, layout, 0.0, 0.0) if c.order]] = 1
-    return (_read_only(*(blocks[0][d][0] for d in (0, 1, 2))), _read_only(*E),
-            _read_only(powers)[0])
+    powers[[con.column - window.start for con in constraints if con.order]] = 1
+    return _read_only(*R), _read_only(*E), _read_only(powers)[0]
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)

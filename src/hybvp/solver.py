@@ -63,7 +63,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import SystemMatrices, assemble_all, per_segment
-from .basis import MAX_DERIVATIVE, SERIES, Interval, map_point
+from .basis import FAMILIES, MAX_DERIVATIVE, SERIES, Interval, map_point
 from .expressions import UnknownLayout, segment_constraints
 from .problems import HybridProblem, analytic_value
 from .switching import switching_functions
@@ -83,7 +83,8 @@ class SolveOptions:
 
     N and m (an integer or one per segment, where 8.0 counts as 8 and a
     bool or a fraction is rejected; m defaults to the problem's
-    default_m, else 16) size each segment's grid and basis.
+    default_m, else 16) size each segment's grid and basis, and family,
+    one of basis.FAMILIES, names the basis.
     tol, a positive finite number, is the residual 2-norm at which the
     solve converges.  It is raised to 1e-12 (1 + ||L(0)||) on an
     all-linear problem, which takes one step from Xi = 0, and to the
@@ -102,6 +103,8 @@ class SolveOptions:
     init_values: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"SolveOptions.family: expected one of {FAMILIES}, got {self.family!r}")
         # the comparison also rejects nan
         if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) \
                 or not 0 < self.tol < math.inf:
@@ -178,7 +181,7 @@ class SolveResult:
         g is [0] * skip + xi_k; phi is g on each pinned functional, at z = +-1.
         """
         out = []
-        val, der = SERIES[self.system.family]
+        val, der, _ = SERIES[self.system.family]
         for k, iv in enumerate(self.system.intervals, 1):
             constraints = segment_constraints(k, self.system.layout, self.problem.y0, self.problem.yf)
             series = [np.concatenate([np.zeros(len(constraints)), self.segment_coefficients(k)])]

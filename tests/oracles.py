@@ -1,5 +1,10 @@
 """Independent constructions the tests check the library against.
 
+* BasisSpec, eval_basis and end_tables: both families by their
+  three-term recurrences with differentiated derivative rows, and
+  segment_block, the constrained-expression kernel at any points of a
+  segment, built from them.  The library builds its reference blocks
+  from numpy.polynomial instead; these are the check on them.
 * dense_matrix / dense_from_blocks scatter per-segment window blocks to
   full width, and dense_scaled_qr_lstsq solves the full-width system by
   one column-equilibrated, column-pivoted QR: the dense path the block
@@ -30,19 +35,135 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from hybvp.assembly import assemble_all
-from hybvp.basis import BasisSpec, Interval, eval_basis, map_point
-from hybvp.expressions import segment_block
+from hybvp.basis import FAMILIES, MAX_DERIVATIVE, TABLE_CACHE_SIZE, Interval, _read_only, map_point
+from hybvp.expressions import UnknownLayout, segment_constraints
 from hybvp.solver import QrDiagnostic, resolve_sizes
 from hybvp.switching import switching_functions
 
 CASCADE_SKIP = 2   # the alpha support pins the value at both ends
 BOUNDARY_SKIP = 3  # value at both ends + slope at the junction end
+
+
+# --- the three-term recurrence and the point kernel ---------------------
+
+@dataclass(frozen=True)
+class BasisSpec:
+    """A polynomial basis of m functions bound to one segment.
+
+    ``c`` is the slope dz/dx of the affine map from the segment onto
+    [-1, 1]; derivatives in x of a basis expansion pick up a factor c per
+    order.
+    """
+
+    family: str
+    m: int
+    c: float
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown basis family {self.family!r}; choose from {FAMILIES}")
+        if self.m < 1:
+            raise ValueError("basis count m must be >= 1")
+        if not self.c > 0:
+            raise ValueError("map slope c must be positive")
+
+    @classmethod
+    def for_interval(cls, family: str, m: int, iv: Interval) -> "BasisSpec":
+        return cls(family=family, m=m, c=2.0 / iv.width)
+
+
+
+def _table(family: str, z: np.ndarray, m: int, d: int) -> list:
+    """p_k and derivatives of orders 0..d at points z, one (len(z), m) array per order.
+
+    Both families follow p_k = a_k z p_{k-1} - b_k p_{k-2}; the
+    derivative rows differentiate that recurrence.
+    """
+    # one array per order, so a caller can release each table on its own
+    out = [np.zeros((z.size, m)) for _ in range(d + 1)]
+    out[0][:, 0] = 1.0
+    if m > 1:
+        out[0][:, 1] = z
+        if d >= 1:
+            out[1][:, 1] = 1.0
+    for k in range(2, m):
+        a, b = (2.0, 1.0) if family == "chebyshev" else ((2.0 * k - 1.0) / k, (k - 1.0) / k)
+        out[0][:, k] = a * z * out[0][:, k - 1] - b * out[0][:, k - 2]
+        if d >= 1:
+            out[1][:, k] = a * (out[0][:, k - 1] + z * out[1][:, k - 1]) - b * out[1][:, k - 2]
+        if d >= 2:
+            out[2][:, k] = a * (2.0 * out[1][:, k - 1] + z * out[2][:, k - 1]) - b * out[2][:, k - 2]
+    return out
+
+
+def eval_basis(spec: BasisSpec, z, d=0):
+    """d-th z-derivative of the m basis polynomials at z in [-1, 1].
+
+    Returns shape (m,) for scalar z, (len(z), m) for array z.  d may also
+    be a tuple of orders, which returns one such table per order, all
+    from a single recurrence pass.  The c**d chain-rule factor is NOT
+    applied here; callers that work in x apply it.
+    """
+    orders = (d,) if np.isscalar(d) else tuple(d)
+    if min(orders) < 0 or max(orders) > MAX_DERIVATIVE:
+        raise ValueError(f"derivative order {d} unsupported (second-order ODE scope, 0..2)")
+    zz = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.any(np.abs(zz) > 1.0 + 1e-12):
+        raise ValueError("basis evaluation point outside [-1, 1]")
+    tables = _table(spec.family, zz, spec.m, max(orders))
+    picked = tuple(tables[o][0] if np.ndim(z) == 0 else tables[o] for o in orders)
+    return picked[0] if np.isscalar(d) else picked
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def end_tables(family: str, m: int) -> tuple:
+    """(h, h'): m basis polynomials and their z-slopes at z = -1 (row 0) and +1 (row 1).
+
+    Read-only (2, m) arrays, computed once per (family, m).
+    """
+    return _read_only(*eval_basis(BasisSpec(family, m, 1.0), np.array([-1.0, 1.0]), (0, 1)))
+
+
+def segment_block(spec: BasisSpec, iv: Interval, k: int, layout: UnknownLayout,
+                  y0: float, yf: float, x, orders=(0, 1, 2)) -> dict:
+    """Rows of segment k's constrained expression at points x in iv.
+
+    Returns {d: (coeffs, offsets)} for every d in orders, with coeffs of
+    shape (len(x), width of layout.window(k)) so that
+    y^(d)(x) = coeffs @ Xi[layout.window(k)] + offsets.  Segment k's
+    rows touch no unknown outside its window.
+    """
+    constraints = segment_constraints(k, layout, y0, yf)
+    skip = len(constraints)
+    wide = BasisSpec(spec.family, spec.m + skip, spec.c)
+    window = layout.window(k)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    tables = list(eval_basis(wide, map_point(iv, x, f"segment {k} x"), tuple(orders)))
+    # h and c*h' of the free expansion at z = -1, +1: each row is one
+    # pinned functional applied to the free basis
+    h, dh = end_tables(wide.family, wide.m)
+    support = np.array([(spec.c * dh if con.order else h)[con.end, skip:] for con in constraints])
+    S = switching_functions([(con.order, con.end) for con in constraints], iv, x, orders)
+    values = np.array([con.value for con in constraints])  # 0 for junction columns
+    out = {}
+    for d in orders:
+        coeffs = np.zeros((x.size, window.stop - window.start))
+        local = coeffs[:, layout.own_in_window(k)]
+        # a table from the recurrence is released once its order is built
+        np.multiply(spec.c ** d, tables.pop(0)[:, skip:], out=local)
+        local -= S[d] @ support
+        for i, con in enumerate(constraints):
+            if con.column is not None:
+                coeffs[:, con.column - window.start] = S[d][:, i]
+        out[d] = (coeffs, S[d] @ values)
+    return out
 
 
 # --- the paper's switching families ----------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hybvp.assembly import assemble_all
-from hybvp.basis import BasisSpec, Interval
+from hybvp.basis import Interval
 from hybvp.expressions import UnknownLayout
 from hybvp.problems import HybridProblem, builtin, generic_linear, nonlinear_dynamics
 from hybvp.solver import (
@@ -22,6 +22,7 @@ from hybvp.solver import (
 )
 from oracles import (
     FAMILY_CONSTRAINTS,
+    BasisSpec,
     all_points,
     alpha,
     beta,

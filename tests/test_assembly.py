@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hybvp.assembly import assemble_all, per_segment
-from hybvp.expressions import UnknownLayout, segment_block
-from oracles import beta, dense_matrix, dense_offsets, evaluate, full_width, spec_of
+from hybvp.expressions import UnknownLayout
+from oracles import beta, dense_matrix, dense_offsets, evaluate, full_width, segment_block, spec_of
 
 
 def _layout(n, m):
@@ -40,6 +40,8 @@ def test_segment_points_share_junction_abscissae():
         assemble_all([0.0, 1.0, 0.5], 9, 4, "chebyshev", 0.0, 1.0)
     with pytest.raises(ValueError):
         assemble_all([0.0, 1.0], (9, 9), 4, "chebyshev", 0.0, 1.0)
+    with pytest.raises(ValueError, match="unknown basis family 'fourier'"):
+        assemble_all([0.0, 1.0], 9, 4, "fourier", 0.0, 1.0)
 
 
 def test_boundary_row_embeds_y0_for_any_xi():

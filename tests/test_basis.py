@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from hybvp.basis import (
-    BasisSpec,
-    Interval,
-    collocation_grid,
-    end_tables,
-    eval_basis,
-    lobatto_nodes,
-    map_point,
-)
-from hybvp.expressions import reference_block
+from hybvp.basis import Interval, collocation_grid, lobatto_nodes, map_point
+from hybvp.expressions import reference_block, reference_bounds
+from oracles import BasisSpec, end_tables, eval_basis
 
 
 def test_interval_requires_increasing_endpoints():
@@ -89,7 +82,8 @@ def test_cached_tables_are_the_recurrence_at_the_reference_points():
 
 def test_cached_tables_are_read_only():
     rows, ends, powers = reference_block("chebyshev", 5, 9, False, True)
-    for table in (lobatto_nodes(9), *end_tables("legendre", 5), *rows, *ends, powers):
+    bounds = reference_bounds("legendre", 5, 9, True, True)
+    for table in (lobatto_nodes(9), bounds, *rows, *ends, powers):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 7.0
         with pytest.raises(ValueError, match="WRITEABLE"):

@@ -7,10 +7,9 @@ import pytest
 
 from hybvp.cli import (_OPTIONS, RunConfig, _flag_value, _settings, build_parser, main,
                        parse_config, run)
-from hybvp.expressions import segment_block
 from hybvp.problems import HybridProblem, builtin, nonlinear_dynamics
 from hybvp.solver import SolveOptions, solve
-from oracles import spec_of
+from oracles import segment_block, spec_of
 
 _LL_JSON = {
     "name": "discontinuous_forcing",

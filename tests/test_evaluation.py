@@ -1,8 +1,8 @@
 """SolveResult's one evaluation path: each segment's constrained expression
 with the solved unknowns folded in, y^(d) = (g^(d) - S_d phi) + S_d kappa.
 
-The kernel's point path (segment_block at arbitrary x) stays the
-reference it is compared with.
+The recurrence kernel's point path (oracles.segment_block at arbitrary
+x) stays the reference it is compared with.
 """
 
 from dataclasses import replace
@@ -13,10 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hybvp import basis, cli
-from hybvp.expressions import segment_block
+from hybvp.expressions import reference_block
 from hybvp.problems import builtin, generic_linear
 from hybvp.solver import SolveOptions, solve
-from oracles import spec_of
+from oracles import segment_block, spec_of
 
 HYPOTHESIS = settings(max_examples=25, deadline=None,
                       suppress_health_check=[HealthCheck.too_slow])
@@ -148,12 +148,14 @@ def test_solve_leaves_evaluation_and_errors_to_first_use():
 def test_evaluation_and_the_cli_table_run_no_basis_recurrence(monkeypatch):
     problem = builtin("nonlinear_nonlinear")
     result = solve(problem)
-    calls = []
-    table = basis._table
-    monkeypatch.setattr(basis, "_table", lambda *args: calls.append(args) or table(*args))
+    calls, misses = [], reference_block.cache_info().misses
+    for family, (val, der, vander) in list(basis.SERIES.items()):
+        monkeypatch.setitem(basis.SERIES, family,
+                            (val, der, lambda *args, vander=vander: calls.append(args) or vander(*args)))
     result.evaluate(np.linspace(0.0, 3.0, 301), 2)
     assert result.max_abs_err <= 1e-12
     cli._solution_table(problem, result, 200)
     assert calls == []
-    basis.eval_basis(spec_of(result.system, 1), 0.0)  # the counter does see a recurrence
-    assert len(calls) == 1
+    assert reference_block.cache_info().misses == misses
+    reference_block.__wrapped__("chebyshev", 5, 9, True, False)  # the counter does see a Vandermonde
+    assert calls

@@ -4,10 +4,10 @@ from numpy.polynomial import chebyshev as ncheb
 
 from hybvp import basis, expressions
 from hybvp.assembly import assemble_all
-from hybvp.basis import FAMILIES, BasisSpec, Interval, eval_basis, map_point
-from hybvp.expressions import (UnknownLayout, reference_block, reference_bounds, segment_block,
-                               segment_constraints)
-from oracles import CASCADE_SKIP, cascade_eval, cascade_junction_value, segment_row, spec_of
+from hybvp.basis import FAMILIES, Interval, collocation_grid, map_point
+from hybvp.expressions import UnknownLayout, reference_block, reference_bounds, segment_constraints
+from oracles import (CASCADE_SKIP, BasisSpec, cascade_eval, cascade_junction_value, eval_basis,
+                     segment_block, segment_row, spec_of)
 
 
 def _spec_for(iv, m=6, family="chebyshev"):
@@ -336,22 +336,17 @@ def test_reassembly_runs_no_basis_recurrence(monkeypatch):
     geometry = ([0.0, 0.3, 1.0, 1.8, 2.0], 30, (8, 8, 11, 8), "legendre", 0.5, -0.5)
     first = assemble_all(*geometry)
     calls = []
-    recurrence = basis._table
-
-    def counted(*args):
-        calls.append(args[0])
-        return recurrence(*args)
-
-    monkeypatch.setattr(basis, "_table", counted)
+    val, der, vander = basis.SERIES["legendre"]
+    monkeypatch.setitem(basis.SERIES, "legendre",
+                        (val, der, lambda *args: calls.append(args) or vander(*args)))
     again = assemble_all(*geometry)
     assert calls == []
     for k in range(1, 5):
         for d in (0, 1, 2):
             assert np.array_equal(first.block(k, d)[0], again.block(k, d)[0])
-    # points off the collocation grid still run the recurrence
-    segment_block(spec_of(first, 1), first.intervals[0], 1, first.layout, 0.5, -0.5,
-                  np.array([0.1, 0.2]))
-    assert calls == ["legendre"]
+    # a reference block miss does evaluate the family's Vandermonde, once per order
+    reference_block.__wrapped__("legendre", 8, 30, True, False)
+    assert len(calls) == 3
 
 
 def test_a_uniform_chain_shares_one_reference_block_per_role():
@@ -365,26 +360,49 @@ def test_a_uniform_chain_shares_one_reference_block_per_role():
     assert system.segments[0][3] is reference_bounds("chebyshev", 12, 40, True, False)
 
 
-@pytest.mark.parametrize("first,last,passes", [(True, False, 1), (False, False, 1),
-                                               (False, True, 1), (True, True, 2)])
-def test_a_reference_block_miss_makes_one_kernel_pass_per_pinned_boundary(
-        monkeypatch, first, last, passes):
+ROLES = [(True, False), (False, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("first,last", ROLES)
+def test_a_reference_block_miss_makes_one_switching_pass(monkeypatch, first, last):
     calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return segment_block(*args)
-
-    monkeypatch.setattr(expressions, "segment_block", counted)
+    switching = expressions.switching_functions
+    monkeypatch.setattr(expressions, "switching_functions",
+                        lambda *args: calls.append(args) or switching(*args))
     R, E, p = reference_block.__wrapped__("chebyshev", 6, 15, first, last)  # a cache miss
-    assert len(calls) == passes
+    # the offsets and the junction columns come from the same switching rows
+    assert len(calls) == 1
     # a column the role does not pin is zero at every order; a pinned one is not
     assert [bool(np.any(E[0][:, col])) for col in (0, 1)] == [first, last]
     assert not any(np.any(E[d][:, col]) for d in (1, 2) for col, pins in enumerate((first, last))
                    if not pins)
 
 
-@pytest.mark.parametrize("first,last", [(True, False), (False, False), (False, True), (True, True)])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("first,last", ROLES)
+def test_reference_block_matches_the_recurrence_kernel(family, first, last):
+    k = 1 if first else 2
+    unit = Interval(0.0, 1.0)
+    for m in (1, 4, 12, 60):
+        layout = UnknownLayout((m,) * (k if last else k + 1))
+        spec, own = BasisSpec(family, m, 2.0), layout.own_in_window(k)
+        for N in (m + 4, 100):
+            R, E, p = reference_block(family, m, N, first, last)
+            x = collocation_grid(unit, N)
+            # one kernel pass per boundary value, as offsets for (y0, yf) = (1, 0) and (0, 1)
+            blocks = [segment_block(spec, unit, k, layout, float(col == 0), float(col == 1), x)
+                      for col in (0, 1)]
+            for d in (0, 1, 2):
+                expect = blocks[0][d][0]
+                assert np.max(np.abs(R[d] - expect)) <= 1e-13 * np.max(np.abs(expect))
+                assert np.array_equal(E[d], np.column_stack([b[d][1] for b in blocks]))
+            assert p.tolist() == [0, 1] * (not first) + [0] * m + [0, 1] * (not last)
+            # the embedded constraints stay exact: the free basis is 0 on every pinned row
+            assert not np.any(R[0][[0, -1], own])
+            assert not np.any(R[1][[row for row, pins in ((0, first), (-1, last)) if not pins], own])
+
+
+@pytest.mark.parametrize("first,last", ROLES)
 def test_reference_bounds_are_the_cached_magnitudes_of_the_reference_block(first, last):
     R, E, _ = reference_block("legendre", 7, 13, first, last)
     bounds = reference_bounds("legendre", 7, 13, first, last)

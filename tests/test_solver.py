@@ -368,6 +368,12 @@ def test_options_validation():
         SolveOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
+    # an unknown basis fails where it is given, before any solve
+    for family in ("fourier", "Chebyshev", "", None):
+        with pytest.raises(ValueError, match=r"^SolveOptions\.family: expected one of "
+                                             r"\('chebyshev', 'legendre'\), got "):
+            SolveOptions(family=family)
+    assert SolveOptions(family="legendre").family == "legendre"
     with pytest.raises(ValueError):
         solve(builtin("linear_linear"), SolveOptions(N=10, m=8))
     # N and m are never truncated: a bool or a fraction fails, before any assembly
