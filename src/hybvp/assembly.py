@@ -27,13 +27,13 @@ from .expressions import UnknownLayout, reference_block, reference_bounds
 
 
 def per_segment(value, n: int, name: str) -> tuple[int, ...]:
-    """A scalar repeated for n segments, or one value per segment, as ints.
+    """A scalar (a 0-d array too) repeated for n segments, or one value per segment, as ints.
 
     Each value must be a number with an integral value (8.0 is 8), not a bool.
     """
     if n < 1:
         raise ValueError("need at least one segment")
-    values = (value,) * n if np.isscalar(value) else tuple(value)
+    values = (np.asarray(value).item(),) * n if np.ndim(value) == 0 else tuple(value)
     if len(values) != n:
         raise ValueError(f"{name}: expected {n} per-segment values, got {len(values)}")
     for v in values:

@@ -116,6 +116,10 @@ class HybridProblem:
         object.__setattr__(self, "break_points", bp)
         if len(self.segments) != len(bp) - 1:
             raise ValueError("segment count must match break-point intervals")
+        for key in ("y0", "yf"):
+            value = getattr(self, key)  # a 0-d array counts as the number it holds
+            if np.ndim(value) != 0 or not _is_number(np.asarray(value).item()):
+                raise ValueError(f"{key}: expected a number, got {value!r}")
         if not (math.isfinite(self.y0) and math.isfinite(self.yf)):
             raise ValueError("boundary values must be finite")
 
@@ -137,7 +141,7 @@ def analytic_value(problem: HybridProblem, x, d: int = 0):
     """Closed-form solution value or derivative (d = 0..2) at x."""
     if problem.solution is None:
         raise ValueError(f"problem {problem.name!r} has no analytic solution attached")
-    if d not in (0, 1, 2):
+    if isinstance(d, (bool, np.bool_)) or d not in (0, 1, 2):
         raise ValueError("derivative order must be 0..2")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     Interval(problem.break_points[0], problem.break_points[-1]).check(xs, "x")

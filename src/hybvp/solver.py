@@ -25,7 +25,9 @@ each segment's role, and so the magnitudes F needs, resolved there.
 Each iterate takes one pass over the segments (_linearize): it
 evaluates the states once and from them L, the three partials of L and
 the rows of F.  The next Jacobian is built from those partials, which
-are dropped before the least-squares solve.
+are dropped before the least-squares solve; that solve frees each
+Jacobian block once it has scaled it and keeps only the compact
+factors that back-substitution reads.
 
 Segment k's rows touch only the unknowns of its window: its own
 coefficients and the (value, slope) pairs of the junctions at its ends.
@@ -204,7 +206,7 @@ class SolveResult:
         """
         if not 1 <= k <= self.system.n_segments:
             raise ValueError(f"segment index {k} out of range 1..{self.system.n_segments}")
-        if d not in range(MAX_DERIVATIVE + 1):
+        if isinstance(d, (bool, np.bool_)) or d not in range(MAX_DERIVATIVE + 1):
             raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE}, got {d!r}")
         functionals, series, phi, kappa = self._series[k - 1]
         iv = self.system.intervals[k - 1]
@@ -278,8 +280,10 @@ def _eliminate(lead: np.ndarray, rest: np.ndarray, rank_rtol: float):
     rest, _, info = scipy.linalg.lapack.dormqr("L", "T", qr[:, :tau.size], tau, rest,
                                                lwork=max(1, rest.shape[1]))
     _lapack_ok("dormqr", info)
-    # dtrtrs reads only the upper triangle of R
-    return jpvt - 1, diag[:rank], qr[:rank, :rank], rest[:rank], rest[rank:]
+    # dtrtrs reads only the upper triangle of R; the copies free the work
+    # arrays, and keep their memory order so that later products round alike
+    return (jpvt - 1, diag[:rank], qr[:rank, :rank].copy(order="K"),
+            rest[:rank].copy(order="K"), rest[rank:])
 
 
 def _back_substitute(R: np.ndarray, piv: np.ndarray, z: np.ndarray, size: int) -> np.ndarray:
@@ -305,7 +309,8 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout, rank_rtol: 
     two rows into the next pair, so the cost is linear in the number of
     segments.  In every R factor, pivots with |R_ii| <= rank_rtol (the
     unit column scale) are dropped and their unknowns set to zero (the
-    basic solution).
+    basic solution).  It consumes blocks: each entry is set to None once
+    its block is scaled (pass list(blocks) to keep them).
     """
     n = layout.n_segments
     rhs = np.asarray(rhs, dtype=float)
@@ -329,6 +334,7 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout, rank_rtol: 
     carry = None  # rows in (J_j, rhs) left over from the segments before junction j
     for k, block in enumerate(blocks, 1):
         scaled = block / scale[layout.window(k)]
+        blocks[k - 1] = None
         own = layout.own_in_window(k)
         # rest columns: the junction pairs (left, right), then rhs
         rest = np.concatenate([scaled[:, :own.start], scaled[:, own.stop:],
@@ -352,7 +358,7 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout, rank_rtol: 
             # J_k; the others hold residual alone
             qr, _, _, info = scipy.linalg.lapack.dgeqrf(carry)
             _lapack_ok("dgeqrf", info)
-            carry = qr[:2]
+            carry = qr[:2].copy(order="K")
             carry[1, 0] = 0.0
 
     xi = np.zeros(q)
@@ -487,8 +493,7 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
     for _ in range(1 if linear else opts.max_iter):
         J = _jacobian(system, partials)
         del partials  # kept through the least-squares solve, they would raise its peak memory
-        dxi, diag = _scaled_qr_lstsq(J, residual, system.layout)
-        del J  # nor is J kept through the next pass
+        dxi, diag = _scaled_qr_lstsq(J, residual, system.layout)  # frees J's blocks as it goes
         xi = xi - dxi
         if linear:
             residual = _stacked_residual(problem, system, xi)

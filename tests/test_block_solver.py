@@ -44,7 +44,7 @@ def _recorded_systems(run):
     block_lstsq = solver._scaled_qr_lstsq
 
     def spy(blocks, rhs, layout):
-        calls.append((blocks, rhs, layout))
+        calls.append((list(blocks), rhs, layout))  # the solver consumes blocks
         return block_lstsq(blocks, rhs, layout)
 
     with mock.patch.object(solver, "_scaled_qr_lstsq", spy):
@@ -53,7 +53,7 @@ def _recorded_systems(run):
 
 
 def _assert_agree(blocks, rhs, layout):
-    xb, db = solver._scaled_qr_lstsq(blocks, rhs, layout)
+    xb, db = solver._scaled_qr_lstsq(list(blocks), rhs, layout)  # it consumes the list
     xd, dd = _dense_lstsq(blocks, rhs, layout)
     assert np.all(np.abs(xb - xd) <= 1e-12 * (1.0 + np.abs(xd)))
     M = dense_from_blocks(blocks, layout)
@@ -192,6 +192,19 @@ def test_blocks_span_only_each_segment_window():
         for d in (0, 1, 2):
             A, B = system.block(k, d)
             assert A.shape == (N, widths[k - 1]) and B.shape == (N,)
+
+
+def test_solve_consumes_the_jacobian_blocks_and_keeps_compact_factors():
+    # holding every Jacobian block through the solve, and factors that were
+    # views of whole LAPACK work arrays, took this solve to 1.09 MiB
+    assert _solve_peak_mib(64) < 0.75
+    problem, opts = _chain(64), SolveOptions(N=40, m=12)
+    system = assemble_all(problem.break_points, *solver.resolve_sizes(problem, opts), opts.family,
+                          problem.y0, problem.yf)
+    residual, partials, _ = solver._linearize(problem, system, np.zeros(system.layout.total))
+    blocks = solver._jacobian(system, partials)
+    solver._scaled_qr_lstsq(blocks, residual, system.layout)
+    assert len(blocks) == 64 and all(block is None for block in blocks)
 
 
 def test_solve_memory_is_linear_in_the_segment_count():

@@ -128,6 +128,21 @@ def test_evaluate_range_errors_name_the_callers_index():
         result.evaluate(np.nan)
 
 
+@pytest.mark.parametrize("d", [True, False, np.bool_(True)])
+def test_evaluate_rejects_a_bool_derivative_order(d):
+    # a bool is never a number: True used to run as d = 1
+    result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
+    with pytest.raises(ValueError, match=r"^derivative order must be 0\.\.2, got "):
+        result.evaluate(0.1, d)
+
+
+@pytest.mark.parametrize("d", [True, False, np.bool_(True)])
+def test_segment_values_rejects_a_bool_derivative_order(d):
+    result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
+    with pytest.raises(ValueError, match=r"^derivative order must be 0\.\.2, got "):
+        result.segment_values(1, 0.1, d)
+
+
 def test_segment_values_rejects_an_unknown_segment():
     result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
     for k in (0, 3):

@@ -79,6 +79,26 @@ def test_analytic_value_guards():
         analytic_value(q, 0.5, 0)
 
 
+@pytest.mark.parametrize("d", [True, False, np.bool_(True)])
+def test_analytic_value_rejects_a_bool_derivative_order(d):
+    # a bool is never a number: True used to run as d = 1
+    with pytest.raises(ValueError, match=r"^derivative order must be 0\.\.2$"):
+        analytic_value(builtin("linear_linear"), 0.1, d)
+
+
+@pytest.mark.parametrize("key", ["y0", "yf"])
+@pytest.mark.parametrize("value", ["a", None, True, np.array(True), 10 ** 400, [0.5]],
+                         ids=["str", "None", "bool", "bool_array", "huge_int", "list"])
+def test_problem_names_a_boundary_value_that_is_not_a_number(key, value):
+    # "a" and None used to raise a bare TypeError from math.isfinite
+    given = {"y0": 0.0, "yf": 1.0, key: value}
+    with pytest.raises(ValueError, match=rf"^{key}: expected a number, got "):
+        HybridProblem(break_points=(0.0, 1.0), segments=(linear_dynamics(a2=1.0),), **given)
+    # a numpy scalar or a 0-d array is the number it holds
+    for number in (np.float64(0.5), np.array(0.5), 2):
+        HybridProblem(break_points=(0.0, 1.0), segments=(linear_dynamics(a2=1.0),), **{**given, key: number})
+
+
 def test_analytic_value_names_the_first_point_outside_the_domain():
     p = builtin("linear_linear")
     with pytest.raises(ValueError, match=r"x\[1\] = nan outside interval \[0.0, 1.0\]"):

@@ -35,7 +35,7 @@ from oracles import (
 
 
 def _block_lstsq(layout, blocks, b):
-    return _scaled_qr_lstsq(blocks, b, layout)
+    return _scaled_qr_lstsq(list(blocks), b, layout)  # it consumes the list
 
 
 def _dense_lstsq(layout, blocks, b):
@@ -389,10 +389,20 @@ def test_options_validation():
             with pytest.raises(ValueError, match=message):
                 solve(builtin("linear_linear"), opts)
         assert assemble.call_count == 0
-    # an integral float is the integer it holds
+    # an integral float is the integer it holds, and a 0-d array the scalar it holds
     res = solve(builtin("linear_linear"), SolveOptions(m=8.0, N=np.float64(20.0)))
     assert res.system.layout.ms == (8, 8) and res.system.total_points == 40
     assert np.array_equal(res.xi, solve(builtin("linear_linear"), SolveOptions(m=8, N=20)).xi)
+    res = solve(builtin("linear_linear"), SolveOptions(N=np.array(40), m=np.array(8.0)))
+    assert res.system.layout.ms == (8, 8) and res.system.total_points == 80
+    assert np.array_equal(res.xi, solve(builtin("linear_linear"), SolveOptions(N=40, m=8)).xi)
+    # a 1-d array stays one value per segment
+    res = solve(builtin("linear_linear"), SolveOptions(N=np.array([40, 30]), m=8))
+    assert [len(x) for x in res.system.points] == [40, 30]
+    with pytest.raises(ValueError, match=r"^N: expected 2 per-segment values, got 1$"):
+        solve(builtin("linear_linear"), SolveOptions(N=np.array([40]), m=8))
+    with pytest.raises(ValueError, match=r"^m: expected an integer, got True$"):
+        solve(builtin("linear_linear"), SolveOptions(N=40, m=np.array(True)))
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, True, "1e-13", None])
