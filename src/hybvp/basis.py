@@ -15,6 +15,7 @@ nodes, are bounded caches of read-only arrays.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,6 +74,11 @@ def map_point(iv: Interval, x, where: str = "x"):
     iv.check(x, where)
     z = -1.0 + 2.0 * (x - iv.x0) / iv.width
     return float(z) if z.ndim == 0 else z
+
+
+def _is_order(d) -> bool:
+    """Whether d is a derivative order 0..MAX_DERIVATIVE: an integer, numpy's too, not a bool or 1.0."""
+    return isinstance(d, numbers.Integral) and not isinstance(d, bool) and 0 <= d <= MAX_DERIVATIVE
 
 
 def _read_only(*arrays) -> tuple:

@@ -200,7 +200,7 @@ def _solution_table(problem: HybridProblem, result: SolveResult, eval_points: in
     segments = []
     for k in range(1, problem.n_segments + 1):
         xs = np.linspace(bp[k - 1], bp[k], eval_points)
-        y, dy, d2y = (result.segment_values(k, xs, d) for d in (0, 1, 2))
+        y, dy, d2y = result._segment_orders(k, xs, (0, 1, 2))
         cols = [np.full(eval_points, float(k)), xs, y, dy, d2y]
         if has_exact:
             ye, dye = (problem.solution[k - 1][d](xs) for d in (0, 1))
@@ -212,8 +212,14 @@ def _solution_table(problem: HybridProblem, result: SolveResult, eval_points: in
 def _write_table(path: Path, columns, table: np.ndarray, fmt: str):
     """Write table (one row per point) as CSV or JSON, every number with 17 digits."""
     if fmt == "csv":
-        # %.17g also writes the integral segment index without a fraction
-        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
+        # np.savetxt's bytes (%.17g writes the integral segment index without a fraction), one
+        # % per 32 rows: no per-row loop, and the whole table's text is never held at once
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
+        with open(path, "w") as out:
+            out.write(",".join(columns) + "\n")
+            for start in range(0, len(table), 32):
+                chunk = table[start:start + 32]
+                out.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
     else:
         path.write_text(_to_json({"columns": list(columns), "rows": table.tolist()}) + "\n")
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import Interval
+from .basis import Interval, _is_order
 
 Array = np.ndarray
 StateFn = Callable[[Array, Array, Array, Array], Array]
@@ -141,7 +141,7 @@ def analytic_value(problem: HybridProblem, x, d: int = 0):
     """Closed-form solution value or derivative (d = 0..2) at x."""
     if problem.solution is None:
         raise ValueError(f"problem {problem.name!r} has no analytic solution attached")
-    if isinstance(d, (bool, np.bool_)) or d not in (0, 1, 2):
+    if not _is_order(d):
         raise ValueError("derivative order must be 0..2")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     Interval(problem.break_points[0], problem.break_points[-1]).check(xs, "x")

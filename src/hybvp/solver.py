@@ -65,7 +65,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import SystemMatrices, assemble_all, per_segment
-from .basis import FAMILIES, MAX_DERIVATIVE, SERIES, Interval, map_point
+from .basis import FAMILIES, MAX_DERIVATIVE, SERIES, Interval, _is_order, map_point
 from .expressions import UnknownLayout, segment_constraints
 from .problems import HybridProblem, analytic_value
 from .switching import switching_functions
@@ -181,6 +181,7 @@ class SolveResult:
         """Per segment: pinned functionals, g^(d) for d = 0..2, phi and kappa.
 
         g is [0] * skip + xi_k; phi is g on each pinned functional, at z = +-1.
+        Each g^(d) is a column zero-padded to len(g); a zero tail leaves a Clenshaw sum bitwise unchanged.
         """
         out = []
         val, der, _ = SERIES[self.system.family]
@@ -189,8 +190,9 @@ class SolveResult:
             series = [np.concatenate([np.zeros(len(constraints)), self.segment_coefficients(k)])]
             while len(series) <= MAX_DERIVATIVE:
                 series.append(der(series[-1], 1, scl=2.0 / iv.width))  # dz/dx
-            ends = [val([-1.0, 1.0], g) for g in series[:2]]  # g and g' at z = -1, +1
-            out.append(([(con.order, con.end) for con in constraints], series,
+            padded = np.column_stack([np.append(g, np.zeros(len(series[0]) - len(g))) for g in series])
+            ends = val([-1.0, 1.0], padded[:, :2])  # g and g' at z = -1, +1
+            out.append(([(con.order, con.end) for con in constraints], padded,
                         np.array([ends[con.order][con.end] for con in constraints]),
                         np.array([con.value if con.column is None else self.xi[con.column]
                                   for con in constraints])))
@@ -206,32 +208,43 @@ class SolveResult:
         """
         if not 1 <= k <= self.system.n_segments:
             raise ValueError(f"segment index {k} out of range 1..{self.system.n_segments}")
-        if isinstance(d, (bool, np.bool_)) or d not in range(MAX_DERIVATIVE + 1):
+        if not _is_order(d):
             raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE}, got {d!r}")
+        return self._segment_orders(k, x, (d,))[0]
+
+    def _segment_orders(self, k: int, x, orders) -> list:
+        """segment_values for each d in orders, from one switching pass and one Clenshaw sum."""
         functionals, series, phi, kappa = self._series[k - 1]
         iv = self.system.intervals[k - 1]
         x = np.atleast_1d(np.asarray(x, dtype=float))
         z = map_point(iv, x, f"segment {k} x")
-        S = switching_functions(functionals, iv, x, (d,))[d]
-        return (SERIES[self.system.family][0](z, series[d]) - S @ phi) + S @ kappa
+        S = switching_functions(functionals, iv, x, orders)
+        g = SERIES[self.system.family][0](z, series[:, list(orders)])
+        return [(g[i] - S[d] @ phi) + S[d] @ kappa for i, d in enumerate(orders)]
 
     def evaluate(self, x, d: int = 0):
         """y^(d)(x) anywhere in the domain (junctions use the left segment).
 
         A point outside the domain raises ValueError naming its index in x, flattened.
         """
+        if not _is_order(d):  # before the split, which may call no segment at all
+            raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE}, got {d!r}")
         xs = np.asarray(x, dtype=float)
-        flat = xs.ravel()
+        out = self._evaluate_orders(xs.ravel(), (d,))[0]
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+    def _evaluate_orders(self, flat: np.ndarray, orders) -> np.ndarray:
+        """(len(orders), len(flat)) array of y^(d) at the points flat, split as evaluate splits them."""
         bp = self.problem.break_points
         Interval(bp[0], bp[-1]).check(flat, "x")
         seg = self.problem.segment_of(flat)
         order = np.argsort(seg, kind="stable")
         cuts = np.searchsorted(seg[order], range(1, self.system.n_segments))
-        out = np.empty_like(flat)
+        out = np.empty((len(orders), flat.size))
         for k, at in enumerate(np.split(order, cuts), 1):
             if at.size:
-                out[at] = self.segment_values(k, flat[at], d)
-        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+                out[:, at] = self._segment_orders(k, flat[at], orders)
+        return out
 
     @cached_property
     def errors_by_order(self) -> Optional[dict]:
@@ -244,8 +257,8 @@ class SolveResult:
         errors = dict.fromkeys(range(MAX_DERIVATIVE + 1), 0.0)
         for iv in self.system.intervals:
             xs = np.linspace(iv.x0, iv.xf, 1000)
-            for d in errors:
-                err = np.max(np.abs(self.evaluate(xs, d) - analytic_value(self.problem, xs, d)))
+            for d, y in zip(errors, self._evaluate_orders(xs, tuple(errors))):
+                err = np.max(np.abs(y - analytic_value(self.problem, xs, d)))
                 errors[d] = max(errors[d], float(err))
         return errors
 

@@ -14,7 +14,9 @@
   Gauss-Newton step that replaced it.  evaluate and all_points read a
   system's values and grid points at every stacked collocation point.
   discretize is the system a solve assembles, and spec_of a segment's
-  basis as segment_block takes it.
+  basis as segment_block takes it.  per_order_values: a solved
+  segment's y^(d) by one Clenshaw sum per order, the check on the
+  library's one pass over all orders.
   rounding_floor: the stopping floor F written out from the formula,
   on full-width rows of A^(d) and B^(d).
 * AffineRow / segment_row: one evaluation of the segment kernel as a
@@ -42,7 +44,8 @@ import numpy as np
 import scipy.linalg
 
 from hybvp.assembly import assemble_all
-from hybvp.basis import FAMILIES, MAX_DERIVATIVE, TABLE_CACHE_SIZE, Interval, _read_only, map_point
+from hybvp.basis import (FAMILIES, MAX_DERIVATIVE, SERIES, TABLE_CACHE_SIZE, Interval, _read_only,
+                         map_point)
 from hybvp.expressions import UnknownLayout, segment_constraints
 from hybvp.solver import QrDiagnostic, resolve_sizes
 from hybvp.switching import switching_functions
@@ -298,6 +301,29 @@ def discretize(problem, opts):
 def spec_of(system, k: int) -> BasisSpec:
     """Segment k's basis (family, m and map slope), as segment_block takes it."""
     return BasisSpec.for_interval(system.family, system.layout.ms[k - 1], system.intervals[k - 1])
+
+
+def per_order_values(result, k: int, x, d: int) -> np.ndarray:
+    """y^(d) of a SolveResult at points x of segment k, by one Clenshaw sum of g^(d) alone.
+
+    The check on SolveResult's one pass over all orders, which sums
+    zero-padded series: here g^(d) is differentiated d times from
+    g = [0] * skip + xi_k and summed at its own length, so short series
+    take the len(c) <= 2 branches of chebval and legval.
+    """
+    system = result.system
+    iv = system.intervals[k - 1]
+    val, der, _ = SERIES[system.family]
+    constraints = segment_constraints(k, system.layout, result.problem.y0, result.problem.yf)
+    series = [np.concatenate([np.zeros(len(constraints)), result.segment_coefficients(k)])]
+    while len(series) <= MAX_DERIVATIVE:
+        series.append(der(series[-1], 1, scl=2.0 / iv.width))
+    phi = np.array([val(2.0 * con.end - 1.0, series[con.order]) for con in constraints])
+    kappa = np.array([con.value if con.column is None else result.xi[con.column]
+                      for con in constraints])
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    S = switching_functions([(con.order, con.end) for con in constraints], iv, x, (d,))[d]
+    return (val(map_point(iv, x), series[d]) - S @ phi) + S @ kappa
 
 
 def linear_system(problem, system):

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hybvp.cli import (_OPTIONS, RunConfig, _flag_value, _settings, build_parser, main,
-                       parse_config, run)
+from hybvp.cli import (_OPTIONS, RunConfig, _flag_value, _settings, _write_table, build_parser,
+                       main, parse_config, run)
 from hybvp.problems import HybridProblem, builtin, nonlinear_dynamics
 from hybvp.solver import SolveOptions, solve
 from oracles import segment_block, spec_of
@@ -378,3 +379,39 @@ def test_per_segment_overrides(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["N"] == [40, 60]
     assert summary["m"] == [6, 9]
+
+
+def _awkward_table(rows: int, cols: int) -> np.ndarray:
+    """Random floats with every special value and integral values mixed in."""
+    rng = np.random.default_rng(rows)
+    table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-300, 300, size=(rows, cols))
+    table[:, 0] = np.arange(rows) % 7
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 1.0, -3.0, 2.0 ** 53]
+    cells = rng.choice(rows * cols, size=min(rows * cols, 4 * len(specials)), replace=False)
+    table.flat[cells] = np.resize(specials, cells.size)
+    return table
+
+
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 2000])
+def test_csv_writer_writes_the_bytes_of_savetxt(tmp_path, rows):
+    columns = ["segment_index", "x", "y", "dy", "d2y", "y_exact", "abs_err", "dy_exact", "abs_err_dy"]
+    for cols in (5, 9):
+        table = _awkward_table(rows, cols)
+        _write_table(tmp_path / "table.csv", columns[:cols], table, "csv")
+        np.savetxt(tmp_path / "oracle.csv", table, fmt="%.17g", delimiter=",",
+                   header=",".join(columns[:cols]), comments="")
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_csv_writer_never_holds_the_whole_table_as_text(tmp_path):
+    # a 2,000 x 9 table is about 390 KB of text; one % per 32 rows holds a few KiB of it
+    table = _awkward_table(2000, 9)
+    columns = [f"c{j}" for j in range(9)]
+    tracemalloc.start()
+    try:
+        _write_table(tmp_path / "table.csv", columns, table, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert (tmp_path / "table.csv").stat().st_size > 300_000

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hybvp import basis, cli
+from hybvp import basis, cli, solver
 from hybvp.expressions import reference_block
 from hybvp.problems import builtin, generic_linear
 from hybvp.solver import SolveOptions, solve
-from oracles import segment_block, spec_of
+from hybvp.switching import switching_functions
+from oracles import per_order_values, segment_block, spec_of
 
 HYPOTHESIS = settings(max_examples=25, deadline=None,
                       suppress_health_check=[HealthCheck.too_slow])
@@ -143,6 +144,32 @@ def test_segment_values_rejects_a_bool_derivative_order(d):
         result.segment_values(1, 0.1, d)
 
 
+@pytest.mark.parametrize("d", [1.0, 0.0, np.float64(2.0), "1", None])
+def test_evaluate_rejects_a_derivative_order_that_is_not_an_integer(d):
+    # 1.0 in range(3) is true: a float order used to fail later with a bare TypeError
+    result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
+    with pytest.raises(ValueError, match=r"^derivative order must be 0\.\.2, got "):
+        result.evaluate(0.1, d)
+    assert result.evaluate(0.1, np.int64(1)) == result.evaluate(0.1, 1)
+
+
+@pytest.mark.parametrize("d", [1.0, 0.0, np.float64(2.0), "1", None])
+def test_segment_values_rejects_a_derivative_order_that_is_not_an_integer(d):
+    result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
+    with pytest.raises(ValueError, match=r"^derivative order must be 0\.\.2, got "):
+        result.segment_values(1, 0.1, d)
+    assert np.array_equal(result.segment_values(1, 0.1, np.int64(2)), result.segment_values(1, 0.1, 2))
+
+
+@pytest.mark.parametrize("d", [7, -1, 1.0, True])
+def test_evaluate_checks_the_order_of_an_empty_x(d):
+    # an empty x reaches no segment, where the order used to be checked
+    result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
+    with pytest.raises(ValueError, match=r"^derivative order must be 0\.\.2, got "):
+        result.evaluate([], d)
+    assert result.evaluate([], 2).shape == (0,)
+
+
 def test_segment_values_rejects_an_unknown_segment():
     result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
     for k in (0, 3):
@@ -174,3 +201,45 @@ def test_evaluation_and_the_cli_table_run_no_basis_recurrence(monkeypatch):
     assert reference_block.cache_info().misses == misses
     reference_block.__wrapped__("chebyshev", 5, 9, True, False)  # the counter does see a Vandermonde
     assert calls
+
+
+@pytest.mark.parametrize("family", ["chebyshev", "legendre"])
+@pytest.mark.parametrize("m", [1, 2, 12, 60])
+def test_one_pass_over_all_orders_equals_a_clenshaw_sum_per_order_bitwise(family, m):
+    """Compared as bytes, so that -0.0 against 0.0 counts: %.17g writes them differently.
+
+    One segment is the single-segment role; three are first, middle and
+    last.  At m = 1 and 2, g'' and g' are short enough for the len(c) <= 2
+    branches of chebval and legval.
+    """
+    for ms in ([m], [m, m, m]):
+        solved, rng = _solved(ms, family, m)
+        for result in (solved, _with_random_unknowns(solved, rng)):
+            bp = result.problem.break_points
+            _, table = cli._solution_table(result.problem, result, 37)
+            for k, iv in enumerate(result.system.intervals, 1):
+                xs = np.concatenate([[iv.x0, iv.xf], rng.uniform(iv.x0, iv.xf, 40)])
+                together = result._segment_orders(k, xs, (0, 1, 2))
+                backwards = result._segment_orders(k, xs, (2, 1, 0))[::-1]
+                grid = np.linspace(bp[k - 1], bp[k], 37)
+                for d in (0, 1, 2):
+                    expected = per_order_values(result, k, xs, d).tobytes()
+                    assert together[d].tobytes() == backwards[d].tobytes() == expected
+                    assert result.segment_values(k, xs, d).tobytes() == expected
+                    column = table[(k - 1) * 37:k * 37, 2 + d]
+                    assert column.tobytes() == result.segment_values(k, grid, d).tobytes()
+
+
+def test_errors_and_the_cli_table_take_one_switching_pass_per_segment_piece(monkeypatch):
+    # each pass evaluates y, y' and y'' together: the junction point of
+    # interval 2 belongs to segment 1, so errors_by_order makes 1 + 2 passes
+    problem = builtin("linear_linear")
+    result = solve(problem, SolveOptions(N=60, m=8))
+    calls = []
+    monkeypatch.setattr(solver, "switching_functions",
+                        lambda *args: calls.append(args[-1]) or switching_functions(*args))
+    assert result.max_abs_err <= 1e-12
+    assert calls == [(0, 1, 2)] * 3
+    calls.clear()
+    cli._solution_table(problem, result, 50)
+    assert calls == [(0, 1, 2)] * 2

@@ -86,6 +86,15 @@ def test_analytic_value_rejects_a_bool_derivative_order(d):
         analytic_value(builtin("linear_linear"), 0.1, d)
 
 
+@pytest.mark.parametrize("d", [1.0, 0.0, np.float64(2.0), "1", None])
+def test_analytic_value_rejects_a_derivative_order_that_is_not_an_integer(d):
+    # 1.0 in (0, 1, 2) is true: a float order used to fail later with a bare TypeError
+    p = builtin("linear_linear")
+    with pytest.raises(ValueError, match=r"^derivative order must be 0\.\.2$"):
+        analytic_value(p, 0.1, d)
+    assert analytic_value(p, 0.1, np.int64(1)) == analytic_value(p, 0.1, 1)
+
+
 @pytest.mark.parametrize("key", ["y0", "yf"])
 @pytest.mark.parametrize("value", ["a", None, True, np.array(True), 10 ** 400, [0.5]],
                          ids=["str", "None", "bool", "bool_array", "huge_int", "list"])
