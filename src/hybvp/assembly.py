@@ -79,11 +79,6 @@ class SystemMatrices:
         """Row range of segment k (1-based) in the stacked system."""
         return slice(self._row_starts[k - 1], self._row_starts[k])
 
-    def block(self, k: int, d: int) -> tuple:
-        """(A_k^(d), B_k^(d)) of segment k, A as a new (N_k, window width) array."""
-        R, s, B, _ = self.segments[k - 1]
-        return R[d] * s[d], B[d]
-
     def segment_states(self, xi: np.ndarray, k: int) -> tuple:
         """y, y', y'' at segment k's grid points for a given Xi."""
         R, s, B, _ = self.segments[k - 1]

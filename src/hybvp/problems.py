@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .basis import Interval, _is_order
 
@@ -273,7 +272,18 @@ def _poly_fn(coeffs: Sequence[float], path: str) -> Callable[[Array], Array]:
     arr = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: non-finite coefficient")
-    return lambda x: npoly.polyval(np.asarray(x, dtype=float), arr)
+    ascending = arr.tolist()
+
+    def poly(x):
+        # Horner's rule in numpy.polynomial.polynomial.polyval's order:
+        # bitwise equal to it, without its per-call set-up
+        x = np.asarray(x, dtype=float)
+        out = ascending[-1] + x * 0
+        for c in ascending[-2::-1]:
+            out = c + out * x
+        return out
+
+    return poly
 
 
 def _forcing_fn(spec_entry, path: str) -> Callable[[Array], Array]:

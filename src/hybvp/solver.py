@@ -3,9 +3,9 @@
 One Gauss-Newton loop, Xi <- Xi - lstsq(J, L) for the stacked residual
 L and its Jacobian J, solves every problem.  When every segment is
 linear, L is affine in Xi, so one step from Xi = 0 is the least-squares
-solution: the loop takes that step and is converged when ||L|| <=
-max(tol, 1e-12 (1 + ||L(0)||)).  Otherwise it starts from the junction
-seeds and stops as converged when ||L|| <= max(tol, F), where
+solution and the loop takes only that step; otherwise it starts from
+the junction seeds.  After every step the solve stops as converged when
+||L|| <= max(tol, F), where
 
     F = eps ||sum_d |dL/dy^(d)| (|A_k^(d)| |Xi_window| + |B_k^(d)|)||,
 
@@ -14,10 +14,10 @@ tested (the stopping tests of Dennis & Schnabel, Numerical Methods for
 Unconstrained Optimization and Nonlinear Equations, 1983).  F scales
 with L, and it grows with the number of segments, where an absolute tol
 alone cannot be met.  The loop returns unconverged after max_iter steps
-and raises DivergenceError after DIVERGENCE_WINDOW consecutive residual
-increases.  A non-finite residual, the starting one included, raises
-DivergenceError.  SolveResult.tolerance is the threshold the last step
-was tested against.
+(one for a linear problem) and raises DivergenceError after
+DIVERGENCE_WINDOW consecutive residual increases.  A non-finite
+residual, the starting one included, raises DivergenceError.
+SolveResult.tolerance is the threshold the last step was tested against.
 
 A solve discretizes its geometry once (assembly.assemble_all): one
 SystemMatrices holds every segment's points, interval and blocks, with
@@ -88,12 +88,11 @@ class SolveOptions:
     default_m, else 16) size each segment's grid and basis, and family,
     one of basis.FAMILIES, names the basis.
     tol, a positive finite number, is the residual 2-norm at which the
-    solve converges.  It is raised to 1e-12 (1 + ||L(0)||) on an
-    all-linear problem, which takes one step from Xi = 0, and to the
-    rounding floor F of the residual at each iterate of a nonlinear one
-    (see the module docstring).  A nonlinear solve takes up to max_iter
-    steps, an integer >= 1, from init_values, one (value, slope) pair
-    per junction, or from the straight line between the boundary values
+    solve converges, raised to the rounding floor F of the residual at
+    each iterate (see the module docstring).  An all-linear problem
+    takes one step from Xi = 0; any other takes up to max_iter steps,
+    an integer >= 1, from init_values, one (value, slope) pair per
+    junction, or from the straight line between the boundary values
     when they are None.
     """
 
@@ -270,15 +269,19 @@ class SolveResult:
 
 # --- block-structured least squares ----------------------------------------
 
+# R diagonals at or below this, relative to the unit column scale, are dropped
+_RANK_RTOL = 1e-12
+
+
 def _lapack_ok(name: str, info: int):
     if info != 0:
         raise RuntimeError(f"LAPACK {name} failed with info={info}")
 
 
-def _eliminate(lead: np.ndarray, rest: np.ndarray, rank_rtol: float):
+def _eliminate(lead: np.ndarray, rest: np.ndarray):
     """Pivoted QR of the lead columns, with Q^T applied to the rest columns.
 
-    Returns the pivot order, the kept diagonals |R_ii| > rank_rtol, the
+    Returns the pivot order, the kept diagonals |R_ii| > _RANK_RTOL, the
     kept block of R, the kept rows of Q^T rest and the rows below them,
     which no longer involve the lead columns.
     """
@@ -289,7 +292,7 @@ def _eliminate(lead: np.ndarray, rest: np.ndarray, rank_rtol: float):
     qr, jpvt, tau, _, info = scipy.linalg.lapack.dgeqp3(lead)
     _lapack_ok("dgeqp3", info)
     diag = np.abs(np.diag(qr))
-    rank = int(np.count_nonzero(diag > rank_rtol))
+    rank = int(np.count_nonzero(diag > _RANK_RTOL))
     rest, _, info = scipy.linalg.lapack.dormqr("L", "T", qr[:, :tau.size], tau, rest,
                                                lwork=max(1, rest.shape[1]))
     _lapack_ok("dormqr", info)
@@ -309,7 +312,7 @@ def _back_substitute(R: np.ndarray, piv: np.ndarray, z: np.ndarray, size: int) -
     return out
 
 
-def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout, rank_rtol: float = 1e-12):
+def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout):
     """Minimize ||M Xi - rhs|| for the block-structured M by block elimination.
 
     blocks[k-1] holds segment k's rows of M over layout.window(k); rhs is
@@ -320,7 +323,7 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout, rank_rtol: 
     which leaves a block-bidiagonal system in the junction pairs; a
     sequential QR sweep solves it one pair at a time, carrying at most
     two rows into the next pair, so the cost is linear in the number of
-    segments.  In every R factor, pivots with |R_ii| <= rank_rtol (the
+    segments.  In every R factor, pivots with |R_ii| <= _RANK_RTOL (the
     unit column scale) are dropped and their unknowns set to zero (the
     basic solution).  It consumes blocks: each entry is set to None once
     its block is scaled (pass list(blocks) to keep them).
@@ -352,7 +355,7 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout, rank_rtol: 
         # rest columns: the junction pairs (left, right), then rhs
         rest = np.concatenate([scaled[:, :own.start], scaled[:, own.stop:],
                                rhs[starts[k - 1]:starts[k], None]], axis=1)
-        piv, diag, R, top, below = _eliminate(scaled[:, own], rest, rank_rtol)
+        piv, diag, R, top, below = _eliminate(scaled[:, own], rest)
         kept.append(diag)
         local.append((piv, R, top))
         if k == 1:
@@ -363,7 +366,7 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout, rank_rtol: 
         stacked[:carry.shape[0], :2] = carry[:, :2]
         stacked[:carry.shape[0], -1] = carry[:, -1]
         stacked[carry.shape[0]:] = below
-        piv, diag, R, top, carry = _eliminate(stacked[:, :2], stacked[:, 2:], rank_rtol)
+        piv, diag, R, top, carry = _eliminate(stacked[:, :2], stacked[:, 2:])
         kept.append(diag)
         junction.append((piv, R, top))
         if k < n and carry.shape[0] > 2:
@@ -436,14 +439,6 @@ def resolve_sizes(problem: HybridProblem, opts: SolveOptions) -> tuple:
     return Ns, ms
 
 
-def _stacked_residual(problem, system, xi):
-    out = np.empty(system.total_points)
-    for k in range(1, system.n_segments + 1):
-        out[system.row_slice(k)] = problem.segments[k - 1].residual(
-            system.points[k - 1], *system.segment_states(xi, k))
-    return out
-
-
 def _on_points(value, shape: tuple) -> np.ndarray:
     """A partial's value as a float array of the points' shape (a constant is broadcast)."""
     value = np.asarray(value, dtype=float)
@@ -490,8 +485,8 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
     """Gauss-Newton iteration with block-elimination least-squares steps.
 
     One step from Xi = 0 when every segment is linear, else up to
-    opts.max_iter steps from initial_guess; the stopping rules are in
-    the module docstring.
+    opts.max_iter steps from initial_guess; the stopping rule is in the
+    module docstring.
     """
     system = assemble_all(problem.break_points, *resolve_sizes(problem, opts), opts.family,
                           problem.y0, problem.yf)
@@ -499,8 +494,7 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
     xi = np.zeros(system.layout.total) if linear else initial_guess(problem, opts, system.layout)
     # the floor of the iterate is only tested after a step
     residual, partials, _ = _linearize(problem, system, xi, floor=False)
-    start = float(np.linalg.norm(residual))
-    if not math.isfinite(start):
+    if not math.isfinite(float(np.linalg.norm(residual))):
         raise DivergenceError("starting residual is non-finite", [])
     trace: list[float] = []
     for _ in range(1 if linear else opts.max_iter):
@@ -508,13 +502,9 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
         del partials  # kept through the least-squares solve, they would raise its peak memory
         dxi, diag = _scaled_qr_lstsq(J, residual, system.layout)  # frees J's blocks as it goes
         xi = xi - dxi
-        if linear:
-            residual = _stacked_residual(problem, system, xi)
-            tol = max(opts.tol, 1e-12 * (1.0 + start))
-        else:
-            residual, partials, floor = _linearize(problem, system, xi)
-            # a non-finite floor comes from non-finite partials: the next step fails
-            tol = max(opts.tol, floor) if math.isfinite(floor) else opts.tol
+        residual, partials, floor = _linearize(problem, system, xi)
+        # a non-finite floor comes from non-finite partials: tol alone is the test
+        tol = max(opts.tol, floor) if math.isfinite(floor) else opts.tol
         norm = float(np.linalg.norm(residual))
         if not math.isfinite(norm):
             raise DivergenceError("residual became non-finite", trace + [norm])

@@ -5,9 +5,11 @@
   segment_block, the constrained-expression kernel at any points of a
   segment, built from them.  The library builds its reference blocks
   from numpy.polynomial instead; these are the check on them.
-* dense_matrix / dense_from_blocks scatter per-segment window blocks to
-  full width, and dense_scaled_qr_lstsq solves the full-width system by
-  one column-equilibrated, column-pivoted QR: the dense path the block
+* system_block: one segment's (A_k^(d), B_k^(d)) of a SystemMatrices,
+  with A scaled from the shared reference rows.  dense_matrix /
+  dense_from_blocks scatter per-segment window blocks to full width,
+  and dense_scaled_qr_lstsq solves the full-width system by one
+  column-equilibrated, column-pivoted QR: the dense path the block
   solver replaced.
 * linear_system: the direct assembly of an all-linear problem's
   least-squares system from its ODE coefficients, the check on the
@@ -267,22 +269,29 @@ def dense_from_blocks(blocks, layout) -> np.ndarray:
     return out
 
 
+def system_block(system, k: int, d: int) -> tuple:
+    """(A_k^(d), B_k^(d)) of segment k of a SystemMatrices, A as a new (N_k, window width) array."""
+    R, s, B, _ = system.segments[k - 1]
+    return R[d] * s[d], B[d]
+
+
 def dense_matrix(system, d: int) -> np.ndarray:
     """Full-width A^(d) of a SystemMatrices."""
     n = system.layout.n_segments
-    return dense_from_blocks([system.block(k, d)[0] for k in range(1, n + 1)], system.layout)
+    return dense_from_blocks([system_block(system, k, d)[0] for k in range(1, n + 1)], system.layout)
 
 
 def dense_offsets(system, d: int) -> np.ndarray:
     """Stacked B^(d) of a SystemMatrices."""
-    return np.concatenate([system.block(k, d)[1] for k in range(1, system.layout.n_segments + 1)])
+    n = system.layout.n_segments
+    return np.concatenate([system_block(system, k, d)[1] for k in range(1, n + 1)])
 
 
 def evaluate(system, xi: np.ndarray, d: int = 0) -> np.ndarray:
     """y^(d) at every stacked grid point of system for a given Xi."""
     out = []
     for k in range(1, system.layout.n_segments + 1):
-        A, B = system.block(k, d)
+        A, B = system_block(system, k, d)
         out.append(A @ xi[system.layout.window(k)] + B)
     return np.concatenate(out)
 
@@ -342,7 +351,7 @@ def linear_system(problem, system):
         a0, a1, a2 = (np.broadcast_to(np.asarray(p(*state), dtype=float), x.shape)
                       for p in (dyn.d_y, dyn.d_dy, dyn.d_d2y))
         f = -dyn.residual(*state)
-        (A0, B0), (A1, B1), (A2, B2) = (system.block(k, d) for d in (0, 1, 2))
+        (A0, B0), (A1, B1), (A2, B2) = (system_block(system, k, d) for d in (0, 1, 2))
         blocks.append(a2[:, None] * A2 + a1[:, None] * A1 + a0[:, None] * A0)
         rhs[system.row_slice(k)] = f - (a2 * B2 + a1 * B1 + a0 * B0)
     return blocks, rhs

@@ -28,7 +28,7 @@ from hybvp.problems import (
     nonlinear_dynamics,
 )
 from hybvp.solver import SolveOptions, solve
-from oracles import dense_from_blocks, dense_scaled_qr_lstsq
+from oracles import dense_from_blocks, dense_scaled_qr_lstsq, system_block
 
 HYPOTHESIS = settings(max_examples=25, deadline=None,
                       suppress_health_check=[HealthCheck.too_slow])
@@ -190,7 +190,7 @@ def test_blocks_span_only_each_segment_window():
     assert widths == [3 + 2, 4 + 4, 5 + 4, 6 + 2]
     for k, N in enumerate((9, 10, 11, 12), 1):
         for d in (0, 1, 2):
-            A, B = system.block(k, d)
+            A, B = system_block(system, k, d)
             assert A.shape == (N, widths[k - 1]) and B.shape == (N,)
 
 

@@ -6,10 +6,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from hybvp import cli
 from hybvp.cli import (_OPTIONS, RunConfig, _flag_value, _settings, _write_table, build_parser,
                        main, parse_config, run)
 from hybvp.problems import HybridProblem, builtin, nonlinear_dynamics
-from hybvp.solver import SolveOptions, solve
+from hybvp.solver import SolveOptions, _linearize, solve
 from oracles import segment_block, spec_of
 
 _LL_JSON = {
@@ -206,8 +207,9 @@ def test_run_writes_tables_and_summary(tmp_path):
     assert summary["N"] == 100 and summary["m"] == 8
     assert summary["converged"] is True
     assert summary["iterations"] == len(summary["residual_trace"]) == 1
-    # the all-linear threshold, max(tol, 1e-12 (1 + ||L(0)||)), and the residual under it
-    assert summary["tolerance"] > 1e-13
+    # the threshold, max(tol, F) at the solution, and the residual under it
+    res = solve(problem, cfg.solve_options())
+    assert summary["tolerance"] == max(1e-13, _linearize(problem, res.system, res.xi)[2])
     assert summary["residual_trace"][-1] <= summary["tolerance"]
     assert abs(summary["junctions"][0]["y"] - 77.0 / 192.0) < 1e-12
 
@@ -311,6 +313,44 @@ def test_main_flag_overrides_config(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["m"] == 10
     assert summary["N"] == 80  # from the config file
+
+
+def test_main_reuses_one_parser_and_no_flag_outlives_its_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a parser"))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--problem", "linear_linear", "--basis", "legendre", "--m", "10",
+                 "--format", "json", "--output", str(first), "--eval-points", "20"]) == 0
+    assert main(["--problem", "nonlinear_nonlinear", "--output", str(second),
+                 "--eval-points", "20"]) == 0
+    assert sorted(p.name for p in first.iterdir()) == ["solution.json", "summary.json"]
+    assert sorted(p.name for p in second.iterdir()) == ["solution.csv", "summary.json"]
+    for out, name, opts in ((first, "linear_linear", SolveOptions(m=10, family="legendre")),
+                            (second, "nonlinear_nonlinear", SolveOptions())):
+        summary = json.loads((out / "summary.json").read_text())
+        res = solve(builtin(name), opts)
+        assert summary["problem"] == name and summary["m"] == res.system.layout.ms[0]
+        # the second run's defaults, basis included, are not the first run's flags
+        assert summary["residual_trace"] == res.residual_trace
+        assert summary["converged"] is True and summary["max_abs_err"] <= 1e-13
+
+
+def test_an_under_resolved_config_exits_unconverged(tmp_path):
+    # y'' = e^{2x}, then 1 + x^2: m = 9 leaves ||L|| = 3.9e-12, about 170 times
+    # its rounding floor, which the old linear threshold of 4.3e-11 passed
+    payload = {
+        "break_points": [0.0, 0.5, 1.0], "y0": 0.0, "yf": 1.0,
+        "segments": [{"a2": [1.0], "f": {"poly": [0.0], "terms": [{"fn": "exp", "k": 2.0}]}},
+                     {"a2": [1.0], "f": [1.0, 0.0, 1.0]}],
+        "solver": {"N": 40, "m": 9},
+    }
+    out = tmp_path / "out"
+    assert main(["--config", str(_write_config(tmp_path, payload)), "--output", str(out),
+                 "--eval-points", "20"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False and summary["iterations"] == 1
+    assert summary["tolerance"] == 1e-13
+    assert summary["residual_trace"][-1] > 10 * summary["tolerance"]
+    assert (out / "solution.csv").is_file()
 
 
 def _without_wall_time(path):

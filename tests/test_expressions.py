@@ -7,7 +7,7 @@ from hybvp.assembly import assemble_all
 from hybvp.basis import FAMILIES, Interval, collocation_grid, map_point
 from hybvp.expressions import UnknownLayout, reference_block, reference_bounds, segment_constraints
 from oracles import (CASCADE_SKIP, BasisSpec, cascade_eval, cascade_junction_value, eval_basis,
-                     segment_block, segment_row, spec_of)
+                     segment_block, segment_row, spec_of, system_block)
 
 
 def _spec_for(iv, m=6, family="chebyshev"):
@@ -306,7 +306,7 @@ def test_grid_path_matches_the_point_path_on_random_geometries():
             at_points = segment_block(spec_of(system, k), system.intervals[k - 1], k, system.layout,
                                       y0, yf, system.points[k - 1])
             for d in (0, 1, 2):
-                (A, B), (A_x, B_x) = system.block(k, d), at_points[d]
+                (A, B), (A_x, B_x) = system_block(system, k, d), at_points[d]
                 scale = np.max(np.abs(A))
                 worst = max(worst, np.max(np.abs(A - A_x)) / scale)
                 assert np.max(np.abs(A - A_x)) <= 1e-12 * scale
@@ -343,7 +343,7 @@ def test_reassembly_runs_no_basis_recurrence(monkeypatch):
     assert calls == []
     for k in range(1, 5):
         for d in (0, 1, 2):
-            assert np.array_equal(first.block(k, d)[0], again.block(k, d)[0])
+            assert np.array_equal(system_block(first, k, d)[0], system_block(again, k, d)[0])
     # a reference block miss does evaluate the family's Vandermonde, once per order
     reference_block.__wrapped__("legendre", 8, 30, True, False)
     assert len(calls) == 3

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from hybvp.problems import (
     HybridProblem,
+    _poly_fn,
     analytic_value,
     builtin,
     generic_linear,
@@ -314,3 +316,18 @@ def test_linear_dynamics_residual_identity():
     expect = (1 + x) * d2y + 2.0 * dy + x ** 2 * y - np.sin(x)
     assert np.allclose(dyn.residual(x, y, dy, d2y), expect, rtol=0, atol=1e-15)
     assert dyn.is_linear
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_poly_fn_is_bitwise_polyval(length):
+    # coefficients spanning 24 decades, with signed zeros among them
+    rng = np.random.default_rng(length)
+    coeffs = rng.standard_normal(length) * 10.0 ** rng.integers(-12, 13, length)
+    coeffs[1::3] = -0.0
+    coeffs[2::5] = 0.0
+    fn = _poly_fn(coeffs.tolist(), "c")
+    x = np.concatenate([[0.0, -0.0, -1.0, 1.0, -2.5, 1e-300, -1e30], rng.uniform(-3.0, 3.0, 38)])
+    for points in (x, x.reshape(5, 9), x.tolist(), np.array(-0.0), -0.75, np.float64(2.0)):
+        got, want = fn(points), npoly.polyval(np.asarray(points, dtype=float), coeffs)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

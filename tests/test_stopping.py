@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hybvp import assembly
-from hybvp.problems import HybridProblem, builtin, nonlinear_dynamics
+from hybvp.basis import FAMILIES
+from hybvp.problems import HybridProblem, builtin, generic_linear, nonlinear_dynamics
 from hybvp.solver import (
     DivergenceError,
     SolveOptions,
@@ -112,13 +113,50 @@ def test_built_ins_keep_their_step_counts_and_record_the_threshold(family):
         res = solve(problem, SolveOptions(family=family))
         assert res.converged and res.iterations == steps, name
         assert res.residual_norm <= res.tolerance
-        if problem.is_linear:
-            start = np.linalg.norm(_linearize(problem, res.system,
-                                              np.zeros(res.system.layout.total), floor=False)[0])
-            assert res.tolerance == max(1e-13, 1e-12 * (1.0 + start))
-        else:
-            floor = _linearize(problem, res.system, res.xi)[2]
-            assert res.tolerance == max(1e-13, floor)
+        # one rule for linear and nonlinear problems: max(tol, F) at the last iterate
+        assert res.tolerance == max(1e-13, _linearize(problem, res.system, res.xi)[2]), name
+
+
+def _linear_chain(n: int, seed: int) -> HybridProblem:
+    """y'' = x^2 + c_k on n equal segments of [0, 1], y(0) = 0, y(1) = 1, from a config."""
+    c = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
+    return generic_linear({"break_points": np.linspace(0.0, 1.0, n + 1).tolist(),
+                           "y0": 0.0, "yf": 1.0,
+                           "segments": [{"a2": [1.0], "f": [float(ck), 0.0, 1.0]} for ck in c]})
+
+
+@pytest.mark.parametrize("problem,opts", [
+    (builtin("linear_linear"), SolveOptions()),
+    (builtin("linear_linear"), SolveOptions(family="legendre")),
+    (_linear_chain(64, 5), SolveOptions(N=40, m=12)),
+], ids=["linear_linear-chebyshev", "linear_linear-legendre", "chain_64"])
+def test_a_linear_solve_is_tested_against_its_rounding_floor(problem, opts):
+    res = solve(problem, opts)
+    floor = _linearize(problem, res.system, res.xi)[2]
+    dense = rounding_floor(problem, res.system, res.xi)
+    assert abs(floor - dense) <= 1e-12 * dense
+    assert res.converged and res.iterations == 1
+    assert res.tolerance == max(opts.tol, floor)
+    if problem.n_segments == 64:
+        # the floor, not tol, is the threshold, and far below the old
+        # 1e-12 (1 + ||L(0)||) = 5.2e-8
+        assert opts.tol < res.tolerance < 1e-9
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_an_under_resolved_linear_solve_is_not_converged(family):
+    # y'' = e^{2x}, then 1 + x^2: at m = 9 the exponential's series is cut off
+    # where ||L|| = 3.9e-12, about 170 F; the old linear threshold, 4.3e-11,
+    # called it converged
+    problem = generic_linear({
+        "break_points": [0.0, 0.5, 1.0], "y0": 0.0, "yf": 1.0,
+        "segments": [{"a2": [1.0], "f": {"poly": [0.0], "terms": [{"fn": "exp", "k": 2.0}]}},
+                     {"a2": [1.0], "f": [1.0, 0.0, 1.0]}]})
+    res = solve(problem, SolveOptions(N=40, m=9, family=family))
+    floor = _linearize(problem, res.system, res.xi)[2]
+    assert not res.converged and res.iterations == 1
+    assert res.tolerance == max(1e-13, floor)
+    assert res.residual_norm > 100 * floor
 
 
 def test_an_unconverged_result_records_the_threshold_it_missed():
