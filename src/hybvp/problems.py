@@ -2,10 +2,11 @@
 
 A problem is an ordered list of second-order ODE segments over break
 points x0 < x1 < ... < xf with boundary values y(x0) and y(xf).  Each
-segment supplies its residual L(x, y, y', y'') and the three partials
-dL/dy, dL/dy', dL/dy'' used to build Gauss-Newton Jacobians by the chain
-rule.  Three classic test sequences with closed-form solutions are built
-in, plus a constructor for user-posed piecewise linear ODEs.
+segment supplies one callback, linearize(x, y, y', y''), that returns
+its residual L and the three partials dL/dy, dL/dy', dL/dy'' used to
+build Gauss-Newton Jacobians by the chain rule.  Three classic test
+sequences with closed-form solutions are built in, plus a constructor
+for user-posed piecewise linear ODEs.
 """
 
 from __future__ import annotations
@@ -27,44 +28,38 @@ BUILTIN_NAMES = ("linear_linear", "linear_nonlinear", "nonlinear_nonlinear")
 
 @dataclass(frozen=True)
 class SegmentDynamics:
-    """One segment's residual L(x, y, y', y'') and its state partials."""
+    """One segment's residual and its state partials, from one callback.
 
-    residual: StateFn
-    d_y: StateFn
-    d_dy: StateFn
-    d_d2y: StateFn
+    linearize(x, y, dy, d2y) returns (L, (dL/dy, dL/dy', dL/dy'')) at the
+    points x: L has x's shape, and each partial has it too or is a
+    constant.  is_linear marks L as affine in (y, y', y'').
+    """
+
+    linearize: Callable[[Array, Array, Array, Array], tuple]
     is_linear: bool = False
-
-
-def _as_coeff_fn(c) -> Callable[[Array], Array]:
-    if callable(c):
-        return c
-    value = float(c)
-    return lambda x: np.full_like(np.asarray(x, dtype=float), value)
 
 
 def linear_dynamics(a2, a1=0.0, a0=0.0, f=0.0) -> SegmentDynamics:
     """Segment a2(x) y'' + a1(x) y' + a0(x) y = f(x).
 
-    Coefficients may be constants or callables of x.
+    Coefficients may be constants or callables of x; each callable is
+    evaluated once per linearize call, and (a0, a1, a2) are the partials.
     """
-    a2f, a1f, a0f, ff = (_as_coeff_fn(c) for c in (a2, a1, a0, f))
+    a2f, a1f, a0f, ff = (c if callable(c) else (lambda x, v=float(c): v) for c in (a2, a1, a0, f))
 
-    def residual(x, y, dy, d2y):
-        return a2f(x) * d2y + a1f(x) * dy + a0f(x) * y - ff(x)
+    def linearize(x, y, dy, d2y):
+        c2, c1, c0 = a2f(x), a1f(x), a0f(x)
+        return c2 * d2y + c1 * dy + c0 * y - ff(x), (c0, c1, c2)
 
-    return SegmentDynamics(
-        residual=residual,
-        d_y=lambda x, y, dy, d2y: a0f(x),
-        d_dy=lambda x, y, dy, d2y: a1f(x),
-        d_d2y=lambda x, y, dy, d2y: a2f(x),
-        is_linear=True,
-    )
+    return SegmentDynamics(linearize, is_linear=True)
 
 
 def nonlinear_dynamics(residual: StateFn, d_y: StateFn, d_dy: StateFn, d_d2y: StateFn) -> SegmentDynamics:
-    """Segment with a user-supplied nonlinear residual and partials."""
-    return SegmentDynamics(residual=residual, d_y=d_y, d_dy=d_dy, d_d2y=d_d2y, is_linear=False)
+    """Segment with a user-supplied nonlinear residual and partials, each called once per linearize."""
+    def linearize(*state):
+        return residual(*state), (d_y(*state), d_dy(*state), d_d2y(*state))
+
+    return SegmentDynamics(linearize, is_linear=False)
 
 
 def _is_number(value) -> bool:
@@ -115,6 +110,9 @@ class HybridProblem:
         object.__setattr__(self, "break_points", bp)
         if len(self.segments) != len(bp) - 1:
             raise ValueError("segment count must match break-point intervals")
+        for i, seg in enumerate(self.segments):
+            if not isinstance(seg, SegmentDynamics):
+                raise ValueError(f"segments[{i}]: expected a SegmentDynamics, got {seg!r}")
         for key in ("y0", "yf"):
             value = getattr(self, key)  # a 0-d array counts as the number it holds
             if np.ndim(value) != 0 or not _is_number(np.asarray(value).item()):
@@ -195,17 +193,10 @@ def _linear_nonlinear() -> HybridProblem:
     def forcing(x):
         return E * np.exp(-x) - E * E * np.exp(-2.0 * x)
 
-    seg1 = linear_dynamics(a2=1.0, a0=1.0, f=forcing)
+    def linearize2(x, y, dy, d2y):
+        return d2y + y * dy - forcing(x), (dy, y, 1.0)
 
-    def residual2(x, y, dy, d2y):
-        return d2y + y * dy - forcing(x)
-
-    seg2 = nonlinear_dynamics(
-        residual=residual2,
-        d_y=lambda x, y, dy, d2y: dy,
-        d_dy=lambda x, y, dy, d2y: y,
-        d_d2y=lambda x, y, dy, d2y: np.ones_like(np.asarray(x, dtype=float)),
-    )
+    seg1, seg2 = linear_dynamics(a2=1.0, a0=1.0, f=forcing), SegmentDynamics(linearize2)
     sol = (
         (lambda x: -0.2 * E * E * np.exp(-2.0 * x) + 0.5 * E * np.exp(-x)
             + (9.0 * np.cos(x) + 7.0 * np.sin(x)) / 10.0,
@@ -231,12 +222,7 @@ def _linear_nonlinear() -> HybridProblem:
 def _nonlinear_nonlinear() -> HybridProblem:
     # y'' - a y'^2 = 0 with a = 1 then 10, switching at x = 1
     def make_segment(a):
-        return nonlinear_dynamics(
-            residual=lambda x, y, dy, d2y: d2y - a * dy ** 2,
-            d_y=lambda x, y, dy, d2y: np.zeros_like(np.asarray(x, dtype=float)),
-            d_dy=lambda x, y, dy, d2y: -2.0 * a * dy,
-            d_d2y=lambda x, y, dy, d2y: np.ones_like(np.asarray(x, dtype=float)),
-        )
+        return SegmentDynamics(lambda x, y, dy, d2y: (d2y - a * dy ** 2, (0.0, -2.0 * a * dy, 1.0)))
 
     log2 = math.log(2.0)
     sol = (

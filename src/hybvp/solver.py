@@ -23,11 +23,11 @@ A solve discretizes its geometry once (assembly.assemble_all): one
 SystemMatrices holds every segment's points, interval and blocks, with
 each segment's role, and so the magnitudes F needs, resolved there.
 Each iterate takes one pass over the segments (_linearize): it
-evaluates the states once and from them L, the three partials of L and
-the rows of F.  The next Jacobian is built from those partials, which
-are dropped before the least-squares solve; that solve frees each
-Jacobian block once it has scaled it and keeps only the compact
-factors that back-substitution reads.
+evaluates the states once, calls each segment's linearize once for L
+and its three partials, and forms the rows of F.  The next Jacobian is
+built from those partials, which are dropped before the least-squares
+solve; that solve frees each Jacobian block once it has scaled it and
+keeps only the compact factors that back-substitution reads.
 
 Segment k's rows touch only the unknowns of its window: its own
 coefficients and the (value, slope) pairs of the junctions at its ends.
@@ -439,16 +439,30 @@ def resolve_sizes(problem: HybridProblem, opts: SolveOptions) -> tuple:
     return Ns, ms
 
 
-def _on_points(value, shape: tuple) -> np.ndarray:
-    """A partial's value as a float array of the points' shape (a constant is broadcast)."""
-    value = np.asarray(value, dtype=float)
-    return value if value.shape == shape else np.broadcast_to(value, shape)
+def _checked(k: int, shape: tuple, L, partials) -> tuple:
+    """Segment k's L and partials as float arrays of the points' shape, a constant partial broadcast.
+
+    Any other shape, or other than three partials, raises ValueError naming the segment and the output.
+    """
+    if len(partials) != 3:
+        raise ValueError(f"segment {k}: linearize returned {len(partials)} partials, expected 3")
+    out = []
+    for name, value in zip(("residual", "dL/dy", "dL/dy'", "dL/dy''"), (L, *partials)):
+        value = np.asarray(value, dtype=float)
+        if value.shape == () and name != "residual":
+            value = np.broadcast_to(value, shape)
+        if value.shape != shape:
+            raise ValueError(f"segment {k}: {name} has shape {value.shape}, expected {shape}"
+                             + ("" if name == "residual" else " or a constant"))
+        out.append(value)
+    return out[0], tuple(out[1:])
 
 
 def _linearize(problem, system, xi, floor: bool = True) -> tuple:
     """L at Xi, its partials and its rounding floor F, from one pass per segment.
 
-    partials[k-1] holds dL/dy^(d), d = 0..2, at segment k's points.  F is
+    One linearize call per segment gives L and partials[k-1], dL/dy^(d)
+    for d = 0..2 at segment k's points, which _checked vets.  F is
     eps ||sum_d |dL/dy^(d)| (|A_k^(d)| |Xi_window| + |B_k^(d)|)||, stacked
     over all rows (with |B_k^(d)| as SystemMatrices.segment_magnitudes
     bounds it): the size of the rounding in evaluating L at Xi, so no
@@ -458,10 +472,8 @@ def _linearize(problem, system, xi, floor: bool = True) -> tuple:
     partials, squares = [], 0.0
     for k in range(1, system.n_segments + 1):
         x = system.points[k - 1]
-        dyn = problem.segments[k - 1]
-        state = (x, *system.segment_states(xi, k))
-        residual[system.row_slice(k)] = dyn.residual(*state)
-        p = tuple(_on_points(f(*state), x.shape) for f in (dyn.d_y, dyn.d_dy, dyn.d_d2y))
+        L, p = problem.segments[k - 1].linearize(x, *system.segment_states(xi, k))
+        residual[system.row_slice(k)], p = _checked(k, x.shape, L, p)
         partials.append(p)
         if floor:
             rows = sum(np.abs(pd) * md for pd, md in zip(p, system.segment_magnitudes(xi, k)))

@@ -348,9 +348,9 @@ def linear_system(problem, system):
         x = system.points[k - 1]
         dyn = problem.segments[k - 1]
         state = (x, *(np.zeros_like(x),) * 3)
-        a0, a1, a2 = (np.broadcast_to(np.asarray(p(*state), dtype=float), x.shape)
-                      for p in (dyn.d_y, dyn.d_dy, dyn.d_d2y))
-        f = -dyn.residual(*state)
+        L, partials = dyn.linearize(*state)
+        a0, a1, a2 = (np.broadcast_to(np.asarray(p, dtype=float), x.shape) for p in partials)
+        f = -L
         (A0, B0), (A1, B1), (A2, B2) = (system_block(system, k, d) for d in (0, 1, 2))
         blocks.append(a2[:, None] * A2 + a1[:, None] * A1 + a0[:, None] * A0)
         rhs[system.row_slice(k)] = f - (a2 * B2 + a1 * B1 + a0 * B0)
@@ -371,8 +371,8 @@ def rounding_floor(problem, system, xi: np.ndarray) -> float:
     for k in range(1, system.n_segments + 1):
         dyn, at = problem.segments[k - 1], system.row_slice(k)
         state = (x[at], *(y[at] for y in states))
-        for d, partial in enumerate((dyn.d_y, dyn.d_dy, dyn.d_d2y)):
-            rows[at] += np.abs(partial(*state)) * sizes[d][at]
+        for d, partial in enumerate(dyn.linearize(*state)[1]):
+            rows[at] += np.abs(partial) * sizes[d][at]
     return float(np.finfo(float).eps * np.linalg.norm(rows))
 
 
@@ -644,12 +644,11 @@ def residual_partial_check(problem, k: int, x: float, *, N: int = 20,
 
     def loss(vec):
         yv, dyv, d2yv = state(vec)
-        return float(dyn.residual(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv]))[0])
+        return float(dyn.linearize(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv]))[0][0])
 
     yv, dyv, d2yv = state(xi)
-    p0 = float(np.asarray(dyn.d_y(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv])))[0])
-    p1 = float(np.asarray(dyn.d_dy(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv])))[0])
-    p2 = float(np.asarray(dyn.d_d2y(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv])))[0])
+    partials = dyn.linearize(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv]))[1]
+    p0, p1, p2 = (float(np.broadcast_to(p, (1,))[0]) for p in partials)  # a constant partial is broadcast
     chain = p0 * rows[0][0] + p1 * rows[1][0] + p2 * rows[2][0]
 
     scale = max(1.0, float(np.max(np.abs(chain))))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from hybvp.basis import FAMILIES
 from hybvp.problems import (
     HybridProblem,
     _poly_fn,
@@ -110,6 +111,16 @@ def test_problem_names_a_boundary_value_that_is_not_a_number(key, value):
         HybridProblem(break_points=(0.0, 1.0), segments=(linear_dynamics(a2=1.0),), **{**given, key: number})
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("at", [0, 1])
+def test_problem_names_a_segment_that_is_not_segment_dynamics(family, at):
+    # a bare residual function used to construct, and solve then raised AttributeError
+    segments = [linear_dynamics(a2=1.0)] * 2
+    segments[at] = lambda x, y, dy, d2y: d2y
+    with pytest.raises(ValueError, match=rf"^segments\[{at}\]: expected a SegmentDynamics, got <function"):
+        solve(HybridProblem((0.0, 0.5, 1.0), tuple(segments), 0.0, 1.0), SolveOptions(N=20, m=4, family=family))
+
+
 def test_analytic_value_names_the_first_point_outside_the_domain():
     p = builtin("linear_linear")
     with pytest.raises(ValueError, match=r"x\[1\] = nan outside interval \[0.0, 1.0\]"):
@@ -165,7 +176,7 @@ def test_analytic_solutions_satisfy_their_residuals(name):
     for k in range(1, p.n_segments + 1):
         xs = np.linspace(p.break_points[k - 1], p.break_points[k], 1000)
         y, dy, d2y = (p.solution[k - 1][d](xs) for d in (0, 1, 2))
-        resid = p.segments[k - 1].residual(xs, y, dy, d2y)
+        resid = p.segments[k - 1].linearize(xs, y, dy, d2y)[0]
         assert np.max(np.abs(resid)) <= 1e-12, f"{name} segment {k}"
 
 
@@ -187,9 +198,9 @@ def test_linear_partials_do_not_depend_on_state():
     for dyn in p.segments:
         s1 = rng.standard_normal(3)
         s2 = rng.standard_normal(3)
-        for part in (dyn.d_y, dyn.d_dy, dyn.d_d2y):
-            a = part(x, np.array([s1[0]]), np.array([s1[1]]), np.array([s1[2]]))
-            b = part(x, np.array([s2[0]]), np.array([s2[1]]), np.array([s2[2]]))
+        for d in (0, 1, 2):
+            a = dyn.linearize(x, np.array([s1[0]]), np.array([s1[1]]), np.array([s1[2]]))[1][d]
+            b = dyn.linearize(x, np.array([s2[0]]), np.array([s2[1]]), np.array([s2[2]]))[1][d]
             assert np.array_equal(a, b)
 
 
@@ -198,12 +209,12 @@ def test_nonlinear_partial_factors_from_the_closed_forms():
     x = np.array([2.0])
     y, dy, d2y = np.array([1.0]), np.array([-0.25]), np.array([0.5])
     # second segment: d(residual)/d(y') = -2 * 10 * y' = -20 y'
-    assert nn.segments[1].d_dy(x, y, dy, d2y)[0] == -20.0 * dy[0]
-    assert nn.segments[0].d_dy(x, y, dy, d2y)[0] == -2.0 * dy[0]
+    assert nn.segments[1].linearize(x, y, dy, d2y)[1][1][0] == -20.0 * dy[0]
+    assert nn.segments[0].linearize(x, y, dy, d2y)[1][1][0] == -2.0 * dy[0]
 
     ln = builtin("linear_nonlinear")
-    assert ln.segments[1].d_y(x, y, dy, d2y)[0] == dy[0]
-    assert ln.segments[1].d_dy(x, y, dy, d2y)[0] == y[0]
+    assert ln.segments[1].linearize(x, y, dy, d2y)[1][0][0] == dy[0]
+    assert ln.segments[1].linearize(x, y, dy, d2y)[1][1][0] == y[0]
 
 
 _LL_CONFIG = {
@@ -314,7 +325,7 @@ def test_linear_dynamics_residual_identity():
     x = rng.uniform(0, 1, 20)
     y, dy, d2y = rng.standard_normal((3, 20))
     expect = (1 + x) * d2y + 2.0 * dy + x ** 2 * y - np.sin(x)
-    assert np.allclose(dyn.residual(x, y, dy, d2y), expect, rtol=0, atol=1e-15)
+    assert np.allclose(dyn.linearize(x, y, dy, d2y)[0], expect, rtol=0, atol=1e-15)
     assert dyn.is_linear
 
 

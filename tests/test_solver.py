@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from hybvp import solver
+from hybvp.basis import FAMILIES
 from hybvp.expressions import UnknownLayout
 from hybvp.problems import (
     HybridProblem,
+    SegmentDynamics,
     builtin,
     generic_linear,
     linear_dynamics,
@@ -249,6 +251,85 @@ def test_non_finite_linear_solve_raises():
     with pytest.raises(DivergenceError, match="non-finite") as excinfo:
         solve(p, SolveOptions(N=20, m=5))
     assert excinfo.value.trace == []
+
+
+def _counted(calls: list, name: str, fn):
+    def wrapped(*args):
+        calls.append((name, args))
+        return fn(*args)
+    return wrapped
+
+
+def test_a_linearize_pass_evaluates_each_linear_coefficient_once_per_segment():
+    # four calls per segment: the residual and the three partials share them
+    calls = []
+    segments = tuple(linear_dynamics(*(_counted(calls, name, fn) for name, fn in
+                                       (("a2", lambda x: 1.0 + x), ("a1", np.sin),
+                                        ("a0", np.cos), ("f", np.exp))))
+                     for _ in range(3))
+    p = HybridProblem((0.0, 0.25, 0.5, 1.0), segments, y0=0.0, yf=1.0)
+    system = discretize(p, SolveOptions(N=20, m=6))
+    _linearize(p, system, np.zeros(system.layout.total))
+    assert [name for name, _ in calls] == ["a2", "a1", "a0", "f"] * 3
+    for k in range(1, 4):
+        assert all(args[0] is system.points[k - 1] for _, args in calls[4 * (k - 1):4 * k])
+
+
+def test_nonlinear_dynamics_calls_each_callable_once_per_segment_with_one_state():
+    calls = []
+    segments = tuple(nonlinear_dynamics(*(_counted(calls, name, fn) for name, fn in
+                                          (("residual", lambda x, y, dy, d2y: d2y - dy * dy),
+                                           ("d_y", lambda x, y, dy, d2y: np.zeros_like(x)),
+                                           ("d_dy", lambda x, y, dy, d2y: -2.0 * dy),
+                                           ("d_d2y", lambda x, y, dy, d2y: np.ones_like(x)))))
+                     for _ in range(2))
+    p = HybridProblem((0.0, 0.5, 1.0), segments, y0=0.0, yf=1.0)
+    system = discretize(p, SolveOptions(N=20, m=6))
+    _linearize(p, system, initial_guess(p, SolveOptions(), system.layout))
+    assert [name for name, _ in calls] == ["residual", "d_y", "d_dy", "d_d2y"] * 2
+    for k in (1, 2):
+        first, *rest = (args for _, args in calls[4 * (k - 1):4 * k])
+        assert first[0] is system.points[k - 1]
+        assert all(a is b for args in rest for a, b in zip(args, first))
+
+
+def _second_segment(**change):
+    """y'' = 0 on [0, 0.5], then y'' = 0 posed by nonlinear_dynamics with one callable changed."""
+    parts = {"residual": lambda x, y, dy, d2y: d2y,
+             "d_y": lambda x, y, dy, d2y: np.zeros_like(x),
+             "d_dy": lambda x, y, dy, d2y: np.zeros_like(x),
+             "d_d2y": lambda x, y, dy, d2y: np.ones_like(x), **change}
+    return HybridProblem((0.0, 0.5, 1.0), (linear_dynamics(1.0), nonlinear_dynamics(**parts)),
+                         y0=0.0, yf=1.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("change,message", [
+    # a scalar residual used to be broadcast: converged=True after one step with ||L|| = 0
+    ({"residual": lambda x, y, dy, d2y: float(np.sum(d2y))}, r"residual has shape \(\), expected \(20,\)"),
+    ({"residual": lambda x, y, dy, d2y: d2y[:-1]}, r"residual has shape \(19,\), expected \(20,\)"),
+    ({"d_dy": lambda x, y, dy, d2y: dy[:, None]},
+     r"dL/dy' has shape \(20, 1\), expected \(20,\) or a constant"),
+    ({"d_d2y": lambda x, y, dy, d2y: np.ones(3)}, r"dL/dy'' has shape \(3,\), expected \(20,\) or a constant"),
+], ids=["scalar_residual", "short_residual", "column_partial", "short_partial"])
+def test_a_linearize_output_of_the_wrong_shape_names_its_segment(family, change, message):
+    with pytest.raises(ValueError, match=rf"^segment 2: {message}$"):
+        solve(_second_segment(**change), SolveOptions(N=20, m=4, family=family))
+
+
+def test_a_linearize_with_two_partials_names_its_segment():
+    two = SegmentDynamics(lambda x, y, dy, d2y: (d2y, (0.0, 1.0)))
+    p = HybridProblem((0.0, 0.5, 1.0), (linear_dynamics(1.0), two), y0=0.0, yf=1.0)
+    with pytest.raises(ValueError, match=r"^segment 2: linearize returned 2 partials, expected 3$"):
+        solve(p, SolveOptions(N=20, m=4))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_constant_partial_is_broadcast_over_the_points(family):
+    opts = SolveOptions(N=20, m=4, family=family)
+    constant = solve(_second_segment(d_dy=lambda x, y, dy, d2y: 0.0,
+                                     d_d2y=lambda x, y, dy, d2y: 1), opts)
+    assert np.array_equal(constant.xi, solve(_second_segment(), opts).xi)
 
 
 def _fd_jacobian(problem, system, xi, h=1e-6):

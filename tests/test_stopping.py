@@ -5,7 +5,7 @@ import pytest
 
 from hybvp import assembly
 from hybvp.basis import FAMILIES
-from hybvp.problems import HybridProblem, builtin, generic_linear, nonlinear_dynamics
+from hybvp.problems import HybridProblem, SegmentDynamics, builtin, generic_linear, nonlinear_dynamics
 from hybvp.solver import (
     DivergenceError,
     SolveOptions,
@@ -20,12 +20,13 @@ from oracles import discretize, rounding_floor
 
 def _scaled(problem: HybridProblem, s: float) -> HybridProblem:
     """problem with its residual and all three partials multiplied by s."""
-    def times(f):
-        return lambda *state: s * f(*state)
+    def times(linearize):
+        def scaled(*state):
+            L, partials = linearize(*state)
+            return s * L, tuple(s * p for p in partials)
+        return scaled
 
-    segments = tuple(nonlinear_dynamics(*(times(f) for f in (dyn.residual, dyn.d_y, dyn.d_dy,
-                                                             dyn.d_d2y)))
-                     for dyn in problem.segments)
+    segments = tuple(SegmentDynamics(times(dyn.linearize)) for dyn in problem.segments)
     return HybridProblem(problem.break_points, segments, problem.y0, problem.yf,
                          name=problem.name, solution=problem.solution, default_m=problem.default_m)
 
