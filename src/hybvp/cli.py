@@ -140,7 +140,8 @@ _OPTIONS = {
     "init": (_numbers, "v1,d1[,v2,d2,...]",
              "junction (value, slope) seeds for nonlinear solves "
              "(default: the straight line between the boundary values)"),
-    "eval_points": (_integer, "EVAL_POINTS", "evaluation grid density per segment (default: 1000)"),
+    "eval_points": (_integer, "EVAL_POINTS", "points per segment of the solution table, over which "
+                    "the summary's max_abs_err is taken (default: 1000)"),
     "format": (_string, "{" + ",".join(FORMATS) + "}", "table format (default: csv)"),
     "output": (_string, "DIR", "output directory (default: .)"),
 }
@@ -187,26 +188,30 @@ def parse_config(path) -> tuple[HybridProblem, RunConfig]:
 
 
 def _solution_table(problem: HybridProblem, result: SolveResult, eval_points: int):
-    """Per-segment evaluation table as (column names, float array of one row per point).
+    """Per-segment evaluation table as (column names, float array of one row per point, error).
 
-    Each segment's rows, its junction end points included, come from
-    that segment's own expression and closed form.
+    Each segment's rows, its junction end points included, come from one
+    pass of its own y, y', y'' and closed form.  error is max |y^(d) - exact|
+    over the rows and d = 0..2: NaN if any is, None without a closed form.
     """
     has_exact = problem.solution is not None
     columns = ["segment_index", "x", "y", "dy", "d2y"]
     if has_exact:
         columns += ["y_exact", "abs_err", "dy_exact", "abs_err_dy"]
-    bp = problem.break_points
-    segments = []
-    for k in range(1, problem.n_segments + 1):
-        xs = np.linspace(bp[k - 1], bp[k], eval_points)
+    segments, worst = [], 0.0 if has_exact else None
+    for k, iv in enumerate(result.system.intervals, 1):
+        xs = np.linspace(iv.x0, iv.xf, eval_points)
         y, dy, d2y = result._segment_orders(k, xs, (0, 1, 2))
         cols = [np.full(eval_points, float(k)), xs, y, dy, d2y]
         if has_exact:
-            ye, dye = (problem.solution[k - 1][d](xs) for d in (0, 1))
-            cols += [ye, np.abs(y - ye), dye, np.abs(dy - dye)]
+            exact = problem.solution[k - 1]
+            ye, dye = (np.broadcast_to(exact[d](xs), xs.shape) for d in (0, 1))  # a constant too
+            err, err_dy = np.abs(y - ye), np.abs(dy - dye)
+            cols += [ye, err, dye, err_dy]
+            # y'' exact is not kept: alive through the stacking, it would raise the peak memory
+            worst = float(np.max([worst, err.max(), err_dy.max(), np.abs(d2y - exact[2](xs)).max()]))
         segments.append(np.column_stack(cols))
-    return columns, np.concatenate(segments)
+    return columns, np.concatenate(segments), worst
 
 
 def _write_table(path: Path, columns, table: np.ndarray, fmt: str):
@@ -253,7 +258,8 @@ def run(problem: HybridProblem, cfg: RunConfig) -> int:
     max_abs_err = None
     if result is not None:
         junctions = [{"x": x, "y": y, "dy": dy} for x, y, dy in result.junctions]
-        max_abs_err = result.max_abs_err
+        columns, table, max_abs_err = _solution_table(problem, result, cfg.eval_points)
+        _write_table(outdir / f"solution.{cfg.format}", columns, table, cfg.format)
     summary = {
         "problem": problem.name,
         "n_segments": problem.n_segments,
@@ -268,10 +274,6 @@ def run(problem: HybridProblem, cfg: RunConfig) -> int:
         "wall_time_ms": wall_ms,
     }
     (outdir / "summary.json").write_text(_to_json(summary) + "\n")
-
-    if result is not None:
-        columns, table = _solution_table(problem, result, cfg.eval_points)
-        _write_table(outdir / f"solution.{cfg.format}", columns, table, cfg.format)
     return 0 if converged else 1
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basis import Interval, _is_order
+from .basis import MAX_DERIVATIVE, Interval, _is_order
 
 Array = np.ndarray
 StateFn = Callable[[Array, Array, Array, Array], Array]
@@ -119,6 +119,12 @@ class HybridProblem:
                 raise ValueError(f"{key}: expected a number, got {value!r}")
         if not (math.isfinite(self.y0) and math.isfinite(self.yf)):
             raise ValueError("boundary values must be finite")
+        for i in range(0 if self.solution is None else max(len(self.solution), self.n_segments)):
+            triple = self.solution[i] if i < len(self.solution) else None
+            if i >= self.n_segments or not (isinstance(triple, (tuple, list)) and len(triple) == 3
+                                            and all(map(callable, triple))):
+                raise ValueError(f"solution[{i}]: expected one (y, y', y'') triple of callables per "
+                                 f"segment, {self.n_segments} in all, got {triple!r}")
 
     @property
     def n_segments(self) -> int:
@@ -128,27 +134,27 @@ class HybridProblem:
     def is_linear(self) -> bool:
         return all(s.is_linear for s in self.segments)
 
-    def segment_of(self, x) -> np.ndarray:
-        """0-based segment index per point; junctions belong to the left segment."""
-        interior = np.asarray(self.break_points[1:-1])
-        return np.searchsorted(interior, np.asarray(x, dtype=float), side="left")
+    def split(self, x: np.ndarray) -> list:
+        """Per segment k with points of x (1-d, in the domain): (k, their indices); junctions go left."""
+        bp = self.break_points
+        Interval(bp[0], bp[-1]).check(x, "x")
+        seg = np.searchsorted(bp[1:-1], x, side="left")
+        order = np.argsort(seg, kind="stable")
+        cuts = np.searchsorted(seg[order], range(1, self.n_segments))
+        return [(k, at) for k, at in enumerate(np.split(order, cuts), 1) if at.size]
 
 
 def analytic_value(problem: HybridProblem, x, d: int = 0):
-    """Closed-form solution value or derivative (d = 0..2) at x."""
+    """Closed-form solution value or derivative (d = 0..2) at x, a junction from the left segment."""
     if problem.solution is None:
         raise ValueError(f"problem {problem.name!r} has no analytic solution attached")
     if not _is_order(d):
-        raise ValueError("derivative order must be 0..2")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    Interval(problem.break_points[0], problem.break_points[-1]).check(xs, "x")
-    seg = problem.segment_of(xs)
-    out = np.empty_like(xs)
-    for k in range(problem.n_segments):
-        mask = seg == k
-        if np.any(mask):
-            out[mask] = problem.solution[k][d](xs[mask])
-    return float(out[0]) if np.ndim(x) == 0 else out
+        raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE}, got {d!r}")
+    xs = np.asarray(x, dtype=float)
+    flat, out = xs.ravel(), np.empty(xs.size)
+    for k, at in problem.split(flat):
+        out[at] = problem.solution[k - 1][d](flat[at])
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def builtin(name: str) -> HybridProblem:

@@ -49,8 +49,11 @@ as rank deficient.
 
 A solved segment is its constrained expression with Xi folded in: the
 free series g with the solved coefficients, corrected by the switching
-functions on the functionals the segment pins.  SolveResult builds it,
-and the closed-form errors, on first use, so solve does no evaluation.
+functions on the functionals the segment pins.  SolveResult builds it
+on first use, so solve does no evaluation.  Each consumer evaluates one
+segment's y, y' and y'' in one pass: the closed-form errors and the CLI
+table on the segment's closed interval, so a junction counts from both
+sides, and evaluate on the points HybridProblem.split gives the segment.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import SystemMatrices, assemble_all, per_segment
-from .basis import FAMILIES, MAX_DERIVATIVE, SERIES, Interval, _is_order, map_point
+from .basis import FAMILIES, MAX_DERIVATIVE, SERIES, _is_order, map_point
 from .expressions import UnknownLayout, segment_constraints
-from .problems import HybridProblem, analytic_value
+from .problems import HybridProblem
 from .switching import switching_functions
 
 
@@ -229,42 +232,30 @@ class SolveResult:
         if not _is_order(d):  # before the split, which may call no segment at all
             raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE}, got {d!r}")
         xs = np.asarray(x, dtype=float)
-        out = self._evaluate_orders(xs.ravel(), (d,))[0]
+        flat, out = xs.ravel(), np.empty(xs.size)
+        for k, at in self.problem.split(flat):
+            out[at] = self._segment_orders(k, flat[at], (d,))[0]
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
-
-    def _evaluate_orders(self, flat: np.ndarray, orders) -> np.ndarray:
-        """(len(orders), len(flat)) array of y^(d) at the points flat, split as evaluate splits them."""
-        bp = self.problem.break_points
-        Interval(bp[0], bp[-1]).check(flat, "x")
-        seg = self.problem.segment_of(flat)
-        order = np.argsort(seg, kind="stable")
-        cuts = np.searchsorted(seg[order], range(1, self.system.n_segments))
-        out = np.empty((len(orders), flat.size))
-        for k, at in enumerate(np.split(order, cuts), 1):
-            if at.size:
-                out[:, at] = self._segment_orders(k, flat[at], orders)
-        return out
 
     @cached_property
     def errors_by_order(self) -> Optional[dict]:
-        """{d: max |y^(d) - exact|} for d = 0..2, or None without a closed form.
+        """{d: max |y^(d) - exact|} for d = 0..2 (NaN if any is), or None without a closed form.
 
-        Over 1,000 points per segment, ends included; junctions use the left segment.
+        Over 1,000 points per segment, ends included, one pass each: a junction counts from both sides.
         """
         if self.problem.solution is None:
             return None
         errors = dict.fromkeys(range(MAX_DERIVATIVE + 1), 0.0)
-        for iv in self.system.intervals:
+        for k, (iv, exact) in enumerate(zip(self.system.intervals, self.problem.solution), 1):
             xs = np.linspace(iv.x0, iv.xf, 1000)
-            for d, y in zip(errors, self._evaluate_orders(xs, tuple(errors))):
-                err = np.max(np.abs(y - analytic_value(self.problem, xs, d)))
-                errors[d] = max(errors[d], float(err))
+            for d, y in zip(errors, self._segment_orders(k, xs, tuple(errors))):
+                errors[d] = float(np.max(np.abs(y - exact[d](xs)), initial=errors[d]))
         return errors
 
     @cached_property
     def max_abs_err(self) -> Optional[float]:
-        """Largest of errors_by_order, or None without a closed form."""
-        return None if self.errors_by_order is None else max(self.errors_by_order.values())
+        """Largest of errors_by_order (NaN if one is), or None without a closed form."""
+        return None if self.errors_by_order is None else float(np.max([*self.errors_by_order.values()]))
 
 
 # --- block-structured least squares ----------------------------------------

@@ -21,7 +21,6 @@ from hybvp import solver
 from hybvp.assembly import assemble_all
 from hybvp.problems import (
     HybridProblem,
-    analytic_value,
     builtin,
     generic_linear,
     linear_dynamics,
@@ -152,17 +151,20 @@ def test_builtin_solutions_agree_with_the_dense_oracle():
             assert np.max(np.abs(block.evaluate(xs, d) - dense.evaluate(xs, d))) <= 1e-12
 
 
-def test_finalize_errors_equal_the_per_order_evaluation_bitwise():
+def test_errors_by_order_equal_the_per_segment_evaluation_bitwise():
+    # each segment against its own closed form on its closed interval: a
+    # junction counts from both sides
     for name in ("linear_linear", "linear_nonlinear", "nonlinear_nonlinear"):
-        problem = builtin(name)
-        result = solve(problem)
-        for d in (0, 1, 2):
-            worst = 0.0
-            for iv in result.system.intervals:
-                xs = np.linspace(iv.x0, iv.xf, 1000)
-                approx = result.evaluate(xs, d)
-                worst = max(worst, float(np.max(np.abs(approx - analytic_value(problem, xs, d)))))
-            assert result.errors_by_order[d] == worst
+        for family in ("chebyshev", "legendre"):
+            problem = builtin(name)
+            result = solve(problem, SolveOptions(family=family))
+            for d in (0, 1, 2):
+                worst = 0.0
+                for k, iv in enumerate(result.system.intervals, 1):
+                    xs = np.linspace(iv.x0, iv.xf, 1000)
+                    approx = result.segment_values(k, xs, d)
+                    worst = max(worst, float(np.max(np.abs(approx - problem.solution[k - 1][d](xs)))))
+                assert result.errors_by_order[d] == worst
 
 
 def _chain(n):

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from hybvp import cli
 from hybvp.cli import (_OPTIONS, RunConfig, _flag_value, _settings, _write_table, build_parser,
                        main, parse_config, run)
-from hybvp.problems import HybridProblem, builtin, nonlinear_dynamics
+from hybvp.problems import HybridProblem, builtin, linear_dynamics, nonlinear_dynamics
 from hybvp.solver import SolveOptions, _linearize, solve
 from oracles import segment_block, spec_of
 
@@ -234,6 +234,40 @@ def test_solution_table_equals_the_per_order_evaluation(tmp_path):
             kernel = coeffs @ result.xi[layout.window(k)] + offsets
             table = np.array([float(v) for v in column])
             assert np.all(np.abs(table - kernel) <= 1e-13 * np.maximum(1.0, np.abs(kernel)))
+
+
+@pytest.mark.parametrize("family", ["chebyshev", "legendre"])
+@pytest.mark.parametrize("name", ["linear_linear", "linear_nonlinear", "nonlinear_nonlinear"])
+def test_the_summary_error_is_max_abs_err_bitwise_at_the_default_eval_points(tmp_path, name, family):
+    problem = builtin(name)
+    run(problem, RunConfig(basis=family, output=str(tmp_path)))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["max_abs_err"] == solve(problem, SolveOptions(family=family)).max_abs_err
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_a_nan_error_is_not_dropped(tmp_path, d):
+    # a NaN used to lose every max against the error so far: max_abs_err read 2.9e-15
+    problem = builtin("linear_linear")
+    second = list(problem.solution[1])
+    exact = second[d]
+    second[d] = lambda x: np.where(x > 0.9, math.nan, exact(x))
+    problem = replace(problem, solution=(problem.solution[0], tuple(second)))
+    result = solve(problem)
+    assert math.isnan(result.errors_by_order[d]) and math.isnan(result.max_abs_err)
+    assert all(err <= 1e-12 for order, err in result.errors_by_order.items() if order != d)
+    run(problem, RunConfig(output=str(tmp_path)))
+    assert json.loads((tmp_path / "summary.json").read_text())["max_abs_err"] is None
+
+
+def test_a_constant_closed_form_fills_its_table_column(tmp_path):
+    # y' = 1 written as a constant used to fail the table's column stacking, and the run exited 2
+    problem = HybridProblem((0.0, 1.0), (linear_dynamics(a2=1.0),), 0.0, 1.0,
+                            solution=((lambda x: x, lambda x: 1.0, lambda x: 0.0),))
+    assert run(problem, RunConfig(N=20, m=4, output=str(tmp_path), eval_points=5)) == 0
+    rows = [line.split(",") for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
+    assert [row[7] for row in rows] == ["1"] * 5
+    assert json.loads((tmp_path / "summary.json").read_text())["max_abs_err"] <= 1e-14
 
 
 def test_junction_rows_use_their_own_segment(tmp_path):

@@ -216,7 +216,7 @@ def test_one_pass_over_all_orders_equals_a_clenshaw_sum_per_order_bitwise(family
         solved, rng = _solved(ms, family, m)
         for result in (solved, _with_random_unknowns(solved, rng)):
             bp = result.problem.break_points
-            _, table = cli._solution_table(result.problem, result, 37)
+            _, table, _ = cli._solution_table(result.problem, result, 37)
             for k, iv in enumerate(result.system.intervals, 1):
                 xs = np.concatenate([[iv.x0, iv.xf], rng.uniform(iv.x0, iv.xf, 40)])
                 together = result._segment_orders(k, xs, (0, 1, 2))
@@ -230,16 +230,18 @@ def test_one_pass_over_all_orders_equals_a_clenshaw_sum_per_order_bitwise(family
                     assert column.tobytes() == result.segment_values(k, grid, d).tobytes()
 
 
-def test_errors_and_the_cli_table_take_one_switching_pass_per_segment_piece(monkeypatch):
-    # each pass evaluates y, y' and y'' together: the junction point of
-    # interval 2 belongs to segment 1, so errors_by_order makes 1 + 2 passes
-    problem = builtin("linear_linear")
-    result = solve(problem, SolveOptions(N=60, m=8))
+def test_errors_and_the_cli_table_take_one_switching_pass_per_segment_piece(monkeypatch, tmp_path):
+    # each pass evaluates y, y' and y'' together on one segment's closed
+    # interval: the CLI's table and its summary's error share one pass
     calls = []
     monkeypatch.setattr(solver, "switching_functions",
                         lambda *args: calls.append(args[-1]) or switching_functions(*args))
-    assert result.max_abs_err <= 1e-12
-    assert calls == [(0, 1, 2)] * 3
-    calls.clear()
-    cli._solution_table(problem, result, 50)
-    assert calls == [(0, 1, 2)] * 2
+    for name in ("linear_linear", "linear_nonlinear", "nonlinear_nonlinear"):
+        problem = builtin(name)
+        calls.clear()
+        assert cli.run(problem, cli.RunConfig(output=str(tmp_path / name))) == 0
+        assert calls == [(0, 1, 2)] * problem.n_segments
+        result = solve(problem)
+        calls.clear()
+        assert result.max_abs_err <= 1e-12
+        assert calls == [(0, 1, 2)] * problem.n_segments

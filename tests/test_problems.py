@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_analytic_value_guards():
 @pytest.mark.parametrize("d", [True, False, np.bool_(True)])
 def test_analytic_value_rejects_a_bool_derivative_order(d):
     # a bool is never a number: True used to run as d = 1
-    with pytest.raises(ValueError, match=r"^derivative order must be 0\.\.2$"):
+    with pytest.raises(ValueError, match=rf"^derivative order must be 0\.\.2, got {re.escape(repr(d))}$"):
         analytic_value(builtin("linear_linear"), 0.1, d)
 
 
@@ -93,7 +94,7 @@ def test_analytic_value_rejects_a_bool_derivative_order(d):
 def test_analytic_value_rejects_a_derivative_order_that_is_not_an_integer(d):
     # 1.0 in (0, 1, 2) is true: a float order used to fail later with a bare TypeError
     p = builtin("linear_linear")
-    with pytest.raises(ValueError, match=r"^derivative order must be 0\.\.2$"):
+    with pytest.raises(ValueError, match=rf"^derivative order must be 0\.\.2, got {re.escape(repr(d))}$"):
         analytic_value(p, 0.1, d)
     assert analytic_value(p, 0.1, np.int64(1)) == analytic_value(p, 0.1, 1)
 
@@ -127,6 +128,17 @@ def test_analytic_value_names_the_first_point_outside_the_domain():
         analytic_value(p, [0.2, math.nan], 0)
     with pytest.raises(ValueError, match=r"x\[0\] = -0.5 outside"):
         analytic_value(p, -0.5, 1)
+
+
+def test_problem_names_a_malformed_closed_form():
+    # either of the first two used to construct, and max_abs_err then raised a bare IndexError
+    p = builtin("linear_linear")
+    y, dy, d2y = p.solution[0]
+    for solution, at in [((p.solution[0],), 1), (((y, dy), p.solution[1]), 0),
+                         ((p.solution[0], (y, dy, 0.0)), 1), ((*p.solution, p.solution[1]), 2)]:
+        with pytest.raises(ValueError, match=rf"^solution\[{at}\]: expected one \(y, y', y''\) triple "
+                                             r"of callables per segment, 2 in all, got "):
+            HybridProblem(p.break_points, p.segments, p.y0, p.yf, solution=solution)
 
 
 @pytest.mark.parametrize("bp,bad", [((0.0, math.nan, 1.0), r"break_points\[1\] = nan"),
