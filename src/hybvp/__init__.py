@@ -3,14 +3,13 @@
 Boundary and C1 junction conditions are embedded analytically through
 switching-function constrained expressions over Chebyshev or Legendre
 bases, so every candidate solution satisfies them exactly and the ODE
-residual alone is minimized by Gauss-Newton iteration, which on a
-linear sequence is one least-squares solve.
+residual alone is minimized by Gauss-Newton iteration, whose first step
+on a linear sequence is its least-squares solution.
 """
 
 from .problems import (
     BUILTIN_NAMES,
     HybridProblem,
-    SegmentDynamics,
     analytic_value,
     builtin,
     generic_linear,
@@ -30,7 +29,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "DivergenceError",
     "HybridProblem",
-    "SegmentDynamics",
     "SolveOptions",
     "SolveResult",
     "analytic_value",

@@ -136,9 +136,9 @@ _OPTIONS = {
     "m": (_integers, "M[,M2,...]", "basis functions per segment"),
     "basis": (_string, "{" + ",".join(FAMILIES) + "}", "basis family"),
     "tol": (_number, "TOL", "residual 2-norm convergence threshold"),
-    "max_iter": (_integer, "MAX_ITER", "iteration cap for nonlinear solves"),
+    "max_iter": (_integer, "MAX_ITER", "Gauss-Newton step cap (default: 50)"),
     "init": (_numbers, "v1,d1[,v2,d2,...]",
-             "junction (value, slope) seeds for nonlinear solves "
+             "junction (value, slope) seeds that every solve starts from "
              "(default: the straight line between the boundary values)"),
     "eval_points": (_integer, "EVAL_POINTS", "points per segment of the solution table, over which "
                     "the summary's max_abs_err is taken (default: 1000)"),
@@ -234,8 +234,7 @@ def run(problem: HybridProblem, cfg: RunConfig) -> int:
     opts = cfg.solve_options()
     Ns, ms = resolve_sizes(problem, opts)
     seeds = 2 * (problem.n_segments - 1)
-    # an all-linear solve starts from zero and never reads the seeds
-    if cfg.init is not None and not problem.is_linear and len(cfg.init) != seeds:
+    if cfg.init is not None and len(cfg.init) != seeds:
         raise ValueError(f"solver.init: expected {seeds} values (value, slope per junction), "
                          f"got {len(cfg.init)}")
     outdir = Path(cfg.output)

@@ -1,12 +1,15 @@
 """Hybrid boundary-value problem definitions.
 
 A problem is an ordered list of second-order ODE segments over break
-points x0 < x1 < ... < xf with boundary values y(x0) and y(xf).  Each
-segment supplies one callback, linearize(x, y, y', y''), that returns
-its residual L and the three partials dL/dy, dL/dy', dL/dy'' used to
-build Gauss-Newton Jacobians by the chain rule.  Three classic test
-sequences with closed-form solutions are built in, plus a constructor
-for user-posed piecewise linear ODEs.
+points x0 < x1 < ... < xf with boundary values y(x0) and y(xf).  A
+segment is one callable, linearize(x, y, y', y''), that returns its
+residual L and the three partials dL/dy, dL/dy', dL/dy'' used to build
+Gauss-Newton Jacobians by the chain rule: L has the shape of the points
+x, and each partial has it too or is a constant.  Linear and nonlinear
+segments are posed alike (linear_dynamics, nonlinear_dynamics); the
+solver treats every problem the same way.  Three classic test sequences
+with closed-form solutions are built in, plus a constructor for
+user-posed piecewise linear ODEs.
 """
 
 from __future__ import annotations
@@ -22,24 +25,13 @@ from .basis import MAX_DERIVATIVE, Interval, _is_order
 
 Array = np.ndarray
 StateFn = Callable[[Array, Array, Array, Array], Array]
+# a segment: linearize(x, y, dy, d2y) -> (L, (dL/dy, dL/dy', dL/dy''))
+Linearize = Callable[[Array, Array, Array, Array], tuple]
 
 BUILTIN_NAMES = ("linear_linear", "linear_nonlinear", "nonlinear_nonlinear")
 
 
-@dataclass(frozen=True)
-class SegmentDynamics:
-    """One segment's residual and its state partials, from one callback.
-
-    linearize(x, y, dy, d2y) returns (L, (dL/dy, dL/dy', dL/dy'')) at the
-    points x: L has x's shape, and each partial has it too or is a
-    constant.  is_linear marks L as affine in (y, y', y'').
-    """
-
-    linearize: Callable[[Array, Array, Array, Array], tuple]
-    is_linear: bool = False
-
-
-def linear_dynamics(a2, a1=0.0, a0=0.0, f=0.0) -> SegmentDynamics:
+def linear_dynamics(a2, a1=0.0, a0=0.0, f=0.0) -> Linearize:
     """Segment a2(x) y'' + a1(x) y' + a0(x) y = f(x).
 
     Coefficients may be constants or callables of x; each callable is
@@ -51,15 +43,15 @@ def linear_dynamics(a2, a1=0.0, a0=0.0, f=0.0) -> SegmentDynamics:
         c2, c1, c0 = a2f(x), a1f(x), a0f(x)
         return c2 * d2y + c1 * dy + c0 * y - ff(x), (c0, c1, c2)
 
-    return SegmentDynamics(linearize, is_linear=True)
+    return linearize
 
 
-def nonlinear_dynamics(residual: StateFn, d_y: StateFn, d_dy: StateFn, d_d2y: StateFn) -> SegmentDynamics:
+def nonlinear_dynamics(residual: StateFn, d_y: StateFn, d_dy: StateFn, d_d2y: StateFn) -> Linearize:
     """Segment with a user-supplied nonlinear residual and partials, each called once per linearize."""
     def linearize(*state):
         return residual(*state), (d_y(*state), d_dy(*state), d_d2y(*state))
 
-    return SegmentDynamics(linearize, is_linear=False)
+    return linearize
 
 
 def _is_number(value) -> bool:
@@ -97,7 +89,7 @@ class HybridProblem:
     """Piecewise second-order two-point BVP with C1 junctions."""
 
     break_points: tuple[float, ...]
-    segments: tuple[SegmentDynamics, ...]
+    segments: tuple[Linearize, ...]
     y0: float
     yf: float
     name: str = ""
@@ -108,17 +100,21 @@ class HybridProblem:
     def __post_init__(self):
         bp = _break_points(self.break_points)
         object.__setattr__(self, "break_points", bp)
-        if len(self.segments) != len(bp) - 1:
-            raise ValueError("segment count must match break-point intervals")
+        if not isinstance(self.segments, (tuple, list)) or len(self.segments) != len(bp) - 1:
+            raise ValueError(f"segments: expected one linearize callable per break-point interval, "
+                             f"{len(bp) - 1} in all, got {self.segments!r}")
         for i, seg in enumerate(self.segments):
-            if not isinstance(seg, SegmentDynamics):
-                raise ValueError(f"segments[{i}]: expected a SegmentDynamics, got {seg!r}")
+            if not callable(seg):
+                raise ValueError(f"segments[{i}]: expected a linearize callable, got {seg!r}")
         for key in ("y0", "yf"):
             value = getattr(self, key)  # a 0-d array counts as the number it holds
             if np.ndim(value) != 0 or not _is_number(np.asarray(value).item()):
                 raise ValueError(f"{key}: expected a number, got {value!r}")
         if not (math.isfinite(self.y0) and math.isfinite(self.yf)):
             raise ValueError("boundary values must be finite")
+        if not (self.solution is None or isinstance(self.solution, (tuple, list))):
+            raise ValueError(f"solution: expected one (y, y', y'') triple of callables per segment, "
+                             f"{self.n_segments} in all, got {self.solution!r}")
         for i in range(0 if self.solution is None else max(len(self.solution), self.n_segments)):
             triple = self.solution[i] if i < len(self.solution) else None
             if i >= self.n_segments or not (isinstance(triple, (tuple, list)) and len(triple) == 3
@@ -129,10 +125,6 @@ class HybridProblem:
     @property
     def n_segments(self) -> int:
         return len(self.segments)
-
-    @property
-    def is_linear(self) -> bool:
-        return all(s.is_linear for s in self.segments)
 
     def split(self, x: np.ndarray) -> list:
         """Per segment k with points of x (1-d, in the domain): (k, their indices); junctions go left."""
@@ -202,7 +194,7 @@ def _linear_nonlinear() -> HybridProblem:
     def linearize2(x, y, dy, d2y):
         return d2y + y * dy - forcing(x), (dy, y, 1.0)
 
-    seg1, seg2 = linear_dynamics(a2=1.0, a0=1.0, f=forcing), SegmentDynamics(linearize2)
+    seg1, seg2 = linear_dynamics(a2=1.0, a0=1.0, f=forcing), linearize2
     sol = (
         (lambda x: -0.2 * E * E * np.exp(-2.0 * x) + 0.5 * E * np.exp(-x)
             + (9.0 * np.cos(x) + 7.0 * np.sin(x)) / 10.0,
@@ -228,7 +220,7 @@ def _linear_nonlinear() -> HybridProblem:
 def _nonlinear_nonlinear() -> HybridProblem:
     # y'' - a y'^2 = 0 with a = 1 then 10, switching at x = 1
     def make_segment(a):
-        return SegmentDynamics(lambda x, y, dy, d2y: (d2y - a * dy ** 2, (0.0, -2.0 * a * dy, 1.0)))
+        return lambda x, y, dy, d2y: (d2y - a * dy ** 2, (0.0, -2.0 * a * dy, 1.0))
 
     log2 = math.log(2.0)
     sol = (

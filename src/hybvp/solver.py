@@ -1,11 +1,10 @@
 """Least-squares solution of hybrid BVPs.
 
 One Gauss-Newton loop, Xi <- Xi - lstsq(J, L) for the stacked residual
-L and its Jacobian J, solves every problem.  When every segment is
-linear, L is affine in Xi, so one step from Xi = 0 is the least-squares
-solution and the loop takes only that step; otherwise it starts from
-the junction seeds.  After every step the solve stops as converged when
-||L|| <= max(tol, F), where
+L and its Jacobian J, solves every problem from the junction seeds.
+On an all-linear problem L is affine in Xi, so the first step lands on
+the least-squares solution up to solve error.  After every step the
+solve stops as converged when ||L|| <= max(tol, F), where
 
     F = eps ||sum_d |dL/dy^(d)| (|A_k^(d)| |Xi_window| + |B_k^(d)|)||,
 
@@ -13,10 +12,13 @@ stacked over all rows, is the rounding floor of L at the iterate being
 tested (the stopping tests of Dennis & Schnabel, Numerical Methods for
 Unconstrained Optimization and Nonlinear Equations, 1983).  F scales
 with L, and it grows with the number of segments, where an absolute tol
-alone cannot be met.  The loop returns unconverged after max_iter steps
-(one for a linear problem) and raises DivergenceError after
-DIVERGENCE_WINDOW consecutive residual increases.  A non-finite
-residual, the starting one included, raises DivergenceError.
+alone cannot be met.  Otherwise a step that changed ||L|| by no more
+than a finite F is a stall at a least-squares minimum whose residual is
+discretization error, and the loop returns unconverged: an
+under-resolved problem ends in a few steps, a linear one in two.  It
+also returns unconverged after max_iter steps, and raises
+DivergenceError after DIVERGENCE_WINDOW consecutive residual increases
+or on a non-finite residual, the starting one included.
 SolveResult.tolerance is the threshold the last step was tested against.
 
 A solve discretizes its geometry once (assembly.assemble_all): one
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -92,11 +95,10 @@ class SolveOptions:
     one of basis.FAMILIES, names the basis.
     tol, a positive finite number, is the residual 2-norm at which the
     solve converges, raised to the rounding floor F of the residual at
-    each iterate (see the module docstring).  An all-linear problem
-    takes one step from Xi = 0; any other takes up to max_iter steps,
-    an integer >= 1, from init_values, one (value, slope) pair per
-    junction, or from the straight line between the boundary values
-    when they are None.
+    each iterate (see the module docstring).  Every problem takes up to
+    max_iter steps, an integer >= 1, from init_values, one (value,
+    slope) pair per junction, or from the straight line between the
+    boundary values when they are None.
     """
 
     N: int | tuple = 100
@@ -430,11 +432,15 @@ def resolve_sizes(problem: HybridProblem, opts: SolveOptions) -> tuple:
     return Ns, ms
 
 
-def _checked(k: int, shape: tuple, L, partials) -> tuple:
-    """Segment k's L and partials as float arrays of the points' shape, a constant partial broadcast.
+def _checked(k: int, shape: tuple, returned) -> tuple:
+    """Segment k's (L, partials) as float arrays of the points' shape, a constant partial broadcast.
 
-    Any other shape, or other than three partials, raises ValueError naming the segment and the output.
+    Anything else raises ValueError naming the segment and the output.
     """
+    if not (isinstance(returned, (tuple, list)) and len(returned) == 2):
+        raise ValueError(f"segment {k}: linearize returned {type(returned).__name__}, "
+                         "expected (L, partials)")
+    L, partials = returned
     if len(partials) != 3:
         raise ValueError(f"segment {k}: linearize returned {len(partials)} partials, expected 3")
     out = []
@@ -463,13 +469,14 @@ def _linearize(problem, system, xi, floor: bool = True) -> tuple:
     partials, squares = [], 0.0
     for k in range(1, system.n_segments + 1):
         x = system.points[k - 1]
-        L, p = problem.segments[k - 1].linearize(x, *system.segment_states(xi, k))
-        residual[system.row_slice(k)], p = _checked(k, x.shape, L, p)
+        returned = problem.segments[k - 1](x, *system.segment_states(xi, k))
+        residual[system.row_slice(k)], p = _checked(k, x.shape, returned)
         partials.append(p)
         if floor:
             rows = sum(np.abs(pd) * md for pd, md in zip(p, system.segment_magnitudes(xi, k)))
             squares += float(rows @ rows)
-    return residual, partials, np.finfo(float).eps * math.sqrt(squares)
+    # a float: an np.float64 F makes converged an np.bool_, which the CLI cannot write as JSON
+    return residual, partials, sys.float_info.epsilon * math.sqrt(squares)
 
 
 def _jacobian(system, partials):
@@ -487,20 +494,19 @@ def _jacobian(system, partials):
 def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveResult:
     """Gauss-Newton iteration with block-elimination least-squares steps.
 
-    One step from Xi = 0 when every segment is linear, else up to
-    opts.max_iter steps from initial_guess; the stopping rule is in the
-    module docstring.
+    Up to opts.max_iter steps from initial_guess, for linear and
+    nonlinear problems alike; the stopping rules are in the module
+    docstring.
     """
     system = assemble_all(problem.break_points, *resolve_sizes(problem, opts), opts.family,
                           problem.y0, problem.yf)
-    linear = problem.is_linear
-    xi = np.zeros(system.layout.total) if linear else initial_guess(problem, opts, system.layout)
+    xi = initial_guess(problem, opts, system.layout)
     # the floor of the iterate is only tested after a step
     residual, partials, _ = _linearize(problem, system, xi, floor=False)
     if not math.isfinite(float(np.linalg.norm(residual))):
         raise DivergenceError("starting residual is non-finite", [])
     trace: list[float] = []
-    for _ in range(1 if linear else opts.max_iter):
+    for _ in range(opts.max_iter):
         J = _jacobian(system, partials)
         del partials  # kept through the least-squares solve, they would raise its peak memory
         dxi, diag = _scaled_qr_lstsq(J, residual, system.layout)  # frees J's blocks as it goes
@@ -513,6 +519,9 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
             raise DivergenceError("residual became non-finite", trace + [norm])
         trace.append(norm)
         if norm <= tol:
+            break
+        # a step that moved ||L|| by no more than its rounding floor has stalled
+        if len(trace) > 1 and math.isfinite(floor) and abs(norm - trace[-2]) <= floor:
             break
         rising = trace[-DIVERGENCE_WINDOW - 1:]
         if len(rising) > DIVERGENCE_WINDOW and all(a < b for a, b in zip(rising, rising[1:])):

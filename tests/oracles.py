@@ -348,7 +348,7 @@ def linear_system(problem, system):
         x = system.points[k - 1]
         dyn = problem.segments[k - 1]
         state = (x, *(np.zeros_like(x),) * 3)
-        L, partials = dyn.linearize(*state)
+        L, partials = dyn(*state)
         a0, a1, a2 = (np.broadcast_to(np.asarray(p, dtype=float), x.shape) for p in partials)
         f = -L
         (A0, B0), (A1, B1), (A2, B2) = (system_block(system, k, d) for d in (0, 1, 2))
@@ -371,7 +371,7 @@ def rounding_floor(problem, system, xi: np.ndarray) -> float:
     for k in range(1, system.n_segments + 1):
         dyn, at = problem.segments[k - 1], system.row_slice(k)
         state = (x[at], *(y[at] for y in states))
-        for d, partial in enumerate(dyn.linearize(*state)[1]):
+        for d, partial in enumerate(dyn(*state)[1]):
             rows[at] += np.abs(partial) * sizes[d][at]
     return float(np.finfo(float).eps * np.linalg.norm(rows))
 
@@ -644,10 +644,10 @@ def residual_partial_check(problem, k: int, x: float, *, N: int = 20,
 
     def loss(vec):
         yv, dyv, d2yv = state(vec)
-        return float(dyn.linearize(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv]))[0][0])
+        return float(dyn(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv]))[0][0])
 
     yv, dyv, d2yv = state(xi)
-    partials = dyn.linearize(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv]))[1]
+    partials = dyn(xarr, np.asarray([yv]), np.asarray([dyv]), np.asarray([d2yv]))[1]
     p0, p1, p2 = (float(np.broadcast_to(p, (1,))[0]) for p in partials)  # a constant partial is broadcast
     chain = p0 * rows[0][0] + p1 * rows[1][0] + p2 * rows[2][0]
 

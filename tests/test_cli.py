@@ -128,11 +128,28 @@ def test_bad_solver_settings_are_rejected_before_any_output(tmp_path, capsys, ar
     assert not out.exists()
 
 
-def test_linear_problems_ignore_the_init_seeds(tmp_path):
+def test_linear_problems_check_the_init_seeds(tmp_path, capsys):
+    # every solve starts from the seeds, so a linear one checks their arity too
     out = tmp_path / "out"
-    assert main(["--problem", "linear_linear", "--init", "1,2,3", "--output", str(out),
+    assert main(["--problem", "linear_linear", "--init", "1,2,3", "--output", str(out)]) == 2
+    assert "solver.init: expected 2 values" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--problem", "linear_linear", "--init", "1,2", "--output", str(out),
                  "--eval-points", "10"]) == 0
-    assert (out / "solution.csv").is_file()
+    assert json.loads((out / "summary.json").read_text())["converged"] is True
+
+
+def test_a_run_tested_against_its_floor_writes_a_strict_summary(tmp_path):
+    # four segments put F above tol; converged used to be an np.bool_, and
+    # writing the summary raised TypeError
+    payload = {"break_points": [0.0, 0.25, 0.5, 0.75, 1.0], "y0": 0.0, "yf": 1.0,
+               "segments": [{"a2": [1.0], "f": [float(k % 3), 0.0, 1.0]} for k in range(4)],
+               "solver": {"N": 20, "m": 8}}
+    out = tmp_path / "out"
+    assert main(["--config", str(_write_config(tmp_path, payload)), "--output", str(out),
+                 "--eval-points", "10"]) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["converged"] is True and summary["tolerance"] > 1e-13
 
 
 def _reject_constant(name):
@@ -381,7 +398,8 @@ def test_an_under_resolved_config_exits_unconverged(tmp_path):
     assert main(["--config", str(_write_config(tmp_path, payload)), "--output", str(out),
                  "--eval-points", "20"]) == 1
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["converged"] is False and summary["iterations"] == 1
+    # the second step stalls at the least-squares minimum the first one reached
+    assert summary["converged"] is False and summary["iterations"] == 2
     assert summary["tolerance"] == 1e-13
     assert summary["residual_trace"][-1] > 10 * summary["tolerance"]
     assert (out / "solution.csv").is_file()

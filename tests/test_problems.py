@@ -22,11 +22,11 @@ def test_builtin_catalog_and_break_points():
     ll = builtin("linear_linear")
     assert ll.break_points == (0.0, 0.5, 1.0)
     assert (ll.y0, ll.yf) == (0.0, 1.0)
-    assert ll.is_linear and ll.default_m == 8
+    assert ll.default_m == 8
 
     ln = builtin("linear_nonlinear")
     assert ln.break_points[1] == math.pi / 2 and ln.break_points[2] == math.pi
-    assert not ln.is_linear and ln.default_m == 16
+    assert ln.default_m == 16
     E = math.exp(math.pi / 2)
     assert ln.y0 == 0.9 + 0.1 * E * (5 - 2 * E)
     assert abs(ln.y0 - (-1.32290)) < 1e-5
@@ -115,11 +115,27 @@ def test_problem_names_a_boundary_value_that_is_not_a_number(key, value):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("at", [0, 1])
 def test_problem_names_a_segment_that_is_not_segment_dynamics(family, at):
-    # a bare residual function used to construct, and solve then raised AttributeError
+    # a segment is its linearize callable: anything else is named at construction
     segments = [linear_dynamics(a2=1.0)] * 2
+    segments[at] = (linear_dynamics(a2=1.0), True)
+    with pytest.raises(ValueError, match=rf"^segments\[{at}\]: expected a linearize callable, got \("):
+        HybridProblem((0.0, 0.5, 1.0), tuple(segments), 0.0, 1.0)
+    # and a bare residual function, which returns L alone, by the solve
     segments[at] = lambda x, y, dy, d2y: d2y
-    with pytest.raises(ValueError, match=rf"^segments\[{at}\]: expected a SegmentDynamics, got <function"):
-        solve(HybridProblem((0.0, 0.5, 1.0), tuple(segments), 0.0, 1.0), SolveOptions(N=20, m=4, family=family))
+    problem = HybridProblem((0.0, 0.5, 1.0), tuple(segments), 0.0, 1.0)
+    with pytest.raises(ValueError, match=rf"^segment {at + 1}: linearize returned ndarray, expected \(L, "):
+        solve(problem, SolveOptions(N=20, m=4, family=family))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("segments", 5), ("segments", linear_dynamics(a2=1.0)), ("segments", (linear_dynamics(a2=1.0),) * 2),
+    ("solution", 5), ("solution", lambda x: x)],
+    ids=["segments_int", "segments_callable", "segments_count", "solution_int", "solution_callable"])
+def test_problem_names_segments_or_solution_that_is_not_a_sequence(key, value):
+    # but for the count, each used to raise a bare TypeError from len()
+    given = {"segments": (linear_dynamics(a2=1.0),), "solution": None, key: value}
+    with pytest.raises(ValueError, match=rf"^{key}: expected one "):
+        HybridProblem(break_points=(0.0, 1.0), y0=0.0, yf=1.0, **given)
 
 
 def test_analytic_value_names_the_first_point_outside_the_domain():
@@ -188,7 +204,7 @@ def test_analytic_solutions_satisfy_their_residuals(name):
     for k in range(1, p.n_segments + 1):
         xs = np.linspace(p.break_points[k - 1], p.break_points[k], 1000)
         y, dy, d2y = (p.solution[k - 1][d](xs) for d in (0, 1, 2))
-        resid = p.segments[k - 1].linearize(xs, y, dy, d2y)[0]
+        resid = p.segments[k - 1](xs, y, dy, d2y)[0]
         assert np.max(np.abs(resid)) <= 1e-12, f"{name} segment {k}"
 
 
@@ -211,8 +227,8 @@ def test_linear_partials_do_not_depend_on_state():
         s1 = rng.standard_normal(3)
         s2 = rng.standard_normal(3)
         for d in (0, 1, 2):
-            a = dyn.linearize(x, np.array([s1[0]]), np.array([s1[1]]), np.array([s1[2]]))[1][d]
-            b = dyn.linearize(x, np.array([s2[0]]), np.array([s2[1]]), np.array([s2[2]]))[1][d]
+            a = dyn(x, np.array([s1[0]]), np.array([s1[1]]), np.array([s1[2]]))[1][d]
+            b = dyn(x, np.array([s2[0]]), np.array([s2[1]]), np.array([s2[2]]))[1][d]
             assert np.array_equal(a, b)
 
 
@@ -221,12 +237,12 @@ def test_nonlinear_partial_factors_from_the_closed_forms():
     x = np.array([2.0])
     y, dy, d2y = np.array([1.0]), np.array([-0.25]), np.array([0.5])
     # second segment: d(residual)/d(y') = -2 * 10 * y' = -20 y'
-    assert nn.segments[1].linearize(x, y, dy, d2y)[1][1][0] == -20.0 * dy[0]
-    assert nn.segments[0].linearize(x, y, dy, d2y)[1][1][0] == -2.0 * dy[0]
+    assert nn.segments[1](x, y, dy, d2y)[1][1][0] == -20.0 * dy[0]
+    assert nn.segments[0](x, y, dy, d2y)[1][1][0] == -2.0 * dy[0]
 
     ln = builtin("linear_nonlinear")
-    assert ln.segments[1].linearize(x, y, dy, d2y)[1][0][0] == dy[0]
-    assert ln.segments[1].linearize(x, y, dy, d2y)[1][1][0] == y[0]
+    assert ln.segments[1](x, y, dy, d2y)[1][0][0] == dy[0]
+    assert ln.segments[1](x, y, dy, d2y)[1][1][0] == y[0]
 
 
 _LL_CONFIG = {
@@ -337,8 +353,7 @@ def test_linear_dynamics_residual_identity():
     x = rng.uniform(0, 1, 20)
     y, dy, d2y = rng.standard_normal((3, 20))
     expect = (1 + x) * d2y + 2.0 * dy + x ** 2 * y - np.sin(x)
-    assert np.allclose(dyn.linearize(x, y, dy, d2y)[0], expect, rtol=0, atol=1e-15)
-    assert dyn.is_linear
+    assert np.allclose(dyn(x, y, dy, d2y)[0], expect, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("length", range(1, 9))

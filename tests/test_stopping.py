@@ -5,7 +5,7 @@ import pytest
 
 from hybvp import assembly
 from hybvp.basis import FAMILIES
-from hybvp.problems import HybridProblem, SegmentDynamics, builtin, generic_linear, nonlinear_dynamics
+from hybvp.problems import HybridProblem, builtin, generic_linear, nonlinear_dynamics
 from hybvp.solver import (
     DivergenceError,
     SolveOptions,
@@ -26,7 +26,7 @@ def _scaled(problem: HybridProblem, s: float) -> HybridProblem:
             return s * L, tuple(s * p for p in partials)
         return scaled
 
-    segments = tuple(SegmentDynamics(times(dyn.linearize)) for dyn in problem.segments)
+    segments = tuple(times(dyn) for dyn in problem.segments)
     return HybridProblem(problem.break_points, segments, problem.y0, problem.yf,
                          name=problem.name, solution=problem.solution, default_m=problem.default_m)
 
@@ -136,7 +136,7 @@ def test_a_linear_solve_is_tested_against_its_rounding_floor(problem, opts):
     floor = _linearize(problem, res.system, res.xi)[2]
     dense = rounding_floor(problem, res.system, res.xi)
     assert abs(floor - dense) <= 1e-12 * dense
-    assert res.converged and res.iterations == 1
+    assert res.converged is True and res.iterations == 1  # a bool, not an np.bool_, where F > tol
     assert res.tolerance == max(opts.tol, floor)
     if problem.n_segments == 64:
         # the floor, not tol, is the threshold, and far below the old
@@ -155,9 +155,34 @@ def test_an_under_resolved_linear_solve_is_not_converged(family):
                      {"a2": [1.0], "f": [1.0, 0.0, 1.0]}]})
     res = solve(problem, SolveOptions(N=40, m=9, family=family))
     floor = _linearize(problem, res.system, res.xi)[2]
-    assert not res.converged and res.iterations == 1
+    # the first step reaches the least-squares minimum; the second moves
+    # ||L|| by no more than F, so the solve stops there as a stall
+    assert not res.converged and res.iterations == 2
+    assert abs(res.residual_trace[1] - res.residual_trace[0]) <= floor
     assert res.tolerance == max(1e-13, floor)
     assert res.residual_norm > 100 * floor
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name,steps", [("linear_nonlinear", 7), ("nonlinear_nonlinear", 6)])
+def test_an_m_sweep_stops_every_stall_early(family, name, steps):
+    # below m = 16 (linear_nonlinear) or 60 (nonlinear_nonlinear) the residual
+    # at the least-squares minimum is discretization error, far above F: these
+    # runs used all 50 steps, and one (Legendre nonlinear_nonlinear, m = 24)
+    # raised DivergenceError after 17
+    problem = builtin(name)
+    for m in (4, 8, 12, 16, 24, 32, 40, 48, 60, 72, 84, 96):
+        try:
+            res = solve(problem, SolveOptions(N=100, m=m, family=family))
+        except DivergenceError as exc:
+            pytest.fail(f"m={m}: diverged after {len(exc.trace)} steps: {exc}")
+        assert res.iterations <= 12, m
+        if res.converged:
+            assert res.iterations == steps, m
+        else:
+            # the last step moved ||L|| by no more than its rounding floor
+            trace = res.residual_trace
+            assert abs(trace[-1] - trace[-2]) <= _linearize(problem, res.system, res.xi)[2], m
 
 
 def test_an_unconverged_result_records_the_threshold_it_missed():
