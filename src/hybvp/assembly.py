@@ -14,7 +14,6 @@ last, both or neither) is worked out here, once per segment.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -22,26 +21,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import FAMILIES, Interval, collocation_grid
+from .basis import Interval, collocation_grid
 from .expressions import UnknownLayout, reference_block, reference_bounds
 
 
 def per_segment(value, n: int, name: str) -> tuple[int, ...]:
-    """A scalar (a 0-d array too) repeated for n segments, or one value per segment, as ints.
+    """A scalar repeated for n segments, or one value per segment, as a tuple.
 
-    Each value must be a number with an integral value (8.0 is 8), not a bool.
+    The values are sizes that SolveOptions has already checked; a count
+    other than n raises ValueError naming them as name.
     """
     if n < 1:
         raise ValueError("need at least one segment")
-    values = (np.asarray(value).item(),) * n if np.ndim(value) == 0 else tuple(value)
+    values = (value,) * n if np.ndim(value) == 0 else tuple(value)
     if len(values) != n:
         raise ValueError(f"{name}: expected {n} per-segment values, got {len(values)}")
-    for v in values:
-        # numpy's bool is not a numbers.Real; the float test also rejects nan and inf
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-                or not (isinstance(v, numbers.Integral) or float(v).is_integer()):
-            raise ValueError(f"{name}: expected an integer, got {v!r}")
-    return tuple(int(v) for v in values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -107,10 +102,9 @@ def assemble_all(break_points: Sequence[float], N, m, family: str, y0: float,
                  yf: float) -> SystemMatrices:
     """Discretize the segments between break points, each from its role's reference block.
 
-    N and m may be scalars (uniform) or one value per segment.
+    N and m may be scalars (uniform) or one value per segment; family is
+    one of basis.FAMILIES, which SolveOptions checks.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown basis family {family!r}; choose from {FAMILIES}")
     bp = [float(b) for b in break_points]
     n = len(bp) - 1
     Ns, ms = per_segment(N, n, "N"), per_segment(m, n, "m")

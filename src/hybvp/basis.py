@@ -76,6 +76,22 @@ def map_point(iv: Interval, x, where: str = "x"):
     return float(z) if z.ndim == 0 else z
 
 
+def _is_number(value) -> bool:
+    """A real number (numpy's too) that a float can hold, not a bool: JSON true reads as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)  # an integer beyond the float range overflows
+    except OverflowError:
+        return False
+    return True
+
+
+def _is_integer(value) -> bool:
+    """A number (_is_number) with an integral value: 8.0 is 8, nan and inf are not."""
+    return _is_number(value) and float(value).is_integer()
+
+
 def _is_order(d) -> bool:
     """Whether d is a derivative order 0..MAX_DERIVATIVE: an integer, numpy's too, not a bool or 1.0."""
     return isinstance(d, numbers.Integral) and not isinstance(d, bool) and 0 <= d <= MAX_DERIVATIVE

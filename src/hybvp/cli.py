@@ -3,9 +3,10 @@
 Problems come either from the built-in catalog (--problem) or from a
 JSON config file (--config) describing a piecewise linear ODE.  Every
 run option is one entry of _OPTIONS: a "solver" key of the config file
-and the flag "--" + key (with "_" written "-"), both parsed by the same
-converter.  Outputs are a solution table (CSV or JSON) and a JSON run
-summary.  All numbers are serialized with 17 significant digits so files
+and the flag "--" + key (with "_" written "-"), both checked by the
+same function, the one SolveOptions applies to its own fields.
+Outputs are a solution table (CSV or JSON) and a JSON run summary.
+All numbers are serialized with 17 significant digits so files
 round-trip exactly.
 """
 
@@ -18,47 +19,25 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .basis import FAMILIES
 from .problems import BUILTIN_NAMES, HybridProblem, builtin, generic_linear
-from .solver import DivergenceError, SolveOptions, SolveResult, resolve_sizes, solve
+from .solver import (CHECKS, EVAL_POINTS, DivergenceError, SolveOptions, SolveResult, _integer,
+                     _one_of, resolve_sizes, solve)
 
 FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run settings after merging config file and CLI flags."""
+    """A run: the solve's options, and the points per segment, format and directory of its table."""
 
-    N: int | tuple = 100
-    m: Optional[int | tuple] = None
-    basis: str = "chebyshev"
-    tol: float = 1e-13
-    max_iter: int = 50
-    init: Optional[tuple] = None
-    eval_points: int = 1000
+    options: SolveOptions = SolveOptions()
+    eval_points: int = EVAL_POINTS
     format: str = "csv"
     output: str = "."
-
-    def __post_init__(self):
-        if self.basis not in FAMILIES:
-            raise ValueError(f"solver.basis: expected one of {FAMILIES}, got {self.basis!r}")
-        if self.format not in FORMATS:
-            raise ValueError(f"solver.format: expected one of {FORMATS}, got {self.format!r}")
-        if not self.tol > 0:
-            raise ValueError(f"solver.tol: must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"solver.max_iter: must be at least 1, got {self.max_iter!r}")
-        if self.eval_points < 2:
-            raise ValueError(f"solver.eval_points: need at least 2 points per segment, "
-                             f"got {self.eval_points}")
-
-    def solve_options(self) -> SolveOptions:
-        return SolveOptions(N=self.N, m=self.m, family=self.basis, tol=self.tol,
-                            max_iter=self.max_iter, init_values=self.init)
 
 
 def _to_json(obj, indent=0) -> str:
@@ -91,76 +70,58 @@ def _as_numbers(text: str):
         return text
 
 
-def _integer(value, key: str) -> int:
-    """A number with an integral value (not a bool) as int; else an error naming solver.<key>."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"solver.{key}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value, key: str) -> float:
-    """A finite number (not a bool) as float; else an error naming solver.<key>."""
-    # the comparison also rejects nan and integers beyond the float range
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"solver.{key}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _string(value, key: str) -> str:
+def _string(value, name: str) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"solver.{key}: expected a string, got {value!r}")
+        raise ValueError(f"{name}: expected a string, got {value!r}")
     return value
 
 
-def _integers(value, key: str):
-    """An integer, or a list of them (one per segment) as a tuple."""
-    return tuple(_integer(v, key) for v in value) if isinstance(value, list) else _integer(value, key)
+def _seed_text(value, name: str):
+    """SolveOptions' seed check, on a list of numbers or their comma-separated text."""
+    return CHECKS["init_values"](_as_numbers(value) if isinstance(value, str) else value, name)
 
 
-def _numbers(value, key: str) -> tuple:
-    """A list of finite numbers, or their comma-separated text, as a tuple."""
-    if isinstance(value, str):
-        value = _as_numbers(value)
-    if not isinstance(value, list):
-        raise ValueError(f"solver.{key}: expected a list of numbers, got {value!r}")
-    return tuple(_number(v, key) for v in value)
-
-
-# every run option, as (converter, flag metavar, flag help): a "solver" key of
-# the config file and the flag "--" + key with "_" written "-".  A converter
-# takes (value, key) and returns the RunConfig field or raises naming solver.<key>.
+# every run option, a "solver" key of the config file and the flag "--" + key with "_"
+# written "-", as (field, check, flag metavar, flag help): field is a SolveOptions field or
+# one of RunConfig's own, and check(value, "solver." + key) returns its value or raises.
 _OPTIONS = {
-    "N": (_integers, "N[,N2,...]", "collocation points per segment"),
-    "m": (_integers, "M[,M2,...]", "basis functions per segment"),
-    "basis": (_string, "{" + ",".join(FAMILIES) + "}", "basis family"),
-    "tol": (_number, "TOL", "residual 2-norm convergence threshold"),
-    "max_iter": (_integer, "MAX_ITER", "Gauss-Newton step cap (default: 50)"),
-    "init": (_numbers, "v1,d1[,v2,d2,...]",
+    "N": ("N", CHECKS["N"], "N[,N2,...]", "collocation points per segment"),
+    "m": ("m", CHECKS["m"], "M[,M2,...]", "basis functions per segment"),
+    "basis": ("family", CHECKS["family"], "{" + ",".join(FAMILIES) + "}", "basis family"),
+    "tol": ("tol", CHECKS["tol"], "TOL", "residual 2-norm convergence threshold"),
+    "max_iter": ("max_iter", CHECKS["max_iter"], "MAX_ITER",
+                 f"Gauss-Newton step cap (default: {SolveOptions.max_iter})"),
+    "init": ("init_values", _seed_text, "v1,d1[,v2,d2,...]",
              "junction (value, slope) seeds that every solve starts from "
              "(default: the straight line between the boundary values)"),
-    "eval_points": (_integer, "EVAL_POINTS", "points per segment of the solution table, over which "
-                    "the summary's max_abs_err is taken (default: 1000)"),
-    "format": (_string, "{" + ",".join(FORMATS) + "}", "table format (default: csv)"),
-    "output": (_string, "DIR", "output directory (default: .)"),
+    "eval_points": ("eval_points", lambda value, name: _integer(value, name, 2), "EVAL_POINTS",
+                    "points per segment of the solution table, over which the summary's "
+                    f"max_abs_err is taken (default: {RunConfig.eval_points})"),
+    "format": ("format", lambda value, name: _one_of(value, name, FORMATS),
+               "{" + ",".join(FORMATS) + "}", f"table format (default: {RunConfig.format})"),
+    "output": ("output", _string, "DIR", f"output directory (default: {RunConfig.output})"),
 }
+_TEXT_OPTIONS = ("basis", "init", "format", "output")  # whose flag text goes to the check as is
+_NAMES = {field: "solver." + key for key, (field, *_) in _OPTIONS.items()}  # for resolve_sizes
 
 
-def _settings(values: dict) -> dict:
-    """Solver options (key -> raw value) converted to RunConfig fields."""
+def _settings(values: dict, cfg: RunConfig = RunConfig()) -> RunConfig:
+    """cfg with run options (key -> raw value) set, each checked as solver.<key>."""
     unknown = set(values) - set(_OPTIONS)
     if unknown:
         raise ValueError(f"solver.{sorted(unknown)[0]}: unknown option")
-    return {key: _OPTIONS[key][0](value, key) for key, value in values.items()}
+    fields = {_OPTIONS[key][0]: _OPTIONS[key][1](value, "solver." + key)
+              for key, value in values.items()}
+    options = {field: fields.pop(field) for field in CHECKS if field in fields}
+    return replace(cfg, options=replace(cfg.options, **options), **fields)
 
 
 def _flag_value(text: str, key: str):
     """A flag's text as the value its config key would carry: a number or a
     list of numbers for a numeric option whose text reads as such, else the text."""
-    if _OPTIONS[key][0] in (_string, _numbers):
+    if key in _TEXT_OPTIONS:
         return text
-    values = _as_numbers(text)  # text that is not numbers fails the converter as in a config
+    values = _as_numbers(text)  # text that is not numbers fails the check as in a config
     return values[0] if isinstance(values, list) and len(values) == 1 else values
 
 
@@ -184,7 +145,7 @@ def parse_config(path) -> tuple[HybridProblem, RunConfig]:
     solver_cfg = raw.get("solver", {})
     if not isinstance(solver_cfg, dict):
         raise ValueError("solver: expected a mapping of solver options")
-    return problem, RunConfig(**_settings(solver_cfg))
+    return problem, _settings(solver_cfg)
 
 
 def _solution_table(problem: HybridProblem, result: SolveResult, eval_points: int):
@@ -231,12 +192,7 @@ def _write_table(path: Path, columns, table: np.ndarray, fmt: str):
 
 def run(problem: HybridProblem, cfg: RunConfig) -> int:
     """Solve and write artifacts; returns the process exit status."""
-    opts = cfg.solve_options()
-    Ns, ms = resolve_sizes(problem, opts)
-    seeds = 2 * (problem.n_segments - 1)
-    if cfg.init is not None and len(cfg.init) != seeds:
-        raise ValueError(f"solver.init: expected {seeds} values (value, slope per junction), "
-                         f"got {len(cfg.init)}")
+    Ns, ms = resolve_sizes(problem, cfg.options, _NAMES)
     outdir = Path(cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -245,7 +201,7 @@ def run(problem: HybridProblem, cfg: RunConfig) -> int:
     converged = False
     tolerance = None  # a solve that raised tested no threshold it could report
     try:
-        result = solve(problem, opts)
+        result = solve(problem, cfg.options)
         trace = list(result.residual_trace)
         converged = result.converged
         tolerance = result.tolerance
@@ -285,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = parser.add_mutually_exclusive_group(required=True)
     src.add_argument("--problem", choices=BUILTIN_NAMES, help="built-in problem name")
     src.add_argument("--config", metavar="PATH", help="JSON problem/config file")
-    for key, (_, metavar, text) in _OPTIONS.items():
+    for key, (_, _, metavar, text) in _OPTIONS.items():
         parser.add_argument("--" + key.replace("_", "-"), metavar=metavar, help=text)
     return parser
 
@@ -303,8 +259,7 @@ def main(argv=None) -> int:
             cfg = RunConfig()
         flags = {key: _flag_value(text, key) for key, text in vars(args).items()
                  if key in _OPTIONS and text is not None}
-        cfg = replace(cfg, **_settings(flags))
-        return run(problem, cfg)
+        return run(problem, _settings(flags, cfg))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

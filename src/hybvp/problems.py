@@ -15,13 +15,12 @@ user-posed piecewise linear ODEs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basis import MAX_DERIVATIVE, Interval, _is_order
+from .basis import MAX_DERIVATIVE, Interval, _is_number, _is_order
 
 Array = np.ndarray
 StateFn = Callable[[Array, Array, Array, Array], Array]
@@ -52,17 +51,6 @@ def nonlinear_dynamics(residual: StateFn, d_y: StateFn, d_dy: StateFn, d_d2y: St
         return residual(*state), (d_y(*state), d_dy(*state), d_d2y(*state))
 
     return linearize
-
-
-def _is_number(value) -> bool:
-    """A real number that a float can hold, and not a bool (JSON true and false read as 1 and 0)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        float(value)  # an integer beyond the float range overflows
-    except OverflowError:
-        return False
-    return True
 
 
 def _break_points(values) -> tuple[float, ...]:
@@ -110,8 +98,9 @@ class HybridProblem:
             value = getattr(self, key)  # a 0-d array counts as the number it holds
             if np.ndim(value) != 0 or not _is_number(np.asarray(value).item()):
                 raise ValueError(f"{key}: expected a number, got {value!r}")
-        if not (math.isfinite(self.y0) and math.isfinite(self.yf)):
-            raise ValueError("boundary values must be finite")
+            if not math.isfinite(value):
+                raise ValueError(f"{key}: non-finite boundary value {value!r}")
+            object.__setattr__(self, key, float(value))
         if not (self.solution is None or isinstance(self.solution, (tuple, list))):
             raise ValueError(f"solution: expected one (y, y', y'') triple of callables per segment, "
                              f"{self.n_segments} in all, got {self.solution!r}")
@@ -314,24 +303,13 @@ def generic_linear(config: dict) -> HybridProblem:
     polynomial coefficients (a1, a0, f optional, default zero; f may
     also be a {"poly": ..., "terms": ...} mapping).
     """
-    bp = config.get("break_points")
-    if not isinstance(bp, (list, tuple)):
-        raise ValueError("break_points: need at least two values")
-    bp = _break_points(bp)
+    bp = _break_points(config.get("break_points"))
     seg_cfgs = config.get("segments")
     if not isinstance(seg_cfgs, (list, tuple)):
         raise ValueError("segments: expected a list of segment mappings")
     if len(seg_cfgs) != len(bp) - 1:
         raise ValueError(f"segments: count mismatch, {len(bp) - 1} intervals "
                          f"but {len(seg_cfgs)} segments")
-    for key in ("y0", "yf"):
-        if key not in config:
-            raise ValueError(f"{key}: missing boundary value")
-        if not _is_number(config[key]):
-            raise ValueError(f"{key}: expected a number, got {config[key]!r}")
-    y0, yf = float(config["y0"]), float(config["yf"])
-    if not (math.isfinite(y0) and math.isfinite(yf)):
-        raise ValueError("y0/yf: non-finite boundary value")
 
     segments = []
     for i, seg in enumerate(seg_cfgs):
@@ -351,8 +329,8 @@ def generic_linear(config: dict) -> HybridProblem:
     return HybridProblem(
         break_points=bp,
         segments=tuple(segments),
-        y0=y0,
-        yf=yf,
+        y0=config.get("y0"),  # HybridProblem checks both: a missing one is None
+        yf=config.get("yf"),
         name=str(config.get("name", "generic_linear")),
     )
 

@@ -61,7 +61,6 @@ sides, and evaluate on the points HybridProblem.split gives the segment.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,7 +70,8 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import SystemMatrices, assemble_all, per_segment
-from .basis import FAMILIES, MAX_DERIVATIVE, SERIES, _is_order, map_point
+from .basis import (FAMILIES, MAX_DERIVATIVE, SERIES, _is_integer, _is_number, _is_order,
+                    map_point)
 from .expressions import UnknownLayout, segment_constraints
 from .problems import HybridProblem
 from .switching import switching_functions
@@ -85,20 +85,76 @@ class DivergenceError(RuntimeError):
         self.trace = list(trace)
 
 
+# points per segment, ends included, of errors_by_order and by default of the CLI table
+EVAL_POINTS = 1000
+
+
+# Each check takes a value and the name to report (SolveOptions.<field> here, solver.<key>
+# in the CLI), and returns the value as it is stored or raises ValueError naming it.
+
+def _integer(value, name: str, least: int) -> int:
+    """An integral number (8.0 is 8; not a bool, nan or inf) of at least least, as an int."""
+    value = int(value) if _is_integer(value) else value
+    if _is_integer(value) and value >= least:
+        return value
+    raise ValueError(f"{name}: must be an integer >= {least}, got {value!r}")
+
+
+def _sizes(value, name: str):
+    """A size (an integer >= 1; a 0-d array is the one it holds), or one per segment as a tuple."""
+    if isinstance(value, (list, tuple)) or np.ndim(value) > 0:
+        return tuple(_integer(v, name, 1) for v in value)
+    return _integer(value.item() if isinstance(value, np.ndarray) else value, name, 1)
+
+
+def _one_of(value, name: str, choices: tuple):
+    if value not in choices:
+        raise ValueError(f"{name}: expected one of {choices}, got {value!r}")
+    return value
+
+
+def _tol(value, name: str) -> float:
+    """A positive finite number, as a float."""
+    value = float(value) if _is_number(value) else value
+    if isinstance(value, float) and 0 < value < math.inf:  # the comparison also rejects nan
+        return value
+    raise ValueError(f"{name}: must be a positive finite number, got {value!r}")
+
+
+def _seeds(value, name: str) -> Optional[tuple]:
+    """None, or a list (tuple, 1-d array) of finite numbers, as a tuple of floats."""
+    if value is None:
+        return None
+    if not (isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1)):
+        raise ValueError(f"{name}: expected a list of numbers, got {value!r}")
+    for v in value:
+        if not (_is_number(v) and math.isfinite(v)):
+            raise ValueError(f"{name}: expected a finite number, got {v!r}")
+    return tuple(float(v) for v in value)
+
+
+# each SolveOptions field's check, and the name its errors give the field
+CHECKS = {"N": _sizes, "m": lambda value, name: value if value is None else _sizes(value, name),
+          "family": lambda value, name: _one_of(value, name, FAMILIES), "tol": _tol,
+          "max_iter": lambda value, name: _integer(value, name, 1), "init_values": _seeds}
+NAMES = {field: f"SolveOptions.{field}" for field in CHECKS}
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Grid size, basis, convergence and starting point of a solve.
 
-    N and m (an integer or one per segment, where 8.0 counts as 8 and a
-    bool or a fraction is rejected; m defaults to the problem's
-    default_m, else 16) size each segment's grid and basis, and family,
-    one of basis.FAMILIES, names the basis.
+    N and m (an integer >= 1 or one per segment; m defaults to the
+    problem's default_m, else 16) size each segment's grid and basis,
+    and family, one of basis.FAMILIES, names the basis.
     tol, a positive finite number, is the residual 2-norm at which the
     solve converges, raised to the rounding floor F of the residual at
     each iterate (see the module docstring).  Every problem takes up to
-    max_iter steps, an integer >= 1, from init_values, one (value,
-    slope) pair per junction, or from the straight line between the
-    boundary values when they are None.
+    max_iter steps, an integer >= 1, from init_values, finite (value,
+    slope) pairs, one per junction, or from the straight line between
+    the boundary values when they are None.  CHECKS stores each field as
+    checked (8.0 as 8; a bool or a fraction fails) or raises ValueError
+    naming SolveOptions.<field>; resolve_sizes checks the problem's counts.
     """
 
     N: int | tuple = 100
@@ -109,15 +165,8 @@ class SolveOptions:
     init_values: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"SolveOptions.family: expected one of {FAMILIES}, got {self.family!r}")
-        # the comparison also rejects nan
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) \
-                or not 0 < self.tol < math.inf:
-            raise ValueError(f"SolveOptions.tol: must be a positive finite number, got {self.tol!r}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) \
-                or self.max_iter < 1:
-            raise ValueError(f"SolveOptions.max_iter: must be an integer >= 1, got {self.max_iter!r}")
+        for field, check in CHECKS.items():
+            object.__setattr__(self, field, check(getattr(self, field), NAMES[field]))
 
 
 @dataclass(frozen=True)
@@ -243,13 +292,13 @@ class SolveResult:
     def errors_by_order(self) -> Optional[dict]:
         """{d: max |y^(d) - exact|} for d = 0..2 (NaN if any is), or None without a closed form.
 
-        Over 1,000 points per segment, ends included, one pass each: a junction counts from both sides.
+        Over EVAL_POINTS points per segment, ends included, one pass each: a junction counts from both sides.
         """
         if self.problem.solution is None:
             return None
         errors = dict.fromkeys(range(MAX_DERIVATIVE + 1), 0.0)
         for k, (iv, exact) in enumerate(zip(self.system.intervals, self.problem.solution), 1):
-            xs = np.linspace(iv.x0, iv.xf, 1000)
+            xs = np.linspace(iv.x0, iv.xf, EVAL_POINTS)
             for d, y in zip(errors, self._segment_orders(k, xs, tuple(errors))):
                 errors[d] = float(np.max(np.abs(y - exact[d](xs)), initial=errors[d]))
         return errors
@@ -396,22 +445,19 @@ def initial_guess(problem: HybridProblem, opts: SolveOptions, layout: UnknownLay
 
     Without opts.init_values every junction is seeded with the value and
     slope of the straight line joining the two boundary points; with
-    them, each junction gets its given (value, slope) pair.
+    them, each junction gets its given (value, slope) pair, as many as
+    resolve_sizes checked.
     """
     xi = np.zeros(layout.total)
-    n = layout.n_segments
     values = opts.init_values
     if values is None:
         x0, xf = problem.break_points[0], problem.break_points[-1]
         slope = (problem.yf - problem.y0) / (xf - x0)
         values = [v for xj in problem.break_points[1:-1]
                   for v in (problem.y0 + slope * (xj - x0), slope)]
-    elif len(values) != 2 * (n - 1):
-        raise ValueError(f"explicit initial guess needs {2 * (n - 1)} values "
-                         f"(value, slope per junction), got {values!r}")
-    for j in range(1, n):
-        xi[layout.junction_value_index(j)] = float(values[2 * (j - 1)])
-        xi[layout.junction_slope_index(j)] = float(values[2 * (j - 1) + 1])
+    for j in range(1, layout.n_segments):
+        xi[layout.junction_value_index(j)] = values[2 * (j - 1)]
+        xi[layout.junction_slope_index(j)] = values[2 * (j - 1) + 1]
     return xi
 
 
@@ -421,14 +467,24 @@ def initial_guess(problem: HybridProblem, opts: SolveOptions, layout: UnknownLay
 DIVERGENCE_WINDOW = 5
 
 
-def resolve_sizes(problem: HybridProblem, opts: SolveOptions) -> tuple:
-    """Per-segment (N_k, ...) and (m_k, ...) that a solve of problem with opts uses."""
+def resolve_sizes(problem: HybridProblem, opts: SolveOptions, names: dict = NAMES) -> tuple:
+    """Per-segment (N_k, ...) and (m_k, ...) that a solve of problem with opts uses.
+
+    Checks one N and m per segment, N >= m + 4, one init_values pair per
+    junction and the problem's default_m; an error names the setting as
+    names[field].
+    """
     n = problem.n_segments
-    m = opts.m if opts.m is not None else (problem.default_m or 16)
-    Ns, ms = per_segment(opts.N, n, "N"), per_segment(m, n, "m")
+    m = opts.m if opts.m is not None else _sizes(problem.default_m or 16, "HybridProblem.default_m")
+    Ns, ms = per_segment(opts.N, n, names["N"]), per_segment(m, n, names["m"])
     for Nk, mk in zip(Ns, ms):
         if Nk < mk + 4:
-            raise ValueError(f"need N >= m + 4 collocation points per segment, got N={Nk}, m={mk}")
+            raise ValueError(f"{names['N']}: need N >= m + 4 collocation points per segment, "
+                             f"got N={Nk}, m={mk}")
+    seeds = 2 * (n - 1)
+    if opts.init_values is not None and len(opts.init_values) != seeds:
+        raise ValueError(f"{names['init_values']}: expected {seeds} values (value, slope per "
+                         f"junction), got {len(opts.init_values)}")
     return Ns, ms
 
 

@@ -40,8 +40,6 @@ def test_segment_points_share_junction_abscissae():
         assemble_all([0.0, 1.0, 0.5], 9, 4, "chebyshev", 0.0, 1.0)
     with pytest.raises(ValueError):
         assemble_all([0.0, 1.0], (9, 9), 4, "chebyshev", 0.0, 1.0)
-    with pytest.raises(ValueError, match="unknown basis family 'fourier'"):
-        assemble_all([0.0, 1.0], 9, 4, "fourier", 0.0, 1.0)
 
 
 def test_boundary_row_embeds_y0_for_any_xi():

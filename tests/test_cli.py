@@ -36,8 +36,8 @@ def test_parse_config_reproduces_builtin_problem(tmp_path):
     path = _write_config(tmp_path)
     problem, cfg = parse_config(path)
     assert problem.break_points == (0.0, 0.5, 1.0)
-    assert cfg.N == 80 and cfg.m == 8 and cfg.tol == 1e-13
-    res_cfg = solve(problem, cfg.solve_options())
+    assert cfg.options == SolveOptions(N=80, m=8, tol=1e-13)
+    res_cfg = solve(problem, cfg.options)
     res_ref = solve(builtin("linear_linear"), SolveOptions(N=80, m=8))
     xs = np.linspace(0, 1, 201)
     assert np.max(np.abs(res_cfg.evaluate(xs) - res_ref.evaluate(xs))) <= 1e-13
@@ -119,12 +119,17 @@ def test_a_bad_value_gets_the_same_message_from_its_flag_and_its_key(tmp_path, c
     (["--problem", "nonlinear_nonlinear", "--init", "1"], "init"),
     (["--problem", "linear_linear", "--tol", "0"], "tol"),
     (["--problem", "linear_linear", "--tol=-1e-3"], "tol"),
-    (["--problem", "linear_linear", "--max-iter", "0"], "max_iter")])
+    (["--problem", "linear_linear", "--max-iter", "0"], "max_iter"),
+    # the sizes: m below 1, N below m + 4 and a per-segment count that is not the problem's
+    (["--problem", "linear_linear", "--m", "0"], "m"),
+    (["--problem", "linear_linear", "--m=-2"], "m"),
+    (["--problem", "linear_linear", "--N", "3"], "N"),
+    (["--problem", "linear_linear", "--N", "40,60,70"], "N")])
 def test_bad_solver_settings_are_rejected_before_any_output(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
     status = main(argv + ["--output", str(out)])
     assert status == 2
-    assert f"solver.{key}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: solver.{key}: ")
     assert not out.exists()
 
 
@@ -168,7 +173,7 @@ def test_summary_stays_strict_json_when_the_residual_turns_non_finite(tmp_path):
                              d_d2y=lambda x, y, dy, d2y: np.ones_like(x))
     problem = HybridProblem(break_points=(0.0, 1.0), segments=(dyn,), y0=0.0, yf=0.5,
                             name="blow_up")
-    status = run(problem, RunConfig(N=20, m=5, output=str(tmp_path)))
+    status = run(problem, RunConfig(SolveOptions(N=20, m=5), output=str(tmp_path)))
     assert status == 1
     summary = json.loads((tmp_path / "summary.json").read_text(),
                          parse_constant=_reject_constant)
@@ -181,8 +186,9 @@ def test_integral_floats_are_accepted(tmp_path):
     payload = dict(_LL_JSON, solver={"N": 80.0, "m": [8.0, 9], "max_iter": 3.0,
                                      "eval_points": 20.0})
     _, cfg = parse_config(_write_config(tmp_path, payload))
-    assert (cfg.N, cfg.m, cfg.max_iter, cfg.eval_points) == (80, (8, 9), 3, 20)
-    assert all(type(v) is int for v in (cfg.N, *cfg.m, cfg.max_iter, cfg.eval_points))
+    opts = cfg.options
+    assert (opts.N, opts.m, opts.max_iter, cfg.eval_points) == (80, (8, 9), 3, 20)
+    assert all(type(v) is int for v in (opts.N, *opts.m, opts.max_iter, cfg.eval_points))
 
 
 def test_non_finite_forcing_fails_the_run(tmp_path):
@@ -203,7 +209,7 @@ def test_non_finite_forcing_fails_the_run(tmp_path):
 
 def test_run_writes_tables_and_summary(tmp_path):
     problem = builtin("linear_linear")
-    cfg = RunConfig(N=100, m=8, output=str(tmp_path), eval_points=200)
+    cfg = RunConfig(SolveOptions(N=100, m=8), output=str(tmp_path), eval_points=200)
     status = run(problem, cfg)
     assert status == 0
 
@@ -225,7 +231,7 @@ def test_run_writes_tables_and_summary(tmp_path):
     assert summary["converged"] is True
     assert summary["iterations"] == len(summary["residual_trace"]) == 1
     # the threshold, max(tol, F) at the solution, and the residual under it
-    res = solve(problem, cfg.solve_options())
+    res = solve(problem, cfg.options)
     assert summary["tolerance"] == max(1e-13, _linearize(problem, res.system, res.xi)[2])
     assert summary["residual_trace"][-1] <= summary["tolerance"]
     assert abs(summary["junctions"][0]["y"] - 77.0 / 192.0) < 1e-12
@@ -257,7 +263,7 @@ def test_solution_table_equals_the_per_order_evaluation(tmp_path):
 @pytest.mark.parametrize("name", ["linear_linear", "linear_nonlinear", "nonlinear_nonlinear"])
 def test_the_summary_error_is_max_abs_err_bitwise_at_the_default_eval_points(tmp_path, name, family):
     problem = builtin(name)
-    run(problem, RunConfig(basis=family, output=str(tmp_path)))
+    run(problem, RunConfig(SolveOptions(family=family), output=str(tmp_path)))
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["max_abs_err"] == solve(problem, SolveOptions(family=family)).max_abs_err
 
@@ -281,7 +287,8 @@ def test_a_constant_closed_form_fills_its_table_column(tmp_path):
     # y' = 1 written as a constant used to fail the table's column stacking, and the run exited 2
     problem = HybridProblem((0.0, 1.0), (linear_dynamics(a2=1.0),), 0.0, 1.0,
                             solution=((lambda x: x, lambda x: 1.0, lambda x: 0.0),))
-    assert run(problem, RunConfig(N=20, m=4, output=str(tmp_path), eval_points=5)) == 0
+    cfg = RunConfig(SolveOptions(N=20, m=4), output=str(tmp_path), eval_points=5)
+    assert run(problem, cfg) == 0
     rows = [line.split(",") for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
     assert [row[7] for row in rows] == ["1"] * 5
     assert json.loads((tmp_path / "summary.json").read_text())["max_abs_err"] <= 1e-14
@@ -290,7 +297,7 @@ def test_a_constant_closed_form_fills_its_table_column(tmp_path):
 def test_junction_rows_use_their_own_segment(tmp_path):
     """The first row of segment 2 sits on the junction: y'' is the right limit."""
     problem = builtin("linear_linear")
-    run(problem, RunConfig(N=100, m=8, output=str(tmp_path), eval_points=50))
+    run(problem, RunConfig(SolveOptions(N=100, m=8), output=str(tmp_path), eval_points=50))
     rows = [line.split(",") for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
     left, right = rows[49], rows[50]
     assert left[:2] == ["1", "0.5"] and right[:2] == ["2", "0.5"]
@@ -304,13 +311,13 @@ def test_run_outputs_are_deterministic(tmp_path):
     problem = builtin("linear_linear")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        run(problem, RunConfig(N=60, m=8, output=str(out), eval_points=50))
+        run(problem, RunConfig(SolveOptions(N=60, m=8), output=str(out), eval_points=50))
     assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
 
 def test_serialized_numbers_round_trip_exactly(tmp_path):
     problem = builtin("linear_linear")
-    cfg = RunConfig(N=60, m=8, output=str(tmp_path), eval_points=30)
+    cfg = RunConfig(SolveOptions(N=60, m=8), output=str(tmp_path), eval_points=30)
     run(problem, cfg)
     lines = (tmp_path / "solution.csv").read_text().splitlines()[1:]
     assert lines
@@ -319,14 +326,15 @@ def test_serialized_numbers_round_trip_exactly(tmp_path):
             # parse-and-reformat reproduces the text: no precision was lost
             assert format(float(field), ".17g") == field
     # and the exact junction value survives the text round trip
-    res = solve(problem, cfg.solve_options())
+    res = solve(problem, cfg.options)
     y_mid = res.evaluate(np.array([0.5]))[0]
     assert float(format(y_mid, ".17g")) == y_mid
 
 
 def test_json_table_format(tmp_path):
     problem = builtin("nonlinear_nonlinear")
-    cfg = RunConfig(output=str(tmp_path), format="json", eval_points=20, init=(1.30685, -0.5))
+    cfg = RunConfig(SolveOptions(init_values=(1.30685, -0.5)), output=str(tmp_path), format="json",
+                    eval_points=20)
     status = run(problem, cfg)
     assert status == 0
     table = json.loads((tmp_path / "solution.json").read_text())
@@ -338,7 +346,7 @@ def test_json_table_format(tmp_path):
 
 def test_unconverged_run_still_writes_summary(tmp_path):
     problem = builtin("nonlinear_nonlinear")
-    cfg = RunConfig(N=100, m=60, max_iter=1, output=str(tmp_path))
+    cfg = RunConfig(SolveOptions(N=100, m=60, max_iter=1), output=str(tmp_path))
     status = run(problem, cfg)
     assert status == 1
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -416,8 +424,12 @@ _SAME_SETTING = [
     ("eval_points", 25, "25"), ("format", "json", "json"), ("output", "run", "run")]
 
 
-def test_every_option_is_a_run_config_field_with_a_flag_case():
-    assert set(_OPTIONS) == {f.name for f in fields(RunConfig)} == {c[0] for c in _SAME_SETTING}
+def test_every_option_sets_one_solve_options_or_run_config_field_and_has_a_flag_case():
+    # the CLI-only fields are RunConfig's own; its options field holds the rest
+    run_fields = {f.name for f in fields(RunConfig)} - {"options"}
+    targets = [field for field, *_ in _OPTIONS.values()]
+    assert sorted(targets) == sorted({f.name for f in fields(SolveOptions)} | run_fields)
+    assert set(_OPTIONS) == {c[0] for c in _SAME_SETTING}
 
 
 @pytest.mark.parametrize("key,value,flag", _SAME_SETTING)

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from hybvp.solver import (
     _linearize,
     _scaled_qr_lstsq,
     initial_guess,
+    resolve_sizes,
     solve,
 )
 from oracles import (
@@ -174,11 +176,13 @@ def test_initial_guess_explicit_policy_matches_reference_vectors():
 
 
 def test_initial_guess_explicit_arity_checked():
+    # the count depends on the problem: resolve_sizes checks it, for solve and the CLI alike
     p = builtin("linear_nonlinear")
     opts = SolveOptions(N=20, m=5, init_values=(1.0,))
-    layout = discretize(p, opts).layout
-    with pytest.raises(ValueError):
-        initial_guess(p, opts, layout)
+    message = r"^SolveOptions\.init_values: expected 2 values \(value, slope per junction\), got 1$"
+    for call in (resolve_sizes, solve):
+        with pytest.raises(ValueError, match=message):
+            call(p, opts)
 
 
 def test_solve_nonlinear_linear_nonlinear_from_reference_start():
@@ -459,23 +463,26 @@ def test_options_validation():
                                              r"\('chebyshev', 'legendre'\), got "):
             SolveOptions(family=family)
     assert SolveOptions(family="legendre").family == "legendre"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^SolveOptions\.N: need N >= m \+ 4 collocation points "
+                                         r"per segment, got N=10, m=8$"):
         solve(builtin("linear_linear"), SolveOptions(N=10, m=8))
-    # N and m are never truncated: a bool or a fraction fails, before any assembly
-    with mock.patch.object(solver, "assemble_all") as assemble:
-        for opts, message in ((SolveOptions(m=7.9, N=20.6), r"^N: expected an integer, got 20\.6$"),
-                              (SolveOptions(m=7.9, N=20), r"^m: expected an integer, got 7\.9$"),
-                              (SolveOptions(m=True, N=10), r"^m: expected an integer, got True$"),
-                              (SolveOptions(m=4, N=(12, np.float64(12.5))),
-                               r"^N: expected an integer, got .*12\.5"),
-                              (SolveOptions(m=(4, np.bool_(True)), N=12), r"^m: expected an integer"),
-                              (SolveOptions(m=4, N="12"), r"^N: expected an integer, got '12'$"),
-                              (SolveOptions(m=4, N=math.nan), r"^N: expected an integer, got nan$")):
-            with pytest.raises(ValueError, match=message):
-                solve(builtin("linear_linear"), opts)
-        assert assemble.call_count == 0
-    # an integral float is the integer it holds, and a 0-d array the scalar it holds
-    res = solve(builtin("linear_linear"), SolveOptions(m=8.0, N=np.float64(20.0)))
+    # N and m are never truncated: a bool, a fraction or a size below 1 fails where it is given
+    for given, message in ((dict(m=7.9, N=20.6), r"^SolveOptions\.N: must be an integer >= 1, got 20\.6$"),
+                           (dict(m=7.9, N=20), r"^SolveOptions\.m: must be an integer >= 1, got 7\.9$"),
+                           (dict(m=True, N=10), r"^SolveOptions\.m: must be an integer >= 1, got True$"),
+                           (dict(m=4, N=(12, np.float64(12.5))),
+                            r"^SolveOptions\.N: must be an integer >= 1, got .*12\.5"),
+                           (dict(m=(4, np.bool_(True)), N=12), r"^SolveOptions\.m: must be an integer >= 1"),
+                           (dict(m=4, N="12"), r"^SolveOptions\.N: must be an integer >= 1, got '12'$"),
+                           (dict(m=4, N=math.nan), r"^SolveOptions\.N: must be an integer >= 1, got nan$"),
+                           (dict(m=0), r"^SolveOptions\.m: must be an integer >= 1, got 0$"),
+                           (dict(m=(8, -2.0)), r"^SolveOptions\.m: must be an integer >= 1, got -2$")):
+        with pytest.raises(ValueError, match=message):
+            SolveOptions(**given)
+    # an integral float is stored as the int it holds, and a 0-d array as the scalar it holds
+    opts = SolveOptions(m=8.0, N=np.float64(20.0))
+    assert (opts.N, opts.m) == (20, 8) and type(opts.N) is int and type(opts.m) is int
+    res = solve(builtin("linear_linear"), opts)
     assert res.system.layout.ms == (8, 8) and res.system.total_points == 40
     assert np.array_equal(res.xi, solve(builtin("linear_linear"), SolveOptions(m=8, N=20)).xi)
     res = solve(builtin("linear_linear"), SolveOptions(N=np.array(40), m=np.array(8.0)))
@@ -484,10 +491,10 @@ def test_options_validation():
     # a 1-d array stays one value per segment
     res = solve(builtin("linear_linear"), SolveOptions(N=np.array([40, 30]), m=8))
     assert [len(x) for x in res.system.points] == [40, 30]
-    with pytest.raises(ValueError, match=r"^N: expected 2 per-segment values, got 1$"):
+    with pytest.raises(ValueError, match=r"^SolveOptions\.N: expected 2 per-segment values, got 1$"):
         solve(builtin("linear_linear"), SolveOptions(N=np.array([40]), m=8))
-    with pytest.raises(ValueError, match=r"^m: expected an integer, got True$"):
-        solve(builtin("linear_linear"), SolveOptions(N=40, m=np.array(True)))
+    with pytest.raises(ValueError, match=r"^SolveOptions\.m: must be an integer >= 1, got True$"):
+        SolveOptions(N=40, m=np.array(True))
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, True, "1e-13", None])
@@ -498,12 +505,36 @@ def test_options_reject_a_tol_that_is_not_a_positive_finite_number(value):
         SolveOptions(tol=value)
 
 
-@pytest.mark.parametrize("value", [2.5, 3.0, True, "5", 0])
+@pytest.mark.parametrize("value", [2.5, True, "5", 0])
 def test_options_reject_a_max_iter_that_is_not_a_positive_integer(value):
     # a float used to fail late, inside solve, with a bare TypeError from range
     with pytest.raises(ValueError, match=r"SolveOptions\.max_iter: must be an integer >= 1"):
         SolveOptions(max_iter=value)
-    assert SolveOptions(max_iter=np.int64(3)).max_iter == 3
+    # an integral value is stored as the int it holds, as for N and m
+    for integral in (np.int64(3), 3.0):
+        assert type(SolveOptions(max_iter=integral).max_iter) is int
+        assert SolveOptions(max_iter=integral).max_iter == 3
+
+
+@pytest.mark.parametrize("value,shown", [
+    (5, "a list of numbers, got 5"), ("12", "a list of numbers, got '12'"),
+    ((1.0, math.nan), "a finite number, got nan"), ((1.0, math.inf), "a finite number, got inf"),
+    ((True, False), "a finite number, got True"), ([None, 1.0], "a finite number, got None")])
+def test_options_reject_seeds_that_are_not_finite_numbers(value, shown):
+    # each used to fail late inside solve, after RuntimeWarnings, or to be read as numbers
+    with pytest.raises(ValueError, match=r"^SolveOptions\.init_values: expected " + re.escape(shown) + "$"):
+        SolveOptions(init_values=value)
+    assert SolveOptions(init_values=[1, np.float64(-0.5)]).init_values == (1.0, -0.5)
+
+
+@pytest.mark.parametrize("default_m", [2.5, -3, True])
+def test_a_problem_default_m_gets_the_rule_of_m(default_m):
+    # 2.5 used to end in a bare TypeError from numpy's Vandermonde, -3 in an unnamed ValueError
+    p = HybridProblem((0.0, 1.0), (linear_dynamics(a2=1.0),), 0.0, 1.0, default_m=default_m)
+    with pytest.raises(ValueError, match=r"^HybridProblem\.default_m: must be an integer >= 1, got "
+                                         + re.escape(repr(default_m)) + "$"):
+        solve(p, SolveOptions(N=20))
+    assert solve(p, SolveOptions(N=20, m=4)).converged
 
 
 def _three_segment_log_problem():
