@@ -10,7 +10,6 @@ import numpy as np
 
 from hybvp.assembly import assemble_all
 from hybvp.basis import Interval
-from hybvp.expressions import segment_constraints
 from hybvp.switching import switching_functions
 
 # 1 -- delta property of the cubic (interior segment) switching set, the
@@ -30,18 +29,19 @@ for row in rows:
 rng = np.random.default_rng(0)
 y0, yf = -2.0, 3.0
 system = assemble_all([0.0, 0.6, 1.0], 10, 6, "chebyshev", y0, yf)
-layout = system.layout
 
+# a segment's role lists what it pins; a junction column counts from the start of its window
 print("\nwhat each segment pins (order 0 = value, 1 = slope; column None = boundary value):")
-for k in (1, 2):
+for k, (window, role) in enumerate(zip(system.windows, system.roles), 1):
     print(f"  segment {k}:")
-    for c in segment_constraints(k, layout, y0, yf):
-        print(f"    order {c.order} at {'x0' if c.end == 0 else 'xf'}: "
-              + (f"boundary value {c.value:+.1f}" if c.column is None else f"unknown column {c.column}"))
+    for order, end, column in role.pinned:
+        print(f"    order {order} at {'x0' if end == 0 else 'xf'}: "
+              + (f"boundary value {system.boundary[end]:+.1f}" if column is None
+                 else f"unknown column {window.start + column}"))
 
 print("\nrandom coefficient vectors still satisfy every constraint:")
 for trial in range(3):
-    xi = rng.standard_normal(layout.total)
+    xi = rng.standard_normal(system.total)
     # y, y' and y'' at each segment's points; rows 0 and -1 are its ends
     (y1, dy1, _), (y2, dy2, _) = (system.segment_states(xi, k) for k in (1, 2))
     print(f"  trial {trial}: y(x0)-y0 = {y1[0] - y0:+.1e}, y(xf)-yf = {y2[-1] - yf:+.1e}, "

@@ -9,7 +9,10 @@ ends.  A_k^(d) is never stored: it is the reference block of segment
 k's role (expressions.reference_block, cached per role, family, m and N)
 with its columns scaled by powers of the segment width, so a second
 assembly of the same sizes evaluates no basis at all.  The role (first,
-last, both or neither) is worked out here, once per segment.
+last, both or neither) is worked out here, once per segment, and with it
+the segment's window of Xi (expressions.segment_role) and the
+functionals it pins: segment k+1's window starts at the junction pair
+that ends segment k's.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import Interval, collocation_grid
-from .expressions import UnknownLayout, reference_block, reference_bounds
+from .expressions import Role, reference_block, reference_bounds, segment_role
 
 
 def per_segment(value, n: int, name: str) -> tuple[int, ...]:
@@ -44,23 +47,30 @@ class SystemMatrices:
     """Per-segment points and (A_k^(d), B_k^(d)) for d = 0, 1, 2 over one geometry.
 
     Segment k (1-based) spans intervals[k-1] with its collocation points
-    points[k-1], and segments[k-1] is (R, s, B, bounds): A_k^(d) =
+    points[k-1], its unknowns are Xi[windows[k-1]], laid out as
+    roles[k-1] says, and segments[k-1] is (R, s, B, bounds): A_k^(d) =
     R[d] * s[d], where R[d] is shared by the segments of k's role and
-    s[d] holds one scale per column of layout.window(k), B_k^(d) = B[d],
-    and bounds is the role's reference_bounds.  family names the basis
-    and boundary is (y0, yf).
+    s[d] holds one scale per column of the window, B_k^(d) = B[d], and
+    bounds is the role's reference_bounds.  family names the basis and
+    boundary is (y0, yf).
     """
 
     family: str
     intervals: tuple[Interval, ...]
     points: tuple[np.ndarray, ...]
     segments: tuple[tuple, ...]
-    layout: UnknownLayout
+    windows: tuple[slice, ...]
+    roles: tuple[Role, ...]
     boundary: tuple[float, float]
 
     @property
     def n_segments(self) -> int:
-        return self.layout.n_segments
+        return len(self.windows)
+
+    @property
+    def total(self) -> int:
+        """Length of Xi."""
+        return self.windows[-1].stop
 
     @cached_property
     def _row_starts(self) -> tuple[int, ...]:
@@ -77,18 +87,18 @@ class SystemMatrices:
     def segment_states(self, xi: np.ndarray, k: int) -> tuple:
         """y, y', y'' at segment k's grid points for a given Xi."""
         R, s, B, _ = self.segments[k - 1]
-        local = np.asarray(xi, dtype=float)[self.layout.window(k)]
+        local = np.asarray(xi, dtype=float)[self.windows[k - 1]]
         return tuple(R[d] @ (local * s[d]) + B[d] for d in (0, 1, 2))
 
     def segment_magnitudes(self, xi: np.ndarray, k: int) -> np.ndarray:
-        """|A_k^(d)| |Xi[window(k)]| + |E_d| |(y0, yf)| / dx**d as row d of a (3, N_k) array.
+        """|A_k^(d)| |Xi[windows[k-1]]| + |E_d| |(y0, yf)| / dx**d as row d of a (3, N_k) array.
 
         E_d are the offset columns of the role's reference block, so the
         last term is |B_k^(d)| on every segment that pins at most one
         boundary value, and bounds it on a single segment, which pins both.
         """
         _, s, _, bounds = self.segments[k - 1]
-        local = np.abs(np.asarray(xi, dtype=float)[self.layout.window(k)])
+        local = np.abs(np.asarray(xi, dtype=float)[self.windows[k - 1]])
         # s[0] is dx**p: row block d of bounds then gives dx**d times the sum
         rows = bounds @ np.concatenate([local * s[0], np.abs(self.boundary)])
         rows = rows.reshape(3, -1)
@@ -108,16 +118,22 @@ def assemble_all(break_points: Sequence[float], N, m, family: str, y0: float,
     bp = [float(b) for b in break_points]
     n = len(bp) - 1
     Ns, ms = per_segment(N, n, "N"), per_segment(m, n, "m")
-    layout, boundary = UnknownLayout(ms), np.array([y0, yf], dtype=float)
-    intervals, points, segments = [], [], []
+    boundary = np.array([y0, yf], dtype=float)
+    intervals, points, segments, windows, roles = [], [], [], [], []
+    start = 0
     for k in range(1, n + 1):
         iv = Interval(bp[k - 1], bp[k])
-        role = (family, ms[k - 1], Ns[k - 1], k == 1, k == n)
-        R, E, p = reference_block(*role)
+        first, last = k == 1, k == n
+        key = (family, ms[k - 1], Ns[k - 1], first, last)
+        role = segment_role(ms[k - 1], first, last)
+        R, E, p = reference_block(*key)
         dx = iv.width
         intervals.append(iv)
         points.append(collocation_grid(iv, Ns[k - 1]))
         offsets = tuple(E[d] @ boundary / dx ** d for d in (0, 1, 2))
-        segments.append((R, tuple(dx ** (p - d) for d in (0, 1, 2)), offsets, reference_bounds(*role)))
-    return SystemMatrices(family, tuple(intervals), tuple(points), tuple(segments), layout,
-                          (float(y0), float(yf)))
+        segments.append((R, tuple(dx ** (p - d) for d in (0, 1, 2)), offsets, reference_bounds(*key)))
+        windows.append(slice(start, start + role.width))
+        roles.append(role)
+        start += role.width - 2  # the next window starts at the junction pair that ends this one
+    return SystemMatrices(family, tuple(intervals), tuple(points), tuple(segments), tuple(windows),
+                          tuple(roles), (float(y0), float(yf)))

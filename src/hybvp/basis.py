@@ -92,9 +92,13 @@ def _is_integer(value) -> bool:
     return _is_number(value) and float(value).is_integer()
 
 
-def _is_order(d) -> bool:
-    """Whether d is a derivative order 0..MAX_DERIVATIVE: an integer, numpy's too, not a bool or 1.0."""
-    return isinstance(d, numbers.Integral) and not isinstance(d, bool) and 0 <= d <= MAX_DERIVATIVE
+def _is_index(value, low: int, high: int) -> bool:
+    """Whether value is an integer in low..high, numpy's too, not a bool or 1.0.
+
+    Derivative orders (0..MAX_DERIVATIVE) and segment indices (1..n) are such indices.
+    """
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return integer and low <= value <= high
 
 
 def _read_only(*arrays) -> tuple:

@@ -17,8 +17,9 @@ Segment k of n pins its value at both ends, plus its slope at each end
 that is a junction.  Each pinned functional takes its value either from
 a boundary condition (y0, yf), which lands in the offset, or from a
 junction unknown, which lands in that unknown's coefficient column.
-segment_constraints derives this list from k and n; it is the only
-place that knows a segment's role.  reference_block hands the list to
+segment_role derives this list, and the window's layout, from whether
+the segment is first and whether it is last; it is the only code that
+maps a role to window columns.  reference_block hands the list to
 switching.switching_functions, which derives the matching switching
 functions, and builds the rows of every role the same way: it never
 names a switching family.
@@ -42,10 +43,8 @@ k + m - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import accumulate
-from typing import NamedTuple, Optional
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,102 +52,39 @@ from .basis import SERIES, TABLE_CACHE_SIZE, Interval, _read_only, collocation_g
 from .switching import switching_functions
 
 
-@dataclass(frozen=True)
-class UnknownLayout:
-    """Index bookkeeping for the global unknown vector.
+class Role(NamedTuple):
+    """Where a segment's unknowns sit in its window, and the functionals it pins.
 
-    Segment k (1-based) owns ms[k-1] basis coefficients; junction j
-    (1-based, between segments j and j+1) owns two scalars (value y_j and
-    slope y'_j) stored immediately after segment j's coefficients.
+    The window is [y_{k-1}, y'_{k-1},] xi_k [, y_k, y'_k]: the pair
+    before xi_k unless the segment is first, the pair after unless it is
+    last.  own is the position of xi_k in it and width its width.
+    pinned holds one (order, end, column) per pinned functional, in the
+    order of the segment's switching columns: order 0 pins the value, 1
+    the slope; end 0 is x0, 1 is xf; column is the pinned unknown's
+    position in the window, or None for the boundary value y0 (end 0)
+    or yf (end 1).
     """
 
-    ms: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.ms) < 1 or any(m < 1 for m in self.ms):
-            raise ValueError("each segment needs at least one basis function")
-        object.__setattr__(self, "ms", tuple(int(m) for m in self.ms))
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.ms)
-
-    @property
-    def total(self) -> int:
-        return sum(self.ms) + 2 * (self.n_segments - 1)
-
-    @cached_property
-    def _starts(self) -> tuple[int, ...]:
-        return tuple(accumulate((m + 2 for m in self.ms[:-1]), initial=0))
-
-    def xi_slice(self, k: int) -> slice:
-        """Column range of segment k's basis coefficients, k = 1..n."""
-        if not 1 <= k <= self.n_segments:
-            raise ValueError(f"segment index {k} out of range 1..{self.n_segments}")
-        start = self._starts[k - 1]
-        return slice(start, start + self.ms[k - 1])
-
-    def window(self, k: int) -> slice:
-        """Contiguous column range segment k touches, k = 1..n.
-
-        Its own coefficients plus the (value, slope) pair of each adjacent
-        junction: width m_k + 4 for a middle segment, m_k + 2 at either
-        end, m_k when there is only one segment.
-        """
-        own = self.xi_slice(k)
-        return slice(own.start - (2 if k > 1 else 0),
-                     own.stop + (2 if k < self.n_segments else 0))
-
-    def own_in_window(self, k: int) -> slice:
-        """Position of segment k's own coefficients inside window(k)."""
-        start = 2 if k > 1 else 0
-        return slice(start, start + self.ms[k - 1])
-
-    def junction_value_index(self, j: int) -> int:
-        """Column of y_j, j = 1..n-1."""
-        if not 1 <= j <= self.n_segments - 1:
-            raise ValueError(f"junction index {j} out of range 1..{self.n_segments - 1}")
-        return self.xi_slice(j).stop
-
-    def junction_slope_index(self, j: int) -> int:
-        """Column of y'_j, j = 1..n-1."""
-        return self.junction_value_index(j) + 1
+    own: slice
+    width: int
+    pinned: tuple
 
 
-class Constraint(NamedTuple):
-    """One functional pinned by a segment's expression.
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def segment_role(m: int, first: bool, last: bool) -> Role:
+    """The Role of a segment with m coefficients that starts (first) or ends (last) the domain.
 
-    order 0 pins the value, 1 the slope; end 0 is x0, 1 is xf.  A
-    junction functional names its unknown's column; a boundary value has
-    column None and carries the value itself.
+    One rule for every segment: it pins the value at both ends, then
+    the slope at each end that is a junction.
     """
-
-    order: int
-    end: int
-    column: Optional[int]
-    value: float = 0.0
-
-
-def segment_constraints(k: int, layout: UnknownLayout, y0: float, yf: float):
-    """Functionals segment k pins, in the order of its switching columns.
-
-    One rule for every segment: the value at both ends, then the slope
-    at each end that is a junction.
-    """
-    n = layout.n_segments
-    if not 1 <= k <= n:
-        raise ValueError(f"segment index {k} out of range 1..{n}")
-    out = []
-    for order, end in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        j = k - 1 + end  # break-point index of this end: 0 and n are the domain boundaries
-        if j in (0, n):
-            if order == 0:
-                out.append(Constraint(order, end, None, y0 if j == 0 else yf))
-        elif order == 0:
-            out.append(Constraint(order, end, layout.junction_value_index(j)))
-        else:
-            out.append(Constraint(order, end, layout.junction_slope_index(j)))
-    return tuple(out)
+    start = 0 if first else 2
+    stop = start + m
+    pinned = [(0, 0, None if first else 0), (0, 1, None if last else stop)]
+    if not first:
+        pinned.append((1, 0, 1))
+    if not last:
+        pinned.append((1, 1, stop + 1))
+    return Role(slice(start, stop), stop if last else stop + 2, tuple(pinned))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -163,11 +99,8 @@ def reference_block(family: str, m: int, N: int, first: bool, last: bool) -> tup
     integer exponents scale a pinned value at d = 0 and a pinned slope
     at d = 1 by exactly 1.0, so they stay exact.  Arrays are read-only.
     """
-    k = 1 if first else 2
-    layout = UnknownLayout((m,) * (k if last else k + 1))
-    window, unit = layout.window(k), Interval(0.0, 1.0)
-    constraints = segment_constraints(k, layout, 0.0, 0.0)
-    skip, M = len(constraints), m + len(constraints)
+    role, unit = segment_role(m, first, last), Interval(0.0, 1.0)
+    skip, M = len(role.pinned), m + len(role.pinned)
     _, der, vander = SERIES[family]
     x = collocation_grid(unit, N)
     # x-derivatives of the M polynomials, dz/dx = 2 on [0, 1], at the z of
@@ -175,20 +108,20 @@ def reference_block(family: str, m: int, N: int, first: bool, last: bool) -> tup
     tables = [2.0 ** d * (vander(map_point(unit, x), M - 1 - d) @ der(np.eye(M), d, axis=0))
               for d in (0, 1, 2)]
     # each row is one pinned functional applied to the free basis
-    support = np.array([tables[con.order][(0, -1)[con.end], skip:] for con in constraints])
-    S = switching_functions([(con.order, con.end) for con in constraints], unit, x)
-    R = [np.zeros((N, window.stop - window.start)) for _ in (0, 1, 2)]
+    support = np.array([tables[order][(0, -1)[end], skip:] for order, end, _ in role.pinned])
+    S = switching_functions([(order, end) for order, end, _ in role.pinned], unit, x)
+    R = [np.zeros((N, role.width)) for _ in (0, 1, 2)]
     E = [np.zeros((N, 2)) for _ in (0, 1, 2)]
     for d in (0, 1, 2):
-        R[d][:, layout.own_in_window(k)] = tables[d][:, skip:] - S[d] @ support
+        R[d][:, role.own] = tables[d][:, skip:] - S[d] @ support
         # a boundary value's switching column is its offset, a junction's its coefficient
-        for i, con in enumerate(constraints):
-            if con.column is None:
-                E[d][:, con.end] = S[d][:, i]
+        for i, (_, end, column) in enumerate(role.pinned):
+            if column is None:
+                E[d][:, end] = S[d][:, i]
             else:
-                R[d][:, con.column - window.start] = S[d][:, i]
-    powers = np.zeros(window.stop - window.start, dtype=int)
-    powers[[con.column - window.start for con in constraints if con.order]] = 1
+                R[d][:, column] = S[d][:, i]
+    powers = np.zeros(role.width, dtype=int)
+    powers[[column for order, _, column in role.pinned if order]] = 1
     return _read_only(*R), _read_only(*E), _read_only(powers)[0]
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basis import MAX_DERIVATIVE, Interval, _is_number, _is_order
+from .basis import MAX_DERIVATIVE, Interval, _is_index, _is_number
 
 Array = np.ndarray
 StateFn = Callable[[Array, Array, Array, Array], Array]
@@ -129,7 +129,7 @@ def analytic_value(problem: HybridProblem, x, d: int = 0):
     """Closed-form solution value or derivative (d = 0..2) at x, a junction from the left segment."""
     if problem.solution is None:
         raise ValueError(f"problem {problem.name!r} has no analytic solution attached")
-    if not _is_order(d):
+    if not _is_index(d, 0, MAX_DERIVATIVE):
         raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE}, got {d!r}")
     xs = np.asarray(x, dtype=float)
     flat, out = xs.ravel(), np.empty(xs.size)

@@ -23,7 +23,9 @@ SolveResult.tolerance is the threshold the last step was tested against.
 
 A solve discretizes its geometry once (assembly.assemble_all): one
 SystemMatrices holds every segment's points, interval and blocks, with
-each segment's role, and so the magnitudes F needs, resolved there.
+each segment's role resolved there: its window of Xi, where its own
+coefficients sit in it, the functionals it pins, and the magnitudes F
+needs.  Nothing downstream works out a column from a segment index.
 Each iterate takes one pass over the segments (_linearize): it
 evaluates the states once, calls each segment's linearize once for L
 and its three partials, and forms the rows of F.  The next Jacobian is
@@ -51,7 +53,7 @@ as rank deficient.
 
 A solved segment is its constrained expression with Xi folded in: the
 free series g with the solved coefficients, corrected by the switching
-functions on the functionals the segment pins.  SolveResult builds it
+functions on the functionals its role pins.  SolveResult builds it
 on first use, so solve does no evaluation.  Each consumer evaluates one
 segment's y, y' and y'' in one pass: the closed-form errors and the CLI
 table on the segment's closed interval, so a junction counts from both
@@ -70,9 +72,8 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import SystemMatrices, assemble_all, per_segment
-from .basis import (FAMILIES, MAX_DERIVATIVE, SERIES, _is_integer, _is_number, _is_order,
+from .basis import (FAMILIES, MAX_DERIVATIVE, SERIES, _is_index, _is_integer, _is_number,
                     map_point)
-from .expressions import UnknownLayout, segment_constraints
 from .problems import HybridProblem
 from .switching import switching_functions
 
@@ -108,7 +109,8 @@ def _sizes(value, name: str):
 
 
 def _one_of(value, name: str, choices: tuple):
-    if value not in choices:
+    """A str in choices; anything else (an array that holds one, too) raises ValueError."""
+    if not (isinstance(value, str) and value in choices):
         raise ValueError(f"{name}: expected one of {choices}, got {value!r}")
     return value
 
@@ -194,8 +196,9 @@ class QrDiagnostic:
 class SolveResult:
     """Converged (or final) state of a solve, with evaluation support.
 
-    system is the solve's one discretization: the evaluators read the
-    layout of xi, each segment's interval and the basis family from it.
+    system is the solve's one discretization: the evaluators read each
+    segment's window of xi and role, its interval and the basis family
+    from it.
     """
 
     problem: HybridProblem
@@ -217,17 +220,21 @@ class SolveResult:
     @property
     def junctions(self) -> list:
         """(x_k, y_k, y'_k) for every junction, straight from Xi."""
-        layout = self.system.layout
-        out = []
-        for j in range(1, layout.n_segments):
-            out.append((self.problem.break_points[j],
-                        float(self.xi[layout.junction_value_index(j)]),
-                        float(self.xi[layout.junction_slope_index(j)])))
-        return out
+        # junction j's pair opens segment j+1's window
+        return [(self.problem.break_points[j], float(self.xi[w.start]), float(self.xi[w.start + 1]))
+                for j, w in enumerate(self.system.windows[1:], 1)]
+
+    def _segment(self, k) -> int:
+        """k as an int if it is a segment index (basis._is_index) in 1..n, else ValueError."""
+        n = self.system.n_segments
+        if not _is_index(k, 1, n):
+            raise ValueError(f"segment index {k!r} out of range 1..{n}")
+        return int(k)
 
     def segment_coefficients(self, k: int) -> np.ndarray:
         """Basis coefficients of segment k, 1-based."""
-        return self.xi[self.system.layout.xi_slice(k)]
+        k = self._segment(k)
+        return self.xi[self.system.windows[k - 1]][self.system.roles[k - 1].own]
 
     @cached_property
     def _series(self) -> tuple:
@@ -237,18 +244,19 @@ class SolveResult:
         Each g^(d) is a column zero-padded to len(g); a zero tail leaves a Clenshaw sum bitwise unchanged.
         """
         out = []
-        val, der, _ = SERIES[self.system.family]
-        for k, iv in enumerate(self.system.intervals, 1):
-            constraints = segment_constraints(k, self.system.layout, self.problem.y0, self.problem.yf)
-            series = [np.concatenate([np.zeros(len(constraints)), self.segment_coefficients(k)])]
+        system = self.system
+        val, der, _ = SERIES[system.family]
+        for iv, window, role in zip(system.intervals, system.windows, system.roles):
+            local = self.xi[window]
+            series = [np.concatenate([np.zeros(len(role.pinned)), local[role.own]])]
             while len(series) <= MAX_DERIVATIVE:
                 series.append(der(series[-1], 1, scl=2.0 / iv.width))  # dz/dx
             padded = np.column_stack([np.append(g, np.zeros(len(series[0]) - len(g))) for g in series])
             ends = val([-1.0, 1.0], padded[:, :2])  # g and g' at z = -1, +1
-            out.append(([(con.order, con.end) for con in constraints], padded,
-                        np.array([ends[con.order][con.end] for con in constraints]),
-                        np.array([con.value if con.column is None else self.xi[con.column]
-                                  for con in constraints])))
+            out.append(([(order, end) for order, end, _ in role.pinned], padded,
+                        np.array([ends[order][end] for order, end, _ in role.pinned]),
+                        np.array([system.boundary[end] if column is None else local[column]
+                                  for _, end, column in role.pinned])))
         return tuple(out)
 
     def segment_values(self, k: int, x, d: int = 0) -> np.ndarray:
@@ -259,9 +267,8 @@ class SolveResult:
         delta, so the bracket is 0 and kappa comes back bit for bit.  At a
         junction this is the limit from inside segment k.
         """
-        if not 1 <= k <= self.system.n_segments:
-            raise ValueError(f"segment index {k} out of range 1..{self.system.n_segments}")
-        if not _is_order(d):
+        k = self._segment(k)
+        if not _is_index(d, 0, MAX_DERIVATIVE):
             raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE}, got {d!r}")
         return self._segment_orders(k, x, (d,))[0]
 
@@ -280,7 +287,8 @@ class SolveResult:
 
         A point outside the domain raises ValueError naming its index in x, flattened.
         """
-        if not _is_order(d):  # before the split, which may call no segment at all
+        # before the split, which may call no segment at all
+        if not _is_index(d, 0, MAX_DERIVATIVE):
             raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE}, got {d!r}")
         xs = np.asarray(x, dtype=float)
         flat, out = xs.ravel(), np.empty(xs.size)
@@ -354,11 +362,12 @@ def _back_substitute(R: np.ndarray, piv: np.ndarray, z: np.ndarray, size: int) -
     return out
 
 
-def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout):
+def _scaled_qr_lstsq(blocks, rhs: np.ndarray, windows, roles):
     """Minimize ||M Xi - rhs|| for the block-structured M by block elimination.
 
-    blocks[k-1] holds segment k's rows of M over layout.window(k); rhs is
-    stacked in segment order.  Columns are scaled to unit 2-norm over all
+    blocks[k-1] holds segment k's rows of M over Xi[windows[k-1]], whose
+    columns roles[k-1] lays out (SystemMatrices.windows and .roles); rhs
+    is stacked in segment order.  Columns are scaled to unit 2-norm over all
     of their rows first (zero or negligible columns keep unit scale so
     rounding noise is never amplified).  Then each segment's own
     coefficients are eliminated by a pivoted QR of its local columns,
@@ -370,19 +379,20 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout):
     basic solution).  It consumes blocks: each entry is set to None once
     its block is scaled (pass list(blocks) to keep them).
     """
-    n = layout.n_segments
+    n = len(windows)
     rhs = np.asarray(rhs, dtype=float)
     starts = np.cumsum([0] + [block.shape[0] for block in blocks])
-    for k, block in enumerate(blocks, 1):
-        if block.shape[0] < layout.ms[k - 1]:
-            raise ValueError(f"segment {k}: {block.shape[0]} rows < {layout.ms[k - 1]} "
+    for k, (block, role) in enumerate(zip(blocks, roles), 1):
+        m = role.own.stop - role.own.start
+        if block.shape[0] < m:
+            raise ValueError(f"segment {k}: {block.shape[0]} rows < {m} "
                              "local columns, the system must be square or overdetermined")
-    q = layout.total
+    q = windows[-1].stop
     if starts[-1] < q:
         raise ValueError(f"system must be square or overdetermined, got {starts[-1]} rows < {q} columns")
     squares = np.zeros(q)
-    for k, block in enumerate(blocks, 1):
-        squares[layout.window(k)] += np.einsum("ij,ij->j", block, block)
+    for block, window in zip(blocks, windows):
+        squares[window] += np.einsum("ij,ij->j", block, block)
     norms = np.sqrt(squares)
     floor = 1e-10 * norms.max()
     scale = np.where(norms > floor, norms, 1.0)
@@ -390,10 +400,10 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout):
     kept = []  # kept R diagonals of every factor
     local, junction = [], []
     carry = None  # rows in (J_j, rhs) left over from the segments before junction j
-    for k, block in enumerate(blocks, 1):
-        scaled = block / scale[layout.window(k)]
+    for k, (block, window, role) in enumerate(zip(blocks, windows, roles), 1):
+        scaled = block / scale[window]
         blocks[k - 1] = None
-        own = layout.own_in_window(k)
+        own = role.own
         # rest columns: the junction pairs (left, right), then rhs
         rest = np.concatenate([scaled[:, :own.start], scaled[:, own.stop:],
                                rhs[starts[k - 1]:starts[k], None]], axis=1)
@@ -422,14 +432,13 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout):
     xi = np.zeros(q)
     for k in range(n, 1, -1):
         piv, R, top = junction[k - 2]
-        right = xi[layout.window(k)][layout.own_in_window(k).stop:]  # J_k, none for k = n
-        j = layout.junction_value_index(k - 1)
-        xi[j:j + 2] = _back_substitute(R, piv, top[:, -1] - top[:, :-1] @ right, 2)
-    for k, (piv, R, top) in enumerate(local, 1):
-        near, own = xi[layout.window(k)], layout.own_in_window(k)
+        near = xi[windows[k - 1]]  # J_{k-1}, xi_k [, J_k]: a view
+        right = near[roles[k - 1].own.stop:]  # J_k, none for k = n
+        near[:2] = _back_substitute(R, piv, top[:, -1] - top[:, :-1] @ right, 2)
+    for (piv, R, top), window, role in zip(local, windows, roles):
+        near, own = xi[window], role.own
         pairs = np.concatenate([near[:own.start], near[own.stop:]])
-        xi[layout.xi_slice(k)] = _back_substitute(R, piv, top[:, -1] - top[:, :-1] @ pairs,
-                                                  layout.ms[k - 1])
+        near[own] = _back_substitute(R, piv, top[:, -1] - top[:, :-1] @ pairs, own.stop - own.start)
     xi /= scale
 
     diag = np.concatenate(kept)
@@ -440,24 +449,24 @@ def _scaled_qr_lstsq(blocks, rhs: np.ndarray, layout: UnknownLayout):
 
 # --- initialization ---------------------------------------------------------
 
-def initial_guess(problem: HybridProblem, opts: SolveOptions, layout: UnknownLayout) -> np.ndarray:
+def initial_guess(problem: HybridProblem, opts: SolveOptions, windows) -> np.ndarray:
     """Starting Xi: zero basis coefficients plus junction seeds.
 
     Without opts.init_values every junction is seeded with the value and
     slope of the straight line joining the two boundary points; with
     them, each junction gets its given (value, slope) pair, as many as
-    resolve_sizes checked.
+    resolve_sizes checked.  windows are the segments' windows of Xi
+    (SystemMatrices.windows).
     """
-    xi = np.zeros(layout.total)
+    xi = np.zeros(windows[-1].stop)
     values = opts.init_values
     if values is None:
         x0, xf = problem.break_points[0], problem.break_points[-1]
         slope = (problem.yf - problem.y0) / (xf - x0)
         values = [v for xj in problem.break_points[1:-1]
                   for v in (problem.y0 + slope * (xj - x0), slope)]
-    for j in range(1, layout.n_segments):
-        xi[layout.junction_value_index(j)] = values[2 * (j - 1)]
-        xi[layout.junction_slope_index(j)] = values[2 * (j - 1) + 1]
+    for j, window in enumerate(windows[1:]):  # junction j+1's pair opens segment j+2's window
+        xi[window.start:window.start + 2] = values[2 * j:2 * j + 2]
     return xi
 
 
@@ -556,7 +565,7 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
     """
     system = assemble_all(problem.break_points, *resolve_sizes(problem, opts), opts.family,
                           problem.y0, problem.yf)
-    xi = initial_guess(problem, opts, system.layout)
+    xi = initial_guess(problem, opts, system.windows)
     # the floor of the iterate is only tested after a step
     residual, partials, _ = _linearize(problem, system, xi, floor=False)
     if not math.isfinite(float(np.linalg.norm(residual))):
@@ -565,7 +574,8 @@ def solve(problem: HybridProblem, opts: SolveOptions = SolveOptions()) -> SolveR
     for _ in range(opts.max_iter):
         J = _jacobian(system, partials)
         del partials  # kept through the least-squares solve, they would raise its peak memory
-        dxi, diag = _scaled_qr_lstsq(J, residual, system.layout)  # frees J's blocks as it goes
+        # frees J's blocks as it goes
+        dxi, diag = _scaled_qr_lstsq(J, residual, system.windows, system.roles)
         xi = xi - dxi
         residual, partials, floor = _linearize(problem, system, xi)
         # a non-finite floor comes from non-finite partials: tol alone is the test

@@ -10,7 +10,7 @@ of constraint needs only a new functional, never a new formula.
 The paper's families are such lists: alpha (value at both ends, single
 segment), beta (plus the slope at the junction end, first and last
 segment) and gamma (value and slope at both ends, cubic Hermite, middle
-segments).  expressions.segment_constraints builds a segment's list.
+segments).  expressions.segment_role builds a segment's list.
 
 Everything is evaluated in the normalized variable t = (x - x0)/dx, in
 which the inverse matrix holds small integers, so the delta property

@@ -1,5 +1,13 @@
 """Independent constructions the tests check the library against.
 
+* UnknownLayout, Constraint and segment_constraints: the global column
+  of every unknown of Xi, worked out from the segment sizes alone, and
+  each segment's pinned functionals in those columns.  The library
+  resolves a segment's window and pinned columns once per role
+  (expressions.segment_role, assembly.assemble_all); these are the
+  independent check on them.  layout_of is the layout of a
+  SystemMatrices' roles, and windows_and_roles the block solver's view
+  of a layout.
 * BasisSpec, eval_basis and end_tables: both families by their
   three-term recurrences with differentiated derivative rows, and
   segment_block, the constrained-expression kernel at any points of a
@@ -39,8 +47,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -48,12 +57,125 @@ import scipy.linalg
 from hybvp.assembly import assemble_all
 from hybvp.basis import (FAMILIES, MAX_DERIVATIVE, SERIES, TABLE_CACHE_SIZE, Interval, _read_only,
                          map_point)
-from hybvp.expressions import UnknownLayout, segment_constraints
+from hybvp.expressions import segment_role
 from hybvp.solver import QrDiagnostic, resolve_sizes
 from hybvp.switching import switching_functions
 
 CASCADE_SKIP = 2   # the alpha support pins the value at both ends
 BOUNDARY_SKIP = 3  # value at both ends + slope at the junction end
+
+
+# --- global unknown layout ------------------------------------------------
+
+@dataclass(frozen=True)
+class UnknownLayout:
+    """Index bookkeeping for the global unknown vector.
+
+    Segment k (1-based) owns ms[k-1] basis coefficients; junction j
+    (1-based, between segments j and j+1) owns two scalars (value y_j and
+    slope y'_j) stored immediately after segment j's coefficients.
+    """
+
+    ms: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.ms) < 1 or any(m < 1 for m in self.ms):
+            raise ValueError("each segment needs at least one basis function")
+        object.__setattr__(self, "ms", tuple(int(m) for m in self.ms))
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.ms)
+
+    @property
+    def total(self) -> int:
+        return sum(self.ms) + 2 * (self.n_segments - 1)
+
+    @cached_property
+    def _starts(self) -> tuple[int, ...]:
+        return tuple(accumulate((m + 2 for m in self.ms[:-1]), initial=0))
+
+    def xi_slice(self, k: int) -> slice:
+        """Column range of segment k's basis coefficients, k = 1..n."""
+        if not 1 <= k <= self.n_segments:
+            raise ValueError(f"segment index {k} out of range 1..{self.n_segments}")
+        start = self._starts[k - 1]
+        return slice(start, start + self.ms[k - 1])
+
+    def window(self, k: int) -> slice:
+        """Contiguous column range segment k touches, k = 1..n.
+
+        Its own coefficients plus the (value, slope) pair of each adjacent
+        junction: width m_k + 4 for a middle segment, m_k + 2 at either
+        end, m_k when there is only one segment.
+        """
+        own = self.xi_slice(k)
+        return slice(own.start - (2 if k > 1 else 0),
+                     own.stop + (2 if k < self.n_segments else 0))
+
+    def own_in_window(self, k: int) -> slice:
+        """Position of segment k's own coefficients inside window(k)."""
+        start = 2 if k > 1 else 0
+        return slice(start, start + self.ms[k - 1])
+
+    def junction_value_index(self, j: int) -> int:
+        """Column of y_j, j = 1..n-1."""
+        if not 1 <= j <= self.n_segments - 1:
+            raise ValueError(f"junction index {j} out of range 1..{self.n_segments - 1}")
+        return self.xi_slice(j).stop
+
+    def junction_slope_index(self, j: int) -> int:
+        """Column of y'_j, j = 1..n-1."""
+        return self.junction_value_index(j) + 1
+
+
+class Constraint(NamedTuple):
+    """One functional pinned by a segment's expression.
+
+    order 0 pins the value, 1 the slope; end 0 is x0, 1 is xf.  A
+    junction functional names its unknown's column; a boundary value has
+    column None and carries the value itself.
+    """
+
+    order: int
+    end: int
+    column: Optional[int]
+    value: float = 0.0
+
+
+def segment_constraints(k: int, layout: UnknownLayout, y0: float, yf: float):
+    """Functionals segment k pins, in the order of its switching columns.
+
+    One rule for every segment: the value at both ends, then the slope
+    at each end that is a junction.
+    """
+    n = layout.n_segments
+    if not 1 <= k <= n:
+        raise ValueError(f"segment index {k} out of range 1..{n}")
+    out = []
+    for order, end in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        j = k - 1 + end  # break-point index of this end: 0 and n are the domain boundaries
+        if j in (0, n):
+            if order == 0:
+                out.append(Constraint(order, end, None, y0 if j == 0 else yf))
+        elif order == 0:
+            out.append(Constraint(order, end, layout.junction_value_index(j)))
+        else:
+            out.append(Constraint(order, end, layout.junction_slope_index(j)))
+    return tuple(out)
+
+
+
+def layout_of(roles) -> UnknownLayout:
+    """The UnknownLayout of segments with these roles (SystemMatrices.roles), from their m alone."""
+    return UnknownLayout(tuple(role.own.stop - role.own.start for role in roles))
+
+
+def windows_and_roles(layout: UnknownLayout) -> tuple:
+    """(windows, roles) of a layout's segments, as SystemMatrices holds them."""
+    n = layout.n_segments
+    return (tuple(layout.window(k) for k in range(1, n + 1)),
+            tuple(segment_role(m, k == 1, k == n) for k, m in enumerate(layout.ms, 1)))
 
 
 # --- the three-term recurrence and the point kernel ---------------------
@@ -277,22 +399,23 @@ def system_block(system, k: int, d: int) -> tuple:
 
 def dense_matrix(system, d: int) -> np.ndarray:
     """Full-width A^(d) of a SystemMatrices."""
-    n = system.layout.n_segments
-    return dense_from_blocks([system_block(system, k, d)[0] for k in range(1, n + 1)], system.layout)
+    n = system.n_segments
+    blocks = [system_block(system, k, d)[0] for k in range(1, n + 1)]
+    return dense_from_blocks(blocks, layout_of(system.roles))
 
 
 def dense_offsets(system, d: int) -> np.ndarray:
     """Stacked B^(d) of a SystemMatrices."""
-    n = system.layout.n_segments
+    n = system.n_segments
     return np.concatenate([system_block(system, k, d)[1] for k in range(1, n + 1)])
 
 
 def evaluate(system, xi: np.ndarray, d: int = 0) -> np.ndarray:
     """y^(d) at every stacked grid point of system for a given Xi."""
-    out = []
-    for k in range(1, system.layout.n_segments + 1):
+    out, layout = [], layout_of(system.roles)
+    for k in range(1, system.n_segments + 1):
         A, B = system_block(system, k, d)
-        out.append(A @ xi[system.layout.window(k)] + B)
+        out.append(A @ xi[layout.window(k)] + B)
     return np.concatenate(out)
 
 
@@ -309,7 +432,8 @@ def discretize(problem, opts):
 
 def spec_of(system, k: int) -> BasisSpec:
     """Segment k's basis (family, m and map slope), as segment_block takes it."""
-    return BasisSpec.for_interval(system.family, system.layout.ms[k - 1], system.intervals[k - 1])
+    m = layout_of(system.roles).ms[k - 1]
+    return BasisSpec.for_interval(system.family, m, system.intervals[k - 1])
 
 
 def per_order_values(result, k: int, x, d: int) -> np.ndarray:
@@ -323,7 +447,8 @@ def per_order_values(result, k: int, x, d: int) -> np.ndarray:
     system = result.system
     iv = system.intervals[k - 1]
     val, der, _ = SERIES[system.family]
-    constraints = segment_constraints(k, system.layout, result.problem.y0, result.problem.yf)
+    layout = layout_of(system.roles)
+    constraints = segment_constraints(k, layout, result.problem.y0, result.problem.yf)
     series = [np.concatenate([np.zeros(len(constraints)), result.segment_coefficients(k)])]
     while len(series) <= MAX_DERIVATIVE:
         series.append(der(series[-1], 1, scl=2.0 / iv.width))
@@ -597,7 +722,7 @@ def reference_jacobian_row(problem, system, k: int, x: float, y: float, dy: floa
     linear-nonlinear and nonlinear-nonlinear sequences at one point in
     segment k (1-based), given the current solution state there.
     """
-    layout = system.layout
+    layout = layout_of(system.roles)
     spec = spec_of(system, k)
     iv = system.intervals[k - 1]
     role = "first" if k == 1 else "last"
@@ -629,7 +754,7 @@ def residual_partial_check(problem, k: int, x: float, *, N: int = 20,
     iv = system.intervals[k - 1]
     if not iv.contains(x):
         raise ValueError(f"x={x} not inside segment {k}")
-    layout = system.layout
+    layout = layout_of(system.roles)
     if xi is None:
         xi = np.random.default_rng(seed).standard_normal(layout.total)
     xi = np.asarray(xi, dtype=float)

@@ -10,7 +10,6 @@ import pytest
 
 from hybvp.assembly import assemble_all
 from hybvp.basis import Interval
-from hybvp.expressions import UnknownLayout
 from hybvp.problems import HybridProblem, builtin, generic_linear, nonlinear_dynamics
 from hybvp.solver import (
     SolveOptions,
@@ -22,6 +21,7 @@ from hybvp.solver import (
 from oracles import (
     FAMILY_CONSTRAINTS,
     BasisSpec,
+    UnknownLayout,
     all_points,
     alpha,
     beta,
@@ -31,6 +31,7 @@ from oracles import (
     dense_matrix,
     dense_scaled_qr_lstsq,
     gamma,
+    layout_of,
     residual_partial_check,
     segment_row,
 )
@@ -239,10 +240,10 @@ def test_criterion_09_block_structure():
     details = []
     for n, cuts in ((2, [0.0, 0.5, 1.0]), (3, [0.0, 0.4, 0.9, 1.5]), (4, [0.0, 0.3, 0.8, 1.2, 2.0])):
         system = assemble_all(cuts, 12, 5, "chebyshev", 1.0, -1.0)
-        layout = system.layout
+        layout = layout_of(system.roles)
         problem = _nonlinear_chain(cuts)
         opts = SolveOptions(N=12, m=5)
-        xi = initial_guess(problem, opts, layout)
+        xi = initial_guess(problem, opts, system.windows)
         J = dense_from_blocks(_jacobian(system, _linearize(problem, system, xi)[1]), layout)
         mats = [dense_matrix(system, d) for d in (0, 1, 2)] + [J]
         for mat in mats:

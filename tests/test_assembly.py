@@ -1,27 +1,63 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybvp.assembly import assemble_all, per_segment
-from hybvp.expressions import UnknownLayout
-from oracles import beta, dense_matrix, dense_offsets, evaluate, full_width, segment_block, spec_of
+from oracles import (UnknownLayout, beta, dense_matrix, dense_offsets, evaluate, full_width,
+                     layout_of, segment_block, segment_constraints, spec_of)
 
 
-def _layout(n, m):
-    return UnknownLayout(ms=per_segment(m, n, "m"))
+def _system(n, m):
+    ms = per_segment(m, n, "m")
+    return assemble_all(np.linspace(0.0, 1.0, n + 1), max(ms) + 4, ms, "chebyshev", 0.0, 1.0)
 
 
 def test_per_segment_layout_totals():
     assert per_segment(5, 3, "m") == (5, 5, 5)
     assert per_segment([2.0, 4, 6], 3, "m") == (2, 4, 6)
-    assert _layout(1, 5).total == 5
-    lay = _layout(2, 3)
-    assert lay.total == 8
-    assert lay.xi_slice(1) == slice(0, 3)
-    assert lay.junction_value_index(1) == 3
-    assert lay.junction_slope_index(1) == 4
-    assert lay.xi_slice(2) == slice(5, 8)
-    assert _layout(4, 10).total == 46
-    assert _layout(3, (2, 4, 6)).total == 2 + 4 + 6 + 4
+    assert _system(1, 5).total == 5
+    sm = _system(2, 3)
+    assert sm.total == 8
+    # segment 1 touches xi_1, y_1, y'_1 and segment 2 y_1, y'_1, xi_2
+    assert sm.windows == (slice(0, 5), slice(3, 8))
+    assert [role.own for role in sm.roles] == [slice(0, 3), slice(2, 5)]
+    assert sm.roles[0].pinned == ((0, 0, None), (0, 1, 3), (1, 1, 4))
+    assert sm.roles[1].pinned == ((0, 0, 0), (0, 1, None), (1, 0, 1))
+    assert _system(4, 10).total == 46
+    assert _system(3, (2, 4, 6)).total == 2 + 4 + 6 + 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+def test_windows_and_roles_agree_with_the_global_layout(ms):
+    n = len(ms)
+    y0, yf = 1.5, -2.0
+    sm = assemble_all(np.linspace(0.0, 1.0, n + 1), max(ms) + 4, ms, "legendre", y0, yf)
+    layout = UnknownLayout(ms=tuple(ms))
+    assert sm.total == layout.total
+    assert len(sm.windows) == len(sm.roles) == n
+    for k, (window, role) in enumerate(zip(sm.windows, sm.roles), 1):
+        own = layout.xi_slice(k)
+        pairs = ([layout.junction_value_index(k - 1), layout.junction_slope_index(k - 1)]
+                 if k > 1 else [])
+        after = ([layout.junction_value_index(k), layout.junction_slope_index(k)]
+                 if k < n else [])
+        # window k is [pair k-1,] xi_k [, pair k], and role.own picks xi_k out of it
+        columns = list(range(window.start, window.stop))
+        assert columns == pairs + list(range(own.start, own.stop)) + after
+        assert range(window.start, window.stop)[role.own] == range(own.start, own.stop)
+        assert role.width == window.stop - window.start
+        # every pinned functional reads the junction unknown the global layout names
+        constraints = segment_constraints(k, layout, y0, yf)
+        assert len(role.pinned) == len(constraints)
+        for (order, end, column), con in zip(role.pinned, constraints):
+            assert (order, end) == (con.order, con.end)
+            if column is None:
+                assert con.column is None and sm.boundary[end] == con.value
+            else:
+                index = layout.junction_slope_index if order else layout.junction_value_index
+                assert window.start + column == con.column == index(k - 1 + end)
 
 
 def test_per_segment_validation():
@@ -48,14 +84,14 @@ def test_boundary_row_embeds_y0_for_any_xi():
     A, B = dense_matrix(sm, 0), dense_offsets(sm, 0)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        xi = rng.standard_normal(sm.layout.total)
+        xi = rng.standard_normal(sm.total)
         assert A[0] @ xi + B[0] == y0
         assert abs(A[-1] @ xi + B[-1] - yf) < 1e-14
 
 
 def test_zero_padding_blocks_are_exact():
     sm = assemble_all([0.0, 1.0, 2.0, 3.0], 10, 4, "chebyshev", 0.0, 1.0)
-    layout = sm.layout
+    layout = layout_of(sm.roles)
     for d in (0, 1, 2):
         A = dense_matrix(sm, d)
         # segment-1 rows touch xi1 and junction 1 only
@@ -88,7 +124,7 @@ def test_offsets_zero_on_middle_segments():
 def test_two_segment_second_derivative_block_structure():
     """The d=2 stack of a two-segment geometry: [H1 b2'' b3'' 0; 0 b4'' b5'' H2]."""
     sm = assemble_all([0.0, 0.5, 1.0], 7, 5, "chebyshev", 0.0, 1.0)
-    layout = sm.layout
+    layout = layout_of(sm.roles)
     A, B = dense_matrix(sm, 2), dense_offsets(sm, 2)
     x1 = sm.points[0]
     x2 = sm.points[1]
@@ -125,7 +161,7 @@ def test_junction_rows_agree_between_adjacent_segments():
             left_row = sm.row_slice(k).stop - 1
             right_row = sm.row_slice(k + 1).start
             for _ in range(5):
-                xi = rng.standard_normal(sm.layout.total)
+                xi = rng.standard_normal(sm.total)
                 lhs = A[left_row] @ xi + B[left_row]
                 rhs = A[right_row] @ xi + B[right_row]
                 assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
@@ -134,9 +170,9 @@ def test_junction_rows_agree_between_adjacent_segments():
 def test_first_derivative_consistent_with_value_differences():
     sm = assemble_all([0.0, 0.5, 1.0], 20, 6, "chebyshev", 0.3, 0.9)
     rng = np.random.default_rng(11)
-    xi = rng.standard_normal(sm.layout.total)
+    xi = rng.standard_normal(sm.total)
     h = 1e-6
-    layout = sm.layout
+    layout = layout_of(sm.roles)
     for k in (1, 2):
         iv = sm.intervals[k - 1]
         spec = spec_of(sm, k)

@@ -28,14 +28,15 @@ from hybvp.problems import (
     nonlinear_dynamics,
 )
 from hybvp.solver import SolveOptions, solve
-from oracles import dense_from_blocks, dense_scaled_qr_lstsq, system_block
+from oracles import (dense_from_blocks, dense_scaled_qr_lstsq, layout_of, system_block,
+                     windows_and_roles)
 
 HYPOTHESIS = settings(max_examples=25, deadline=None,
                       suppress_health_check=[HealthCheck.too_slow])
 
 
-def _dense_lstsq(blocks, rhs, layout):
-    return dense_scaled_qr_lstsq(dense_from_blocks(blocks, layout), rhs)
+def _dense_lstsq(blocks, rhs, windows, roles):
+    return dense_scaled_qr_lstsq(dense_from_blocks(blocks, layout_of(roles)), rhs)
 
 
 def _recorded_systems(run):
@@ -43,9 +44,11 @@ def _recorded_systems(run):
     calls = []
     block_lstsq = solver._scaled_qr_lstsq
 
-    def spy(blocks, rhs, layout):
+    def spy(blocks, rhs, windows, roles):
+        layout = layout_of(roles)
+        assert windows == windows_and_roles(layout)[0]
         calls.append((list(blocks), rhs, layout))  # the solver consumes blocks
-        return block_lstsq(blocks, rhs, layout)
+        return block_lstsq(blocks, rhs, windows, roles)
 
     with mock.patch.object(solver, "_scaled_qr_lstsq", spy):
         run()
@@ -53,8 +56,9 @@ def _recorded_systems(run):
 
 
 def _assert_agree(blocks, rhs, layout):
-    xb, db = solver._scaled_qr_lstsq(list(blocks), rhs, layout)  # it consumes the list
-    xd, dd = _dense_lstsq(blocks, rhs, layout)
+    windows, roles = windows_and_roles(layout)
+    xb, db = solver._scaled_qr_lstsq(list(blocks), rhs, windows, roles)  # it consumes the list
+    xd, dd = _dense_lstsq(blocks, rhs, windows, roles)
     assert np.all(np.abs(xb - xd) <= 1e-12 * (1.0 + np.abs(xd)))
     M = dense_from_blocks(blocks, layout)
     rb, rd = np.linalg.norm(M @ xb - rhs), np.linalg.norm(M @ xd - rhs)
@@ -206,8 +210,7 @@ def _solve_peak_mib(n):
 
 def test_blocks_span_only_each_segment_window():
     system = assemble_all([0.0, 1.0, 2.0, 3.0, 4.0], (9, 10, 11, 12), (3, 4, 5, 6), "chebyshev", 0.0, 1.0)
-    layout = system.layout
-    widths = [layout.window(k).stop - layout.window(k).start for k in range(1, 5)]
+    widths = [window.stop - window.start for window in system.windows]
     assert widths == [3 + 2, 4 + 4, 5 + 4, 6 + 2]
     for k, N in enumerate((9, 10, 11, 12), 1):
         for d in (0, 1, 2):
@@ -222,9 +225,9 @@ def test_solve_consumes_the_jacobian_blocks_and_keeps_compact_factors():
     problem, opts = _chain(64), SolveOptions(N=40, m=12)
     system = assemble_all(problem.break_points, *solver.resolve_sizes(problem, opts), opts.family,
                           problem.y0, problem.yf)
-    residual, partials, _ = solver._linearize(problem, system, np.zeros(system.layout.total))
+    residual, partials, _ = solver._linearize(problem, system, np.zeros(system.total))
     blocks = solver._jacobian(system, partials)
-    solver._scaled_qr_lstsq(blocks, residual, system.layout)
+    solver._scaled_qr_lstsq(blocks, residual, system.windows, system.roles)
     assert len(blocks) == 64 and all(block is None for block in blocks)
 
 

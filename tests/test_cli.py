@@ -11,7 +11,7 @@ from hybvp.cli import (_OPTIONS, RunConfig, _flag_value, _settings, _write_table
                        main, parse_config, run)
 from hybvp.problems import HybridProblem, builtin, linear_dynamics, nonlinear_dynamics
 from hybvp.solver import SolveOptions, _linearize, solve
-from oracles import segment_block, spec_of
+from oracles import layout_of, segment_block, spec_of
 
 _LL_JSON = {
     "name": "discontinuous_forcing",
@@ -245,7 +245,7 @@ def test_solution_table_equals_the_per_order_evaluation(tmp_path):
     run(problem, RunConfig(output=str(tmp_path), eval_points=200))
     result = solve(problem)
     rows = [line.split(",") for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
-    layout = result.system.layout
+    layout = layout_of(result.system.roles)
     for k in (1, 2):
         iv = result.system.intervals[k - 1]
         xs = np.linspace(iv.x0, iv.xf, 200)
@@ -387,7 +387,7 @@ def test_main_reuses_one_parser_and_no_flag_outlives_its_run(tmp_path, monkeypat
                             (second, "nonlinear_nonlinear", SolveOptions())):
         summary = json.loads((out / "summary.json").read_text())
         res = solve(builtin(name), opts)
-        assert summary["problem"] == name and summary["m"] == res.system.layout.ms[0]
+        assert summary["problem"] == name and summary["m"] == layout_of(res.system.roles).ms[0]
         # the second run's defaults, basis included, are not the first run's flags
         assert summary["residual_trace"] == res.residual_trace
         assert summary["converged"] is True and summary["max_abs_err"] <= 1e-13

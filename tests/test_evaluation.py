@@ -17,7 +17,7 @@ from hybvp.expressions import reference_block
 from hybvp.problems import builtin, generic_linear
 from hybvp.solver import SolveOptions, solve
 from hybvp.switching import switching_functions
-from oracles import per_order_values, segment_block, spec_of
+from oracles import layout_of, per_order_values, segment_block, spec_of
 
 HYPOTHESIS = settings(max_examples=25, deadline=None,
                       suppress_health_check=[HealthCheck.too_slow])
@@ -40,7 +40,7 @@ def _solved(ms, family, seed):
 
 def _with_random_unknowns(result, rng):
     """result with O(1) junction pairs and coefficients that halve per degree."""
-    layout = result.system.layout
+    layout = layout_of(result.system.roles)
     xi = rng.normal(size=layout.total)
     for k in range(1, layout.n_segments + 1):
         own = layout.xi_slice(k)
@@ -52,7 +52,7 @@ def _with_random_unknowns(result, rng):
 @given(GEOMETRIES)
 def test_pinned_end_values_come_back_bitwise_from_both_sides(geometry):
     result = _with_random_unknowns(*_solved(*geometry))
-    problem, layout = result.problem, result.system.layout
+    problem, layout = result.problem, layout_of(result.system.roles)
     bp, n = problem.break_points, problem.n_segments
     assert result.segment_values(1, bp[0], 0)[0] == problem.y0
     assert result.segment_values(n, bp[-1], 0)[0] == problem.yf
@@ -73,7 +73,7 @@ def test_segment_values_agree_with_the_kernel_point_path(geometry):
     """
     solved, rng = _solved(*geometry)
     for result, relative_to_terms in ((solved, False), (_with_random_unknowns(solved, rng), True)):
-        problem, layout = result.problem, result.system.layout
+        problem, layout = result.problem, layout_of(result.system.roles)
         for k, iv in enumerate(result.system.intervals, 1):
             xs = np.concatenate([[iv.x0, iv.xf], rng.uniform(iv.x0, iv.xf, 40)])
             blocks = segment_block(spec_of(result.system, k), iv, k, layout, problem.y0, problem.yf, xs)
@@ -172,9 +172,14 @@ def test_evaluate_checks_the_order_of_an_empty_x(d):
 
 def test_segment_values_rejects_an_unknown_segment():
     result = solve(builtin("linear_linear"), SolveOptions(N=60, m=8))
-    for k in (0, 3):
-        with pytest.raises(ValueError, match="segment index"):
+    # a float or a bool is not a segment index, even where it equals one
+    for k in (0, 3, 1.0, 1.5, True):
+        with pytest.raises(ValueError, match=r"^segment index .* out of range 1\.\.2$"):
             result.segment_values(k, 0.5)
+        with pytest.raises(ValueError, match=r"^segment index .* out of range 1\.\.2$"):
+            result.segment_coefficients(k)
+    assert np.array_equal(result.segment_values(np.int64(2), 0.75), result.segment_values(2, 0.75))
+    assert np.array_equal(result.segment_coefficients(np.int64(2)), result.segment_coefficients(2))
 
 
 def test_solve_leaves_evaluation_and_errors_to_first_use():

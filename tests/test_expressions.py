@@ -5,9 +5,10 @@ from numpy.polynomial import chebyshev as ncheb
 from hybvp import basis, expressions
 from hybvp.assembly import assemble_all
 from hybvp.basis import FAMILIES, Interval, collocation_grid, map_point
-from hybvp.expressions import UnknownLayout, reference_block, reference_bounds, segment_constraints
-from oracles import (CASCADE_SKIP, BasisSpec, cascade_eval, cascade_junction_value, eval_basis,
-                     segment_block, segment_row, spec_of, system_block)
+from hybvp.expressions import reference_block, reference_bounds, segment_role
+from oracles import (CASCADE_SKIP, BasisSpec, UnknownLayout, cascade_eval, cascade_junction_value,
+                     eval_basis, layout_of, segment_block, segment_constraints, segment_row,
+                     spec_of, system_block)
 
 
 def _spec_for(iv, m=6, family="chebyshev"):
@@ -21,29 +22,49 @@ def _random_geometry(rng, n_segments):
     return cuts
 
 
-def test_layout_ordering_and_slices():
-    lay = UnknownLayout(ms=(3, 3))
-    assert lay.total == 8
-    assert lay.xi_slice(1) == slice(0, 3)
-    assert lay.junction_value_index(1) == 3
-    assert lay.junction_slope_index(1) == 4
-    assert lay.xi_slice(2) == slice(5, 8)
+def _system(ms):
+    return assemble_all(np.linspace(0.0, 1.0, len(ms) + 1), max(ms) + 4, ms, "chebyshev", 0.0, 1.0)
 
-    lay = UnknownLayout(ms=(4, 2, 5))
-    assert lay.total == 4 + 2 + 5 + 4
+
+def _own(system, k):
+    """Columns of Xi that hold segment k's coefficients, from its window and role."""
+    window = system.windows[k - 1]
+    return range(window.start, window.stop)[system.roles[k - 1].own]
+
+
+def _junction(system, j):
+    """Columns of (y_j, y'_j) as segment j pins them at its right end, and segment j+1 at its left."""
+    columns = []
+    for k, end in ((j, 1), (j + 1, 0)):
+        pinned = {(order, e): column for order, e, column in system.roles[k - 1].pinned}
+        columns.append(tuple(system.windows[k - 1].start + pinned[order, end] for order in (0, 1)))
+    assert columns[0] == columns[1]
+    return columns[0]
+
+
+def test_layout_ordering_and_slices():
+    sm = _system((3, 3))
+    assert sm.total == 8
+    assert _own(sm, 1) == range(0, 3)
+    assert _junction(sm, 1) == (3, 4)
+    assert _own(sm, 2) == range(5, 8)
+
+    sm = _system((4, 2, 5))
+    assert sm.total == 4 + 2 + 5 + 4
     covered = []
     for k in (1, 2, 3):
-        covered.extend(range(lay.xi_slice(k).start, lay.xi_slice(k).stop))
+        covered.extend(_own(sm, k))
     for j in (1, 2):
-        covered.extend([lay.junction_value_index(j), lay.junction_slope_index(j)])
-    assert sorted(covered) == list(range(lay.total))
+        covered.extend(_junction(sm, j))
+    assert sorted(covered) == list(range(sm.total))
 
 
 def test_layout_single_segment_has_no_junctions():
-    lay = UnknownLayout(ms=(5,))
-    assert lay.total == 5
-    with pytest.raises(ValueError):
-        lay.junction_value_index(1)
+    sm = _system((5,))
+    assert sm.total == 5
+    assert sm.windows == (slice(0, 5),)
+    # both pinned functionals are boundary values: no column of Xi is a junction
+    assert sm.roles[0].pinned == ((0, 0, None), (0, 1, None))
 
 
 def test_single_bvp_zero_free_function_interpolates_boundaries():
@@ -221,6 +242,15 @@ def test_segment_constraints_are_the_switching_table_data():
     assert [tuple(c) for c in cons] == [(0, 0, None, 1.5), (0, 1, None, -2.0)]
 
 
+def test_segment_role_pins_the_switching_table_data():
+    # the same functionals as above, with columns counted in the segment's window
+    assert segment_role(3, True, False) == (slice(0, 3), 5, ((0, 0, None), (0, 1, 3), (1, 1, 4)))
+    assert segment_role(3, False, False) == (slice(2, 5), 7,
+                                             ((0, 0, 0), (0, 1, 5), (1, 0, 1), (1, 1, 6)))
+    assert segment_role(3, False, True) == (slice(2, 5), 5, ((0, 0, 0), (0, 1, None), (1, 0, 1)))
+    assert segment_role(3, True, True) == (slice(0, 3), 3, ((0, 0, None), (0, 1, None)))
+
+
 def _cheb_free_coeffs(fn, iv, m):
     """Free-function coefficients of fn on iv: full fit minus the skipped head."""
     series = ncheb.Chebyshev.interpolate(
@@ -303,8 +333,8 @@ def test_grid_path_matches_the_point_path_on_random_geometries():
         y0, yf = rng.standard_normal(2)
         system = assemble_all(bp, N, m, family, y0, yf)
         for k in range(1, n + 1):
-            at_points = segment_block(spec_of(system, k), system.intervals[k - 1], k, system.layout,
-                                      y0, yf, system.points[k - 1])
+            at_points = segment_block(spec_of(system, k), system.intervals[k - 1], k,
+                                      layout_of(system.roles), y0, yf, system.points[k - 1])
             for d in (0, 1, 2):
                 (A, B), (A_x, B_x) = system_block(system, k, d), at_points[d]
                 scale = np.max(np.abs(A))
@@ -318,7 +348,7 @@ def test_grid_path_embeds_boundary_values_and_c1_exactly():
     rng = np.random.default_rng(17)
     for family in FAMILIES:
         sm = assemble_all(_random_geometry(rng, 5), 23, (4, 9, 12, 7, 15), family, -1.25, 2.5)
-        layout = sm.layout
+        layout = layout_of(sm.roles)
         for _ in range(5):
             xi = rng.standard_normal(layout.total)
             states = [sm.segment_states(xi, k) for k in range(1, 6)]
@@ -417,5 +447,5 @@ def test_reference_bounds_are_the_cached_magnitudes_of_the_reference_block(first
 def test_grid_of_another_segment_is_rejected():
     system = assemble_all([0.0, 0.5, 1.0], 12, 5, "chebyshev", 0.0, 1.0)
     with pytest.raises(ValueError, match="segment 1"):
-        segment_block(spec_of(system, 1), system.intervals[0], 1, system.layout, 0.0, 1.0,
-                      system.points[1])
+        segment_block(spec_of(system, 1), system.intervals[0], 1, layout_of(system.roles), 0.0,
+                      1.0, system.points[1])

@@ -7,7 +7,6 @@ import pytest
 
 from hybvp import solver
 from hybvp.basis import FAMILIES
-from hybvp.expressions import UnknownLayout
 from hybvp.problems import (
     HybridProblem,
     builtin,
@@ -27,17 +26,20 @@ from hybvp.solver import (
     solve,
 )
 from oracles import (
+    UnknownLayout,
     dense_from_blocks,
     dense_scaled_qr_lstsq,
     discretize,
     evaluate,
+    layout_of,
     linear_system,
     residual_partial_check,
+    windows_and_roles,
 )
 
 
 def _block_lstsq(layout, blocks, b):
-    return _scaled_qr_lstsq(list(blocks), b, layout)  # it consumes the list
+    return _scaled_qr_lstsq(list(blocks), b, *windows_and_roles(layout))  # it consumes the list
 
 
 def _dense_lstsq(layout, blocks, b):
@@ -149,8 +151,9 @@ def test_adding_basis_functions_leaves_solution_unchanged():
 def test_initial_guess_line_policy_linear_linear():
     p = builtin("linear_linear")
     opts = SolveOptions(N=20, m=5)
-    layout = discretize(p, opts).layout
-    xi = initial_guess(p, opts, layout)
+    system = discretize(p, opts)
+    layout = layout_of(system.roles)
+    xi = initial_guess(p, opts, system.windows)
     assert xi[layout.junction_value_index(1)] == 0.5
     assert xi[layout.junction_slope_index(1)] == 1.0
     assert np.all(xi[layout.xi_slice(1)] == 0.0)
@@ -160,8 +163,9 @@ def test_initial_guess_line_policy_linear_linear():
 def test_initial_guess_explicit_policy_matches_reference_vectors():
     p = builtin("linear_nonlinear")
     opts = SolveOptions(N=20, m=5, init_values=(1.0, -1.0))
-    layout = discretize(p, opts).layout
-    xi = initial_guess(p, opts, layout)
+    system = discretize(p, opts)
+    layout = layout_of(system.roles)
+    xi = initial_guess(p, opts, system.windows)
     expect = np.zeros(layout.total)
     expect[layout.junction_value_index(1)] = 1.0
     expect[layout.junction_slope_index(1)] = -1.0
@@ -169,8 +173,9 @@ def test_initial_guess_explicit_policy_matches_reference_vectors():
 
     p = builtin("nonlinear_nonlinear")
     opts = SolveOptions(N=20, m=5, init_values=(1.30685, -0.5))
-    layout = discretize(p, opts).layout
-    xi = initial_guess(p, opts, layout)
+    system = discretize(p, opts)
+    layout = layout_of(system.roles)
+    xi = initial_guess(p, opts, system.windows)
     assert xi[layout.junction_value_index(1)] == 1.30685
     assert xi[layout.junction_slope_index(1)] == -0.5
 
@@ -225,13 +230,13 @@ def test_linear_solve_is_one_gauss_newton_step_on_the_direct_system(p, bitwise):
     # the Jacobian is the direct matrix at any Xi, bitwise or up to
     # rounding: it scales the summed reference rows by powers of the
     # width, the oracle scales each block before summing
-    xi = np.random.default_rng(7).standard_normal(system.layout.total)
+    xi = np.random.default_rng(7).standard_normal(system.total)
     for J, M in zip(_jacobian(system, _linearize(p, system, xi)[1]), blocks):
         if bitwise:
             assert np.array_equal(J, M)
         else:
             assert np.max(np.abs(J - M)) <= 1e-15 * np.max(np.abs(M))
-    assert np.array_equal(-_linearize(p, system, np.zeros(system.layout.total), floor=False)[0], rhs)
+    assert np.array_equal(-_linearize(p, system, np.zeros(system.total), floor=False)[0], rhs)
 
     # from Xi = 0 the one step solves the direct system, whose right-hand side is -L(0)
     zero = SolveOptions(N=40, m=20, init_values=(0.0, 0.0))
@@ -239,7 +244,7 @@ def test_linear_solve_is_one_gauss_newton_step_on_the_direct_system(p, bitwise):
         res = solve(p, zero)
     assert lstsq.call_count == 1
     assert res.converged and res.iterations == 1
-    direct = _scaled_qr_lstsq(blocks, rhs, system.layout)[0]
+    direct = _scaled_qr_lstsq(blocks, rhs, system.windows, system.roles)[0]
     if bitwise:
         assert np.array_equal(res.xi, direct)
     else:
@@ -276,7 +281,7 @@ def test_a_linearize_pass_evaluates_each_linear_coefficient_once_per_segment():
                      for _ in range(3))
     p = HybridProblem((0.0, 0.25, 0.5, 1.0), segments, y0=0.0, yf=1.0)
     system = discretize(p, SolveOptions(N=20, m=6))
-    _linearize(p, system, np.zeros(system.layout.total))
+    _linearize(p, system, np.zeros(system.total))
     assert [name for name, _ in calls] == ["a2", "a1", "a0", "f"] * 3
     for k in range(1, 4):
         assert all(args[0] is system.points[k - 1] for _, args in calls[4 * (k - 1):4 * k])
@@ -292,7 +297,7 @@ def test_nonlinear_dynamics_calls_each_callable_once_per_segment_with_one_state(
                      for _ in range(2))
     p = HybridProblem((0.0, 0.5, 1.0), segments, y0=0.0, yf=1.0)
     system = discretize(p, SolveOptions(N=20, m=6))
-    _linearize(p, system, initial_guess(p, SolveOptions(), system.layout))
+    _linearize(p, system, initial_guess(p, SolveOptions(), system.windows))
     assert [name for name, _ in calls] == ["residual", "d_y", "d_dy", "d_d2y"] * 2
     for k in (1, 2):
         first, *rest = (args for _, args in calls[4 * (k - 1):4 * k])
@@ -342,7 +347,7 @@ def test_a_constant_partial_is_broadcast_over_the_points(family):
 
 
 def _fd_jacobian(problem, system, xi, h=1e-6):
-    n = system.layout.total
+    n = system.total
     out = np.zeros((system.total_points, n))
     for i in range(n):
         e = np.zeros(n)
@@ -358,9 +363,9 @@ def test_jacobian_matches_finite_differences_at_start_and_solution(name):
     p = builtin(name)
     opts = SolveOptions(N=24, m=8)
     system = discretize(p, opts)
-    states = [initial_guess(p, opts, system.layout), solve(p, opts).xi]
+    states = [initial_guess(p, opts, system.windows), solve(p, opts).xi]
     for xi in states:
-        J = dense_from_blocks(_jacobian(system, _linearize(p, system, xi)[1]), system.layout)
+        J = dense_from_blocks(_jacobian(system, _linearize(p, system, xi)[1]), layout_of(system.roles))
         fd = _fd_jacobian(p, system, xi)
         for col in range(J.shape[1]):
             scale = 1.0 + np.max(np.abs(J[:, col]))
@@ -371,8 +376,8 @@ def test_jacobian_zero_blocks_bit_exact():
     p = builtin("nonlinear_nonlinear")
     opts = SolveOptions(N=15, m=6)
     system = discretize(p, opts)
-    layout = system.layout
-    xi = initial_guess(p, opts, layout)
+    layout = layout_of(system.roles)
+    xi = initial_guess(p, opts, system.windows)
     J = dense_from_blocks(_jacobian(system, _linearize(p, system, xi)[1]), layout)
     assert np.all(J[system.row_slice(1), layout.xi_slice(2)] == 0.0)
     assert np.all(J[system.row_slice(2), layout.xi_slice(1)] == 0.0)
@@ -400,11 +405,11 @@ def test_boundary_values_embedded_at_every_iterate():
     p = builtin("nonlinear_nonlinear")
     opts = SolveOptions(N=40, m=20)
     system = discretize(p, opts)
-    xi = initial_guess(p, opts, system.layout)
+    xi = initial_guess(p, opts, system.windows)
     for _ in range(4):
         r, partials, _ = _linearize(p, system, xi)
         J = _jacobian(system, partials)
-        xi = xi - _scaled_qr_lstsq(J, r, system.layout)[0]
+        xi = xi - _scaled_qr_lstsq(J, r, system.windows, system.roles)[0]
         y = evaluate(system, xi, 0)
         assert abs(y[0] - p.y0) <= 1e-14 * max(1.0, abs(p.y0))
         assert abs(y[-1] - p.yf) <= 1e-14 * max(1.0, abs(p.yf))
@@ -457,8 +462,8 @@ def test_options_validation():
         SolveOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
-    # an unknown basis fails where it is given, before any solve
-    for family in ("fourier", "Chebyshev", "", None):
+    # an unknown basis, or a container that holds a known one, fails where it is given, before any solve
+    for family in ("fourier", "Chebyshev", "", None, np.array(["legendre"]), ["chebyshev"]):
         with pytest.raises(ValueError, match=r"^SolveOptions\.family: expected one of "
                                              r"\('chebyshev', 'legendre'\), got "):
             SolveOptions(family=family)
@@ -483,10 +488,10 @@ def test_options_validation():
     opts = SolveOptions(m=8.0, N=np.float64(20.0))
     assert (opts.N, opts.m) == (20, 8) and type(opts.N) is int and type(opts.m) is int
     res = solve(builtin("linear_linear"), opts)
-    assert res.system.layout.ms == (8, 8) and res.system.total_points == 40
+    assert layout_of(res.system.roles).ms == (8, 8) and res.system.total_points == 40
     assert np.array_equal(res.xi, solve(builtin("linear_linear"), SolveOptions(m=8, N=20)).xi)
     res = solve(builtin("linear_linear"), SolveOptions(N=np.array(40), m=np.array(8.0)))
-    assert res.system.layout.ms == (8, 8) and res.system.total_points == 80
+    assert layout_of(res.system.roles).ms == (8, 8) and res.system.total_points == 80
     assert np.array_equal(res.xi, solve(builtin("linear_linear"), SolveOptions(N=40, m=8)).xi)
     # a 1-d array stays one value per segment
     res = solve(builtin("linear_linear"), SolveOptions(N=np.array([40, 30]), m=8))

@@ -71,11 +71,12 @@ def _manufactured_chain(n: int, seed: int):
 def _iterates(problem, opts, steps):
     """The system and the Gauss-Newton iterates from the start, taken by hand."""
     system = discretize(problem, opts)
-    xi = initial_guess(problem, opts, system.layout)
+    xi = initial_guess(problem, opts, system.windows)
     out = [xi]
     for _ in range(steps):
         residual, partials, _ = _linearize(problem, system, xi)
-        xi = xi - _scaled_qr_lstsq(_jacobian(system, partials), residual, system.layout)[0]
+        J = _jacobian(system, partials)
+        xi = xi - _scaled_qr_lstsq(J, residual, system.windows, system.roles)[0]
         out.append(xi)
     return system, out
 
